@@ -5,18 +5,18 @@
 #   scripts/check_static.sh [build-dir]
 #
 # Stages:
-#   1. scripts/lint.py          repo-specific structural rules (always)
-#   2. tools/analyze            semantic suite: determinism, snapshot,
-#                               errors, layering, fault-coverage (always;
-#                               AST backend when libclang imports, the
-#                               degraded text backend otherwise)
-#   3. scripts/format.sh --check  clang-format conformance   (if installed)
-#   4. clang-tidy               curated .clang-tidy set      (if installed)
-#   5. cppcheck                 whole-program analysis       (if installed)
+#   1. tools/analyze            repo-specific checkers: determinism,
+#                               snapshot, errors, layering,
+#                               fault-coverage, include-hygiene, style
+#                               (always; AST backend when libclang
+#                               imports, the text backend otherwise)
+#   2. scripts/format.sh --check  clang-format conformance   (if installed)
+#   3. clang-tidy               curated .clang-tidy set      (if installed)
+#   4. cppcheck                 whole-program analysis       (if installed)
 #
 # Missing optional tools produce a SKIP line, not a failure: the repo
 # must stay checkable in minimal containers that only carry a compiler
-# and python3. Stages 1 and 2 are the enforced backbone and never skip.
+# and python3. Stage 1 is the enforced backbone and never skips.
 set -uo pipefail
 cd "$(dirname "$0")/.." || exit 2
 
@@ -46,19 +46,13 @@ if [[ ${#cxx_sources[@]} -eq 0 || -z "${cxx_sources[0]}" ]]; then
   fail "source enumeration returned no files (tree layout changed?)"
 fi
 
-# --- 1. repo linter (mandatory) ---------------------------------------------
-note "lint.py"
-if ! python3 scripts/lint.py; then
-  fail "scripts/lint.py reported findings"
-fi
-
-# --- 2. semantic analysis suite (mandatory) ---------------------------------
-note "analyze (semantic suite)"
+# --- 1. analysis suite (mandatory) ------------------------------------------
+note "analyze"
 if ! python3 tools/analyze/analyze.py --build-dir "$BUILD_DIR"; then
   fail "tools/analyze reported findings"
 fi
 
-# --- 3. formatting ----------------------------------------------------------
+# --- 2. formatting ----------------------------------------------------------
 note "format --check"
 if command -v "${CLANG_FORMAT:-clang-format}" >/dev/null 2>&1; then
   if ! scripts/format.sh --check; then
@@ -68,7 +62,7 @@ else
   skip "clang-format not installed"
 fi
 
-# --- 4. clang-tidy ----------------------------------------------------------
+# --- 3. clang-tidy ----------------------------------------------------------
 note "clang-tidy"
 if ! command -v clang-tidy >/dev/null 2>&1; then
   skip "clang-tidy not installed"
@@ -81,7 +75,7 @@ elif [[ ${#cxx_sources[@]} -gt 0 ]]; then
   fi
 fi
 
-# --- 5. cppcheck ------------------------------------------------------------
+# --- 4. cppcheck ------------------------------------------------------------
 note "cppcheck"
 if ! command -v cppcheck >/dev/null 2>&1; then
   skip "cppcheck not installed"

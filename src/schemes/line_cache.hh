@@ -1,7 +1,8 @@
-// Direct-mapped tag store shared by the cache-style schemes (Alloy,
-// MemCache). Models the placement function of a tag-with-data (TAD)
-// DRAM cache: one tag per line-sized set, no associativity, so a probe
-// costs a single on-package access and there is no migration choreography.
+// Direct-mapped tag store behind the cache-style scheme (MemCache and
+// its pure-cache Alloy preset). Models the placement function of a
+// tag-with-data (TAD) DRAM cache: one tag per line-sized set, no
+// associativity, so a probe costs a single on-package access and there
+// is no migration choreography.
 //
 // Only tags are modelled (the simulator carries no data); entries are
 // packed as (tag << 2) | dirty << 1 | valid so the 8M sets of the paper

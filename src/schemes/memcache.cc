@@ -1,6 +1,6 @@
 #include "schemes/memcache.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/params.hh"
 
@@ -8,20 +8,24 @@ namespace hmm::schemes {
 
 namespace {
 /// Memory-fraction size: (1 - cache_fraction) of the on-package bytes,
-/// rounded to whole macro pages and clamped to [0, on_package_bytes].
+/// rounded to whole macro pages. A fraction outside [0, 1] (or NaN) is a
+/// configuration error, not something to clamp.
 [[nodiscard]] std::uint64_t memory_bytes(const Geometry& g,
                                          double cache_fraction) {
-  const double f = std::clamp(1.0 - cache_fraction, 0.0, 1.0);
+  HMM_CHECK(cache_fraction >= 0.0 && cache_fraction <= 1.0,
+            "cache_fraction " + std::to_string(cache_fraction) +
+                " is outside [0, 1]");
   const auto pages = static_cast<std::uint64_t>(
-      f * static_cast<double>(g.slots()) + 0.5);
-  return std::min<std::uint64_t>(pages, g.slots()) * g.page_bytes;
+      (1.0 - cache_fraction) * static_cast<double>(g.slots()) + 0.5);
+  return pages * g.page_bytes;
 }
 }  // namespace
 
-MemCacheScheme::MemCacheScheme(const SchemeConfig& cfg,
+MemCacheScheme::MemCacheScheme(std::string name, const SchemeConfig& cfg,
                                DramSystem& on_package,
                                DramSystem& off_package)
-    : geom_(cfg.controller.geom),
+    : name_(std::move(name)),
+      geom_(cfg.controller.geom),
       mem_bytes_(memory_bytes(cfg.controller.geom, cfg.cache_fraction)),
       on_(on_package),
       off_(off_package),
@@ -47,7 +51,8 @@ SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,
   if (injector_ != nullptr &&
       injector_->fires(fault::FaultSite::HotnessCorrupt,
                        geom_.page_of(addr))) {
-    // Benign tag transient, as in AlloyScheme.
+    // A transient scrambles one tag entry. Dropping the set is the benign
+    // outcome: at worst a spurious refill, never a wrong route.
     cache_.invalidate_set(
         injector_->payload_rng().bounded64(cache_.sets()));
   }
@@ -74,16 +79,21 @@ SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,
   const LineCache::Lookup lk =
       cache_.access(addr, type == AccessType::Write);
   if (lk.hit) {
+    // Tag-with-data: the probe IS the access — no extra latency.
     ++stats_.cache_hits;
     d.route.region = Region::OnPackage;
     d.route.mach = mem_bytes_ + lk.set * line + addr % line;
     return d;
   }
+  // Miss: the on-package probe that discovered it costs one access, then
+  // the demand is served from the off-package home.
   d.route.region = Region::OffPackage;
   d.route.mach = home_of(addr);
   if (cache_.sets() == 0) return d;  // cache_fraction 0: plain miss
   d.extra_latency = params::kL4MissDetermination;
   if (!instant_) {
+    // Background fill of the TAD (and the dirty victim's writeback) steal
+    // bandwidth exactly like migration chunks do.
     const auto bytes = static_cast<std::uint32_t>(line);
     on_.submit(mem_bytes_ + lk.set * line, bytes, AccessType::Write,
                Priority::Background, now + d.extra_latency);
@@ -175,9 +185,9 @@ SchemeMetrics MemCacheScheme::metrics() const {
 std::string MemCacheScheme::audit_check() const {
   if (mem_bytes_ + cache_.sets() * cache_.line_bytes() >
       geom_.on_package_bytes)
-    return "memcache partition exceeds on-package capacity";
+    return name_ + " partition exceeds on-package capacity";
   const std::string err = cache_.validate();
-  if (!err.empty()) return "memcache tag store: " + err;
+  if (!err.empty()) return name_ + " tag store: " + err;
   if (ras_ != nullptr && cache_.sets() != 0) {
     const std::uint64_t line = cache_.line_bytes();
     const std::uint64_t per = geom_.page_bytes / line;
@@ -186,7 +196,7 @@ std::string MemCacheScheme::audit_check() const {
       if (geom_.region_of(base) != Region::OnPackage || base < mem_bytes_)
         continue;
       if (cache_.any_valid_in((base - mem_bytes_) / line, per))
-        return "memcache tag store: valid line in a retired cache frame";
+        return name_ + " tag store: valid line in a retired cache frame";
     }
   }
   return {};

@@ -8,7 +8,20 @@
 // direct-mapped line cache over the rest of the address space, with its
 // sets offset past the memory fraction. `SchemeConfig::cache_fraction`
 // is the runtime knob: 0.0 degenerates to pure static memory, 1.0 to a
-// pure Alloy cache.
+// pure Alloy cache. The registry's "Alloy" scheme is this class with
+// the knob forced to 1.0 (Qureshi & Loh, MICRO'12 flavour).
+//
+// The cache is a tag-with-data (TAD) cache: one line per set, tag and
+// data fetched in a single on-package access (no separate tag array, no
+// associativity, no migration choreography). A hit is served
+// on-package; a miss pays the miss-determination probe, is served from
+// the off-package home, and streams a background fill into the set
+// (plus a dirty-victim writeback).
+//
+// Adaptation notes: the backing store is the identity machine mapping of
+// the whole physical space (the same convention Force::AllOffPackage
+// uses), and the line size is the L3 line (64B) — the TAD unit the Alloy
+// paper co-locates with its tag.
 #pragma once
 
 #include <string>
@@ -21,11 +34,14 @@ namespace hmm::schemes {
 
 class MemCacheScheme final : public MemoryScheme {
  public:
-  MemCacheScheme(const SchemeConfig& cfg, DramSystem& on_package,
-                 DramSystem& off_package);
+  /// `name` is the registry name the scheme reports ("MemCache", or
+  /// "Alloy" for the pure-cache preset). `cfg.cache_fraction` must lie
+  /// in [0, 1]; anything else (NaN included) throws SimError.
+  MemCacheScheme(std::string name, const SchemeConfig& cfg,
+                 DramSystem& on_package, DramSystem& off_package);
 
   [[nodiscard]] const char* name() const noexcept override {
-    return "MemCache";
+    return name_.c_str();
   }
   [[nodiscard]] SchemeDecision on_access(PhysAddr addr, AccessType type,
                                          Cycle now) override;
@@ -49,6 +65,9 @@ class MemCacheScheme final : public MemoryScheme {
     return mem_bytes_;
   }
 
+  /// Test hook: the tag store, so auditor tests can corrupt it.
+  [[nodiscard]] LineCache& cache_for_test() noexcept { return cache_; }
+
  private:
   struct Stats {
     std::uint64_t accesses = 0;
@@ -70,6 +89,7 @@ class MemCacheScheme final : public MemoryScheme {
   /// identity frame, or its spare stand-in once the home is retired).
   [[nodiscard]] MachAddr home_of(PhysAddr addr) const noexcept;
 
+  std::string name_;  // no-snapshot(construction-time config)
   Geometry geom_;  // no-snapshot(construction-time config)
   std::uint64_t mem_bytes_;  // no-snapshot(construction-time config)
   DramSystem& on_;

@@ -1,6 +1,5 @@
 #include "schemes/registry.hh"
 
-#include "schemes/alloy.hh"
 #include "schemes/flat_hma.hh"
 #include "schemes/memcache.hh"
 #include "schemes/swap_scheme.hh"
@@ -44,12 +43,18 @@ std::unique_ptr<MemoryScheme> make_scheme(const std::string& name,
   if (name == "N-1") return swap(MigrationDesign::NMinus1);
   if (name == "Live") return swap(MigrationDesign::LiveMigration);
   if (name == "nomad") return swap(MigrationDesign::Nomad);
-  if (name == "Alloy")
-    return std::make_unique<AlloyScheme>(cfg, on_package, off_package);
+  if (name == "Alloy") {
+    // A pure Alloy cache is MemCache with no memory fraction.
+    SchemeConfig c = cfg;
+    c.cache_fraction = 1.0;
+    return std::make_unique<MemCacheScheme>(name, c, on_package,
+                                            off_package);
+  }
   if (name == "flat-HMA")
     return std::make_unique<FlatHmaScheme>(cfg, on_package, off_package);
   if (name == "MemCache")
-    return std::make_unique<MemCacheScheme>(cfg, on_package, off_package);
+    return std::make_unique<MemCacheScheme>(name, cfg, on_package,
+                                            off_package);
   // analyze: allow(errors): unknown_scheme_error builds a SimError
   throw unknown_scheme_error(name);
 }

@@ -29,8 +29,9 @@ void validate_scheme_name(const std::string& name);
 
 /// Builds the named scheme. For the swap designs the controller design
 /// is forced to match the name, so `cfg.controller.design` never has to
-/// be kept in sync by callers. Throws unknown_scheme_error() on a name
-/// that is not registered.
+/// be kept in sync by callers; likewise "Alloy" is the MemCache scheme
+/// with `cache_fraction` forced to 1.0. Throws unknown_scheme_error() on
+/// a name that is not registered.
 [[nodiscard]] std::unique_ptr<MemoryScheme> make_scheme(
     const std::string& name, const SchemeConfig& cfg,
     DramSystem& on_package, DramSystem& off_package);

@@ -4,10 +4,11 @@
 // memory: placement policy, migration/fill policy, hotness or tag
 // tracking, and the per-scheme statistics. MemSim owns exactly one scheme
 // and drives it through this interface, so the paper's N / N-1 / Live
-// designs (SwapScheme wrapping HeteroMemoryController) and the competing
-// die-stacked-DRAM designs (Alloy, flat-HMA, MemCache) replay the same
-// traces through the same DRAM models, fault injector, invariant auditor,
-// snapshot codec, and sweep runner.
+// designs and nomad (SwapScheme wrapping HeteroMemoryController) and the
+// competing die-stacked-DRAM designs (flat-HMA, MemCache and its
+// pure-cache Alloy preset) replay the same traces through the same DRAM
+// models, fault injector, invariant auditor, snapshot codec, and sweep
+// runner.
 //
 // Obligations of an implementation (DESIGN.md §"Scheme zoo"):
 //   * deterministic: no wall clock, no unseeded RNG;
@@ -35,7 +36,8 @@ namespace hmm::schemes {
 struct SchemeConfig {
   ControllerConfig controller;
   /// MemCache knob: fraction of on-package bytes operated as a cache
-  /// (the rest is statically mapped memory). Ignored by other schemes.
+  /// (the rest is statically mapped memory), in [0, 1]. The registry
+  /// forces 1.0 for "Alloy"; the other schemes ignore it.
   double cache_fraction = 0.5;
 };
 
@@ -69,7 +71,8 @@ class MemoryScheme : public fault::Auditable {
  public:
   ~MemoryScheme() override = default;
 
-  /// Registry name ("N", "N-1", "Live", "Alloy", "flat-HMA", "MemCache").
+  /// Registry name ("N", "N-1", "Live", "nomad", "Alloy", "flat-HMA",
+  /// "MemCache").
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// Route + track one demand access; may start background work.

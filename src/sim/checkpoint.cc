@@ -12,7 +12,7 @@ namespace hmm {
 
 namespace {
 constexpr std::uint32_t kMagic = snap::tag('H', 'M', 'M', 'K');
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 }  // namespace
 
 std::uint64_t checkpoint_fingerprint(const std::string& key,

@@ -33,10 +33,12 @@ namespace hmm {
 struct MemSimConfig {
   ControllerConfig controller;
   /// Registry name of the memory scheme to simulate ("N", "N-1", "Live",
-  /// "Alloy", "flat-HMA", "MemCache"); "" derives the swap scheme from
-  /// `controller.design` (the pre-zoo behaviour, bit-identical).
+  /// "nomad", "Alloy", "flat-HMA", "MemCache"); "" derives the swap
+  /// scheme from `controller.design` (the pre-zoo behaviour,
+  /// bit-identical).
   std::string scheme;
-  /// MemCache knob: on-package fraction operated as a cache.
+  /// MemCache knob: on-package fraction operated as a cache, in [0, 1]
+  /// (anything else throws SimError at construction).
   double cache_fraction = 0.5;
   SchedulerPolicy policy = SchedulerPolicy::FrFcfs;
   std::size_t max_demand_backlog = 48;

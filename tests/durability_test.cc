@@ -260,23 +260,29 @@ TEST(Checkpoint, OlderFormatVersionIsRejected) {
     sim.run_chunk(*gen, 256);
     save_checkpoint(path, CheckpointMeta{fp, 256, false}, *gen, sim);
   }
-  {
-    // The u32 after the magic is the format version, little-endian.
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(4);
-    const char v1[4] = {1, 0, 0, 0};
-    f.write(v1, sizeof v1);
-  }
-  MemSim sim(spec.config);
-  auto gen = spec.workload.make(seed);
-  try {
-    (void)load_checkpoint(path, fp, *gen, sim);
-    ADD_FAILURE() << "a version-1 checkpoint was accepted";
-  } catch (const fault::SimError& e) {
-    EXPECT_EQ(e.kind(), fault::SimErrorKind::Snapshot);
-    EXPECT_NE(std::string(e.what()).find("format version 1 is not supported"),
-              std::string::npos)
-        << e.what();
+  // Version 2 predates the Alloy scheme writing MemCache's section.
+  for (const char version : {1, 2}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    {
+      // The u32 after the magic is the format version, little-endian.
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(4);
+      const char v[4] = {version, 0, 0, 0};
+      f.write(v, sizeof v);
+    }
+    MemSim sim(spec.config);
+    auto gen = spec.workload.make(seed);
+    try {
+      (void)load_checkpoint(path, fp, *gen, sim);
+      ADD_FAILURE() << "an older checkpoint was accepted";
+    } catch (const fault::SimError& e) {
+      EXPECT_EQ(e.kind(), fault::SimErrorKind::Snapshot);
+      EXPECT_NE(std::string(e.what()).find(
+                    "format version " + std::to_string(version) +
+                    " is not supported"),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }

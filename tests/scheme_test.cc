@@ -5,11 +5,12 @@
 // invariant auditor catching injected per-scheme corruption.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "common/snapshot.hh"
 #include "runner/experiment.hh"
-#include "schemes/alloy.hh"
 #include "schemes/flat_hma.hh"
 #include "schemes/memcache.hh"
 #include "schemes/registry.hh"
@@ -119,6 +120,95 @@ RunResult zoo_replay(const MemSimConfig& cfg, std::uint64_t n,
   return sim.result();
 }
 
+// Every RunResult field, one "name value" line each (doubles at full
+// precision, the fault-event list folded into a CRC), so one golden
+// string pins the whole result.
+std::string describe(const RunResult& r) {
+  std::string s;
+  char buf[96];
+  const auto u = [&](const char* k, std::uint64_t v) {
+    std::snprintf(buf, sizeof buf, "%s %llu\n", k,
+                  static_cast<unsigned long long>(v));
+    s += buf;
+  };
+  const auto d = [&](const char* k, double v) {
+    std::snprintf(buf, sizeof buf, "%s %.17g\n", k, v);
+    s += buf;
+  };
+  u("accesses", r.accesses);
+  d("avg_latency", r.avg_latency);
+  d("avg_read_latency", r.avg_read_latency);
+  d("avg_write_latency", r.avg_write_latency);
+  d("avg_on_latency", r.avg_on_latency);
+  d("avg_off_latency", r.avg_off_latency);
+  d("p99_latency", r.p99_latency);
+  d("on_package_fraction", r.on_package_fraction);
+  d("off_row_hit_rate", r.off_row_hit_rate);
+  d("on_queue_delay", r.on_queue_delay);
+  d("off_queue_delay", r.off_queue_delay);
+  u("swaps", r.swaps);
+  u("migrated_bytes", r.migrated_bytes);
+  u("demand_bytes_on", r.demand_bytes_on);
+  u("demand_bytes_off", r.demand_bytes_off);
+  u("os_stall_cycles", r.os_stall_cycles);
+  u("end_time", r.end_time);
+  u("faults_injected", r.faults_injected);
+  u("faults_dropped", r.faults_dropped);
+  u("chunk_retries", r.chunk_retries);
+  u("chunks_dropped", r.chunks_dropped);
+  u("swap_aborts", r.swap_aborts);
+  u("audits", r.audits);
+  u("degraded", r.degraded ? 1 : 0);
+  u("degraded_at", r.degraded_at);
+  snap::Writer ev;
+  for (const fault::FaultEvent& e : r.fault_events) {
+    ev.u32(static_cast<std::uint32_t>(e.site));
+    ev.u64(e.opportunity);
+    ev.u64(e.detail);
+  }
+  u("fault_events", r.fault_events.size());
+  u("fault_events_crc", snap::crc32(ev.buffer().data(), ev.buffer().size()));
+  u("ras_enabled", r.ras_enabled ? 1 : 0);
+  u("ras.demand_corrected", r.ras.demand_corrected);
+  u("ras.demand_uncorrectable", r.ras.demand_uncorrectable);
+  u("ras.scrub_probes", r.ras.scrub_probes);
+  u("ras.scrub_corrected", r.ras.scrub_corrected);
+  u("ras.scrub_uncorrectable", r.ras.scrub_uncorrectable);
+  u("ras.scrub_collisions", r.ras.scrub_collisions);
+  u("ras.stuck_faults", r.ras.stuck_faults);
+  u("ras.frames_retired", r.ras.frames_retired);
+  u("ras.frames_pinned", r.ras.frames_pinned);
+  u("ras.evacuations", r.ras.evacuations);
+  u("ras.evacuation_bytes", r.ras.evacuation_bytes);
+  u("ras.spares_used", r.ras.spares_used);
+  u("ras_frames_pending", r.ras_frames_pending);
+  u("ras_spares_left", r.ras_spares_left);
+  u("ras_healthy_frames", r.ras_healthy_frames);
+  s += "ras_retirements";
+  for (const ras::RetirementEvent& e : r.ras_retirements) {
+    std::snprintf(buf, sizeof buf, " %llu@%llu",
+                  static_cast<unsigned long long>(e.frame),
+                  static_cast<unsigned long long>(e.at));
+    s += buf;
+  }
+  s += "\n";
+  d("energy_pj", r.energy_pj);
+  d("energy_off_only_pj", r.energy_off_only_pj);
+  return s;
+}
+
+// CRC of the line-cache tag store behind a cache-style scheme: the
+// section (tag, u64 payload size, payload, u32 CRC) that opens the
+// scheme's snapshot.
+std::uint32_t tag_store_crc(const MemSim& sim) {
+  snap::Writer w;
+  sim.scheme().save(w);
+  snap::Reader r(w.buffer());
+  (void)r.u32();
+  const std::uint64_t payload = r.u64();
+  return snap::crc32(w.buffer().data(), 4 + 8 + payload + 4);
+}
+
 // --- registry ---------------------------------------------------------------
 
 TEST(SchemeRegistry, NamesAreCanonicalAndOrdered) {
@@ -186,6 +276,144 @@ TEST(SchemeGolden, EmptySchemeNameDerivesFromControllerDesign) {
   }
 }
 
+// --- Alloy goldens -----------------------------------------------------------
+
+constexpr const char* kAlloyZooGolden =
+    "accesses 40000\n"
+    "avg_latency 253.34902500000001\n"
+    "avg_read_latency 254.07394146300845\n"
+    "avg_write_latency 252.25949565108567\n"
+    "avg_on_latency 128.96705405693569\n"
+    "avg_off_latency 291.44636034094248\n"
+    "p99_latency 512\n"
+    "on_package_fraction 0.23447499999999999\n"
+    "off_row_hit_rate 0.12311812155056986\n"
+    "on_queue_delay 40.657852649536196\n"
+    "off_queue_delay 50.079455275791126\n"
+    "swaps 0\n"
+    "migrated_bytes 1960512\n"
+    "demand_bytes_on 600256\n"
+    "demand_bytes_off 1959744\n"
+    "os_stall_cycles 0\n"
+    "end_time 516074\n"
+    "faults_injected 0\n"
+    "faults_dropped 0\n"
+    "chunk_retries 0\n"
+    "chunks_dropped 0\n"
+    "swap_aborts 0\n"
+    "audits 0\n"
+    "degraded 0\n"
+    "degraded_at 0\n"
+    "fault_events 0\n"
+    "fault_events_crc 0\n"
+    "ras_enabled 0\n"
+    "ras.demand_corrected 0\n"
+    "ras.demand_uncorrectable 0\n"
+    "ras.scrub_probes 0\n"
+    "ras.scrub_corrected 0\n"
+    "ras.scrub_uncorrectable 0\n"
+    "ras.scrub_collisions 0\n"
+    "ras.stuck_faults 0\n"
+    "ras.frames_retired 0\n"
+    "ras.frames_pinned 0\n"
+    "ras.evacuations 0\n"
+    "ras.evacuation_bytes 0\n"
+    "ras.spares_used 0\n"
+    "ras_frames_pending 0\n"
+    "ras_spares_left 0\n"
+    "ras_healthy_frames 0\n"
+    "ras_retirements\n"
+    "energy_pj 418710528\n"
+    "energy_off_only_pj 368640000\n";
+
+constexpr const char* kAlloyRasGolden =
+    "accesses 15000\n"
+    "avg_latency 14480.392066666667\n"
+    "avg_read_latency 14431.406141432253\n"
+    "avg_write_latency 14552.319236465361\n"
+    "avg_on_latency 620.63325825825825\n"
+    "avg_off_latency 17473.452821011673\n"
+    "p99_latency 65536\n"
+    "on_package_fraction 0.13943333333333333\n"
+    "off_row_hit_rate 0.14794098573281453\n"
+    "on_queue_delay 524.85923423423424\n"
+    "off_queue_delay 17234.041990920883\n"
+    "swaps 0\n"
+    "migrated_bytes 716480\n"
+    "demand_bytes_on 170496\n"
+    "demand_bytes_off 789504\n"
+    "os_stall_cycles 0\n"
+    "end_time 387478\n"
+    "faults_injected 32\n"
+    "faults_dropped 0\n"
+    "chunk_retries 0\n"
+    "chunks_dropped 0\n"
+    "swap_aborts 0\n"
+    "audits 7\n"
+    "degraded 0\n"
+    "degraded_at 0\n"
+    "fault_events 32\n"
+    "fault_events_crc 4196675361\n"
+    "ras_enabled 1\n"
+    "ras.demand_corrected 107\n"
+    "ras.demand_uncorrectable 0\n"
+    "ras.scrub_probes 0\n"
+    "ras.scrub_corrected 0\n"
+    "ras.scrub_uncorrectable 0\n"
+    "ras.scrub_collisions 0\n"
+    "ras.stuck_faults 7\n"
+    "ras.frames_retired 4\n"
+    "ras.frames_pinned 1\n"
+    "ras.evacuations 4\n"
+    "ras.evacuation_bytes 1048576\n"
+    "ras.spares_used 4\n"
+    "ras_frames_pending 0\n"
+    "ras_spares_left 0\n"
+    "ras_healthy_frames 16383\n"
+    "ras_retirements 0@12867 11264@32775 16380@227208 1623@255972\n"
+    "energy_pj 288315463.68000001\n"
+    "energy_off_only_pj 138240000\n";
+
+// Alloy, pinned before it became a MemCache preset: the RAS-off zoo cell.
+TEST(AlloyScheme, GoldenZooCell) {
+  MemSim sim(zoo_cfg("Alloy"));
+  auto w = make_pgbench(21);
+  sim.run(*w, 40000);
+  sim.finish();
+  EXPECT_EQ(describe(sim.result()), kAlloyZooGolden);
+  EXPECT_EQ(tag_store_crc(sim), 1838043040u);
+}
+
+// Alloy under media faults with RAS retirement and the patrol scrub off:
+// ras_availability's pgbench/noscrub-r0.001000/Alloy cell at
+// HMM_BENCH_SCALE=0.1. The log retires on-package frames (cache-set
+// purges) and off-package frames (backing remaps onto spares).
+TEST(AlloyScheme, GoldenRasRetirementCell) {
+  const std::string key = "ras_availability/pgbench/noscrub-r0.001000/Alloy";
+  MemSimConfig cfg;
+  cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
+  cfg.controller.design = MigrationDesign::LiveMigration;
+  cfg.controller.swap_interval = 1000;
+  cfg.controller.migration_enabled = true;
+  cfg.scheme = "Alloy";
+  cfg.audit_interval = 4096;
+  cfg.fault.seed = runner::derive_seed(42, key);
+  cfg.fault.add(FaultSite::MediaTransient, 1e-3)
+      .add(FaultSite::MediaStuckAt, 1e-3 / 4);
+  cfg.ras.enabled = true;
+  cfg.ras.scrub_interval = 0;
+  MemSim sim(cfg);
+  auto w = make_pgbench(runner::derive_seed(42, "ras_availability/pgbench"));
+  sim.set_instant_migration(true);
+  sim.run(*w, 15000);
+  sim.set_instant_migration(false);
+  sim.reset_stats();
+  sim.run(*w, 15000);
+  sim.finish();
+  EXPECT_EQ(describe(sim.result()), kAlloyRasGolden);
+  EXPECT_EQ(tag_store_crc(sim), 2289666822u);
+}
+
 // --- zoo behaviour ----------------------------------------------------------
 
 TEST(AlloyScheme, CachesTheHotSetWithoutSwaps) {
@@ -199,7 +427,7 @@ TEST(AlloyScheme, CachesTheHotSetWithoutSwaps) {
 
 TEST(AlloySchemeUnit, RepeatAccessHitsAndVictimWritesBack) {
   MemSim sim(zoo_cfg("Alloy"));
-  auto& alloy = dynamic_cast<schemes::AlloyScheme&>(sim.scheme());
+  auto& alloy = dynamic_cast<schemes::MemCacheScheme&>(sim.scheme());
   schemes::LineCache& c = alloy.cache_for_test();
   const PhysAddr a = 4096;
   const PhysAddr conflict = a + c.sets() * c.line_bytes();  // same set
@@ -254,6 +482,36 @@ TEST(MemCacheScheme, PartitionFollowsTheCacheFractionKnob) {
     auto& mc = dynamic_cast<schemes::MemCacheScheme&>(sim.scheme());
     EXPECT_EQ(mc.memory_fraction_bytes(), 0u);
   }
+}
+
+// The knob is validated, not clamped: NaN used to reach an undefined
+// float-to-integer cast.
+TEST(MemCacheScheme, RejectsCacheFractionOutsideUnitInterval) {
+  for (const double f : {std::nan(""), -0.1, 1.5}) {
+    SCOPED_TRACE(f);
+    MemSimConfig cfg = zoo_cfg("MemCache");
+    cfg.cache_fraction = f;
+    try {
+      MemSim sim(cfg);
+      ADD_FAILURE() << "cache_fraction " << f << " was accepted";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::CheckFailed);
+      EXPECT_NE(std::string(e.what()).find("cache_fraction"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// "Alloy" is the pure-cache preset: the registry overrides whatever
+// fraction the caller set.
+TEST(AlloyScheme, PresetIgnoresTheCacheFractionKnob) {
+  MemSimConfig cfg = zoo_cfg("Alloy");
+  cfg.cache_fraction = 0.25;
+  MemSim sim(cfg);
+  EXPECT_STREQ(sim.scheme().name(), "Alloy");
+  auto& mc = dynamic_cast<schemes::MemCacheScheme&>(sim.scheme());
+  EXPECT_EQ(mc.memory_fraction_bytes(), 0u);
 }
 
 TEST(MemCacheScheme, MemoryFractionServesLowAddressesForFree) {
@@ -314,21 +572,27 @@ TEST(SchemeSnapshot, EverySchemeRoundTrips) {
 
 // --- auditor integration ----------------------------------------------------
 
+// Both line-cache presets audit their tag store, and the finding names
+// the registry scheme.
 TEST(SchemeAudit, AuditorCatchesCorruptedAlloyTagStore) {
-  MemSimConfig cfg = zoo_cfg("Alloy");
-  cfg.audit_interval = 100;
-  MemSim sim(cfg);
-  auto w = make_pgbench(5);
-  sim.run(*w, 1000);  // clean prefix: audits pass
-  auto& alloy = dynamic_cast<schemes::AlloyScheme&>(sim.scheme());
-  alloy.cache_for_test().corrupt_valid_count_for_test();
-  try {
-    sim.run(*w, 1000);
-    FAIL() << "expected SimError(AuditFailed)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimErrorKind::AuditFailed);
-    EXPECT_NE(std::string(e.what()).find("alloy tag store"),
-              std::string::npos);
+  for (const std::string name : {"Alloy", "MemCache"}) {
+    SCOPED_TRACE(name);
+    MemSimConfig cfg = zoo_cfg(name);
+    cfg.audit_interval = 100;
+    MemSim sim(cfg);
+    auto w = make_pgbench(5);
+    sim.run(*w, 1000);  // clean prefix: audits pass
+    auto& mc = dynamic_cast<schemes::MemCacheScheme&>(sim.scheme());
+    mc.cache_for_test().corrupt_valid_count_for_test();
+    try {
+      sim.run(*w, 1000);
+      ADD_FAILURE() << "expected SimError(AuditFailed)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::AuditFailed);
+      EXPECT_NE(std::string(e.what()).find(name + " tag store"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,8 +1,5 @@
-"""hmm semantic analysis suite (tools/analyze).
+"""hmm static analysis suite (tools/analyze).
 
 Importable as the `analyze` package with tools/ on sys.path; the CLI
-entry point is analyze.py in this directory. scripts/lint.py imports
-this package for its AST snapshot backend; this package imports
-scripts/lint.py for its regex snapshot fallback (both imports are
-lazy, so neither tool needs the other's dependencies to start).
+entry point is analyze.py in this directory.
 """

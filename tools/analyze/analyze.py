@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Semantic analysis suite for the hmm codebase.
+"""Static analysis suite for the hmm codebase.
 
-Five repo-specific checkers over the source tree (see checks/*.py for
-the full contracts):
+Seven repo-specific checkers over the tracked C++ sources (see
+checks/*.py for the full contracts):
 
-  determinism      unordered-iteration order, pointer keys, wall clocks
-  snapshot         AST-accurate save()/restore() member coverage
+  determinism      unordered-iteration order, pointer keys, wall clocks,
+                   unseeded RNG
+  snapshot         save()/restore() member coverage
   errors           SimError-only throws, no swallowing catch(...),
                    no bare assert/abort
   layering         include-graph module rules + file-level cycles
   fault-coverage   every FaultSite armed at an injector call site and
                    named in a test
+  include-hygiene  #pragma once, no `using namespace` in headers,
+                   own header first
+  style            no tabs, trailing whitespace or CRLF; one final
+                   newline; 80 columns
+
+The first five are semantic and read src/ + tests/; the source-level
+rules (bare assert, RNG, own header first, style, header hygiene) reach
+further — see each checker's scope.
 
 Backends:
   ast    libclang (python clang.cindex) driven by the build tree's
@@ -45,6 +54,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(
 from analyze import astlib                      # noqa: E402
 from analyze import checks as checks_pkg        # noqa: E402
 from analyze.textlib import (CXX_EXTENSIONS,    # noqa: E402
+                             HEADER_EXTENSIONS, SEMANTIC_DIRS,
                              SourceFile)
 
 FIXTURE_DIR = "tools/analyze/fixtures"
@@ -69,19 +79,25 @@ class Context:
     def file_at(self, path):
         return self._by_path.get(path)
 
+    def in_scope(self, path, dirs):
+        """Explicit files are always checked; otherwise `path` must sit
+        under one of `dirs`."""
+        return path in self.explicit or path.startswith(dirs)
+
     def location_of(self, cursor):
         return astlib.location_of(cursor, self.root)
 
     def tus(self):
-        """Yields (TranslationUnit, path) for every scanned .cc file,
-        plus headers that no scanned .cc includes (parsed standalone),
-        so header-only classes are still visited."""
+        """Yields (TranslationUnit, path) for every scanned .cc file in
+        src/ + tests/, plus headers there that no such .cc includes
+        (parsed standalone), so header-only classes are still visited."""
         if self._tu_cache is None:
             cache = astlib.TuCache(self.build_dir, self.root)
             tus = []
             covered = set()
-            cc_files = [sf.path for sf in self.files
-                        if sf.path.endswith((".cc", ".cpp"))]
+            semantic = [sf.path for sf in self.files
+                        if self.in_scope(sf.path, SEMANTIC_DIRS)]
+            cc_files = [p for p in semantic if p.endswith((".cc", ".cpp"))]
             rroot = os.path.abspath(self.root) + os.sep
             for path in cc_files:
                 tu = cache.parse(path)
@@ -95,12 +111,11 @@ class Context:
                         covered.add(ipath[len(rroot):].replace(
                             os.sep, "/"))
                 tus.append((tu, path))
-            for sf in self.files:
-                if sf.path.endswith((".hh", ".h", ".hpp")) and \
-                        sf.path not in covered:
-                    tu = cache.parse(sf.path)
+            for path in semantic:
+                if path.endswith(HEADER_EXTENSIONS) and path not in covered:
+                    tu = cache.parse(path)
                     if tu is not None:
-                        tus.append((tu, sf.path))
+                        tus.append((tu, path))
             self.parse_errors = cache.errors
             self._tu_cache = tus
         return self._tu_cache
@@ -160,8 +175,7 @@ def make_context(root, file_args, build_dir, use_ast):
         return Context(root, load_files(root, rel), rel, build_dir,
                        use_ast)
     tracked = [p for p in git_files(root)
-               if (p.startswith("src/") or p.startswith("tests/"))
-               and not p.startswith(FIXTURE_DIR)]
+               if not p.startswith(FIXTURE_DIR)]
     return Context(root, load_files(root, tracked), [], build_dir,
                    use_ast)
 
@@ -189,7 +203,7 @@ def self_test(backend):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="hmm semantic analysis suite")
+        description="hmm static analysis suite")
     ap.add_argument("--root", default=os.path.normpath(os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "..")))
     ap.add_argument("--build-dir", default="build",
@@ -204,8 +218,8 @@ def main():
                     help="prove every checker fires on its sabotage "
                     "fixture and every suppression suppresses")
     ap.add_argument("files", nargs="*",
-                    help="explicit files to scan (default: tracked "
-                    "src/ + tests/ sources)")
+                    help="explicit files to scan (default: every "
+                    "tracked C++ source)")
     args = ap.parse_args()
 
     if args.self_test:

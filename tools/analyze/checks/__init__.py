@@ -1,4 +1,4 @@
-"""Checker registry for the semantic analysis suite.
+"""Checker registry for the static analysis suite.
 
 Each checker module exposes:
   NAME       the check id used in findings and allow() suppressions
@@ -13,7 +13,10 @@ from . import snapshot
 from . import errors
 from . import layering
 from . import fault_coverage
+from . import include_hygiene
+from . import style
 
-ALL = [determinism, snapshot, errors, layering, fault_coverage]
+ALL = [determinism, snapshot, errors, layering, fault_coverage,
+       include_hygiene, style]
 
 BY_NAME = {m.NAME: m for m in ALL}

@@ -1,9 +1,11 @@
-"""determinism — unordered-iteration order, pointer keys, wall clocks.
+"""determinism — unordered-iteration order, pointer keys, wall clocks,
+unseeded RNG.
 
 The repo's bit-identity guarantees (serial == parallel sweeps, golden
 snapshot CRCs, byte-compared SEC-DED outcomes) all die the moment an
 `std::unordered_map`/`unordered_set` iteration order, a pointer value,
-or the host clock leaks into simulation output. Three rules:
+the host clock or an unseeded RNG leaks into simulation output. Four
+rules:
 
   unordered-iter   any iteration over an unordered container in src/
                    (range-for or explicit `.begin()` iterator loop).
@@ -16,10 +18,15 @@ or the host clock leaks into simulation output. Three rules:
   pointer-key      a map/set keyed on a raw pointer: iteration order and
                    any ordering comparisons follow the allocator, which
                    no seed controls.
-  wall-clock       steady/system/high_resolution clock, time(), clock(),
-                   rand() inside deterministic sim paths (all of src/
-                   except src/runner/, whose wall-clock use — deadlines,
-                   ETA, throughput — is orchestration by design).
+  wall-clock       steady/system/high_resolution clock, time(), clock()
+                   inside deterministic sim paths (all of src/ except
+                   src/runner/, whose wall-clock use — deadlines, ETA,
+                   throughput — is orchestration by design).
+  unseeded-rng     rand()/srand(), std::random_device and
+                   default_random_engine anywhere in shipped code (src/,
+                   src/runner/ included, and tools/): results must be
+                   platform-stable, so randomness comes from the seeded
+                   Pcg32 in src/common/random.hh.
 
 The AST backend types the range expression itself; the text backend
 tracks names declared with an unordered type anywhere in the scanned
@@ -30,7 +37,7 @@ text never widens wrongly.
 
 import re
 
-from ..textlib import Finding
+from ..textlib import SEMANTIC_DIRS, SHIPPED_DIRS, Finding
 
 NAME = "determinism"
 
@@ -50,8 +57,9 @@ PTR_KEY_RE = re.compile(
     r"[A-Za-z_][\w:<>\s]*\*\s*[,>]")
 WALL_CLOCK_RE = re.compile(
     r"\b(?:steady_clock|system_clock|high_resolution_clock)\b"
-    r"|(?<![\w:])(?:time|clock)\s*\(\s*(?:NULL|nullptr)?\s*\)"
-    r"|(?<![\w:])s?rand\s*\(")
+    r"|(?<![\w:])(?:time|clock)\s*\(\s*(?:NULL|nullptr)?\s*\)")
+RNG_RE = re.compile(
+    r"(?<![\w:])s?rand\s*\(|std::random_device|default_random_engine")
 
 
 def in_sim_path(path):
@@ -78,8 +86,16 @@ def _unambiguous_unordered_names(files):
 
 def run_text(ctx):
     findings = []
-    names = _unambiguous_unordered_names(ctx.files)
+    names = _unambiguous_unordered_names(
+        [sf for sf in ctx.files if ctx.in_scope(sf.path, SEMANTIC_DIRS)])
     for sf in ctx.files:
+        if ctx.in_scope(sf.path, SHIPPED_DIRS):
+            for i, code in enumerate(sf.code):
+                if RNG_RE.search(code) and not sf.allowed(i + 1, NAME):
+                    findings.append(Finding(
+                        sf.path, i + 1, NAME,
+                        "unseeded or platform-dependent RNG; use the "
+                        "seeded Pcg32 from src/common/random.hh"))
         explicit = sf.path in ctx.explicit
         if not (explicit or sf.path.startswith("src/")):
             continue
@@ -106,10 +122,9 @@ def run_text(ctx):
                     not sf.allowed(lineno, NAME):
                 findings.append(Finding(
                     sf.path, lineno, NAME,
-                    "wall-clock / unseeded randomness in a sim path: "
-                    "simulated behaviour must be a pure function of the "
-                    "seed (watchdog-style uses need an annotated "
-                    "reason)"))
+                    "wall clock in a sim path: simulated behaviour must "
+                    "be a pure function of the seed (watchdog-style "
+                    "uses need an annotated reason)"))
     return findings
 
 

@@ -11,9 +11,9 @@ works if src/ speaks exactly one exception dialect. Three rules:
                  body or carry an allow(errors) annotation explaining
                  what swallowing buys (destructor guards, fork-child
                  boundaries, pool survival).
-  bare-assert    assert()/abort() outside tests vanish in release
-                 builds / kill the process; invariants use HMM_CHECK
-                 (always evaluated, throws SimError).
+  bare-assert    assert()/abort() in shipped code (src/ and tools/)
+                 vanish in release builds / kill the process; invariants
+                 use HMM_CHECK (always evaluated, throws SimError).
 
 The AST backend resolves the thrown expression's type; the text backend
 matches the spelled throw target, so both agree on every idiom the
@@ -22,7 +22,7 @@ repo uses.
 
 import re
 
-from ..textlib import Finding, find_matching_brace
+from ..textlib import SHIPPED_DIRS, Finding, find_matching_brace
 
 NAME = "errors"
 
@@ -34,14 +34,20 @@ RETHROW_RE = re.compile(r"(?<![\w_])throw\s*;")
 ASSERT_RE = re.compile(r"(?<![\w_])(assert|abort)\s*\(")
 
 
-def _scoped(ctx, sf):
-    return sf.path in ctx.explicit or sf.path.startswith("src/")
-
-
 def run_text(ctx):
     findings = []
     for sf in ctx.files:
-        if not _scoped(ctx, sf):
+        if ctx.in_scope(sf.path, SHIPPED_DIRS):
+            for i, code in enumerate(sf.code):
+                m = ASSERT_RE.search(code)
+                if m and "static_assert" not in code and \
+                        not sf.allowed(i + 1, NAME):
+                    findings.append(Finding(
+                        sf.path, i + 1, NAME,
+                        f"{m.group(1)}() vanishes in release builds / "
+                        "kills the process; use HMM_CHECK so the "
+                        "invariant throws a structured SimError"))
+        if not ctx.in_scope(sf.path, ("src/",)):
             continue
         joined = "\n".join(sf.code)
         for i, code in enumerate(sf.code):
@@ -71,14 +77,6 @@ def run_text(ctx):
                         "every error class; rethrow or annotate "
                         "// analyze: allow(errors): <what swallowing "
                         "buys here>"))
-            m = ASSERT_RE.search(code)
-            if m and "static_assert" not in code and \
-                    not sf.allowed(lineno, NAME):
-                findings.append(Finding(
-                    sf.path, lineno, NAME,
-                    f"{m.group(1)}() vanishes in release builds / "
-                    "kills the process; use HMM_CHECK so the "
-                    "invariant throws a structured SimError"))
     return findings
 
 

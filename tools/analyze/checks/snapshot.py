@@ -1,4 +1,4 @@
-"""snapshot — AST-accurate member coverage of save()/restore() pairs.
+"""snapshot — member coverage of save()/restore() pairs.
 
 Every class declaring both `save(snap::Writer&)` and
 `restore(snap::Reader&)` must reference each of its own non-static data
@@ -6,56 +6,144 @@ members in both bodies. A member added to a class but not to its codecs
 silently rots every checkpoint — the golden bit-identity tests cannot
 catch a field that is *consistently* dropped.
 
-Exemptions (same contract as scripts/lint.py, which this checker
-replaces when libclang is available):
+Exemptions (both backends):
   - pointer / reference members (not owned, rewired on restore)
   - members whose declaration (or the line above) carries a
     `no-snapshot(<why>)` annotation
   - abstract interfaces whose save/restore are both pure virtual
   - `// analyze: allow(snapshot)` on the member declaration line
 
-The text backend delegates to the regex implementation in
-scripts/lint.py — one shared fallback, self-tested both ways — so the
-two tools can never disagree about the contract.
+The AST backend walks real member references in the codec bodies. The
+text backend parses each header's class bodies and greps the codecs,
+found inline or in the sibling .cc.
 """
 
-import os
 import re
-import sys
 
-from ..textlib import Finding
+from ..textlib import (HEADER_EXTENSIONS, SHIPPED_DIRS, Finding,
+                       find_matching_brace)
 
 NAME = "snapshot"
 
 NO_SNAPSHOT_RE = re.compile(r"no-snapshot\(|not owned")
 
+CLASS_RE = re.compile(r"^\s*(?:class|struct)\s+(\w+)[^;{]*\{", re.MULTILINE)
+MEMBER_RE = re.compile(
+    r"""^\s*
+        (?!return|delete|typedef|using|friend|static|constexpr|if|for|while)
+        [\w:<>,\s]+?               # type tokens (no * or & anywhere)
+        \s([a-z]\w*_)\s*           # member name, trailing underscore
+        (?:=[^;]*|\{[^;]*\})?;     # optional initializer
+        """,
+    re.VERBOSE,
+)
+NESTED_RE = re.compile(r"\s*(?:class|struct|enum|union)\s+\w+[^;]*$")
+PURE_SAVE_RE = re.compile(r"save\s*\(snap::Writer[^)]*\)\s*const\s*=\s*0")
+PURE_RESTORE_RE = re.compile(r"restore\s*\(snap::Reader[^)]*\)\s*=\s*0")
 
-def _lint_module(root):
-    sys.path.insert(0, os.path.join(root, "scripts"))
-    try:
-        import lint
-        return lint
-    finally:
-        sys.path.pop(0)
+
+def _function_body(text, sig_re):
+    """The body of the first definition whose signature matches; a
+    declaration (signature then `;`) is skipped, not mistaken for it."""
+    for m in sig_re.finditer(text):
+        i = m.end()
+        while i < len(text) and text[i] not in "{;":
+            i += 1
+        if i >= len(text) or text[i] == ";":
+            continue
+        close = find_matching_brace(text, i)
+        if close > 0:
+            return text[i:close + 1]
+    return None
+
+
+def _class_bodies(text):
+    """Yields (name, body, line of the class head) per class/struct."""
+    for m in CLASS_RE.finditer(text):
+        open_pos = text.find("{", m.start())
+        close = find_matching_brace(text, open_pos)
+        if close < 0:
+            continue
+        yield m.group(1), text[open_pos:close + 1], \
+            text.count("\n", 0, m.start()) + 1
+
+
+def _own_lines(body):
+    """The class body's lines with nested class/struct/enum/union bodies
+    blanked, so only the class's own members remain."""
+    out = []
+    depth = 0
+    for line in body[1:-1].split("\n"):
+        starts_nested = depth == 0 and NESTED_RE.match(line)
+        depth += line.count("{") - line.count("}")
+        if starts_nested or depth > 0 or \
+                (depth == 0 and re.match(r"\s*}", line)):
+            out.append("")
+        else:
+            out.append(line)
+    return out
+
+
+def _check_header(ctx, sf, findings):
+    sibling = sf.path[:sf.path.rfind(".")] + ".cc"
+    impl_sf = ctx.file_at(sibling)
+    impl = impl_sf.text if impl_sf is not None else ""
+    for name, body, base_line in _class_bodies(sf.text):
+        if "save(snap::Writer" not in body or \
+                "restore(snap::Reader" not in body:
+            continue
+        # Abstract interfaces have no state of their own; every concrete
+        # implementation is checked at its own definition.
+        if PURE_SAVE_RE.search(body) and PURE_RESTORE_RE.search(body):
+            continue
+        save_body = (
+            _function_body(body, re.compile(
+                r"void\s+save\s*\(snap::Writer[^)]*\)\s*const"))
+            or _function_body(impl, re.compile(
+                rf"void\s+{name}::save\s*\(snap::Writer")))
+        restore_body = (
+            _function_body(body, re.compile(
+                r"void\s+restore\s*\(snap::Reader[^)]*\)"))
+            or _function_body(impl, re.compile(
+                rf"void\s+{name}::restore\s*\(snap::Reader")))
+        if save_body is None or restore_body is None:
+            if sf.allowed(base_line, NAME):
+                continue
+            findings.append(Finding(
+                sf.path, base_line, NAME,
+                f"{name} declares save/restore but a body was not found "
+                f"(looked inline and in {sibling})"))
+            continue
+        prev = ""
+        for offset, line in enumerate(_own_lines(body)):
+            m = MEMBER_RE.match(line)
+            decl = line.split("//")[0]
+            lineno = base_line + offset + 1
+            if m and "*" not in decl and "&" not in decl and \
+                    not NO_SNAPSHOT_RE.search(line) and \
+                    not NO_SNAPSHOT_RE.search(prev) and \
+                    not sf.allowed(lineno, NAME):
+                member = m.group(1)
+                if member not in save_body:
+                    findings.append(Finding(
+                        sf.path, lineno, NAME,
+                        f"{name}::{member} is not written by save() — a "
+                        "checkpoint would silently drop it (mark the decl "
+                        "no-snapshot(<why>) if that is intentional)"))
+                elif member not in restore_body:
+                    findings.append(Finding(
+                        sf.path, lineno, NAME,
+                        f"{name}::{member} is written by save() but never "
+                        "read back by restore()"))
+            prev = line
 
 
 def run_text(ctx):
-    """Regex fallback: reuse scripts/lint.py's snapshot-coverage pass."""
-    lint = _lint_module(ctx.root)
-    all_files = {sf.path: sf.text for sf in ctx.files}
-    raw = []
-    for sf in ctx.files:
-        if not (sf.path in ctx.explicit or sf.path.startswith("src/")):
-            continue
-        lint.check_snapshot_coverage(sf.path, sf.text, raw, all_files)
     findings = []
-    for f in raw:
-        if f.rule != "snapshot-coverage":
-            continue
-        sf = ctx.file_at(f.path)
-        if sf is not None and sf.allowed(f.line, NAME):
-            continue
-        findings.append(Finding(f.path, f.line, NAME, f.message))
+    for sf in ctx.files:
+        if sf.path.endswith(HEADER_EXTENSIONS) and \
+                ctx.in_scope(sf.path, SHIPPED_DIRS):
+            _check_header(ctx, sf, findings)
     return findings
 
 

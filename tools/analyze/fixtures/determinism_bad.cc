@@ -3,6 +3,7 @@
 // this test passing unexpectedly turns CI red (non-vacuity).
 #include <ctime>
 #include <map>
+#include <random>
 #include <unordered_map>
 
 struct Stats {
@@ -18,5 +19,10 @@ struct Stats {
 
   unsigned long stamp() const {
     return static_cast<unsigned long>(time(nullptr));  // wall clock
+  }
+
+  unsigned long roll() const {
+    std::random_device rd;  // unseeded RNG
+    return rd();
   }
 };

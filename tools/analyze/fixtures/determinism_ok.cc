@@ -3,6 +3,7 @@
 // suppression — the self-test proves allow(determinism) suppresses.
 #include <algorithm>
 #include <ctime>
+#include <random>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,5 +31,11 @@ struct Stats {
   unsigned long stamp() const {
     // analyze: allow(determinism): fixture watchdog, not sim output
     return static_cast<unsigned long>(time(nullptr));
+  }
+
+  unsigned long roll() const {
+    // analyze: allow(determinism): fixture seed source, not sim output
+    std::random_device rd;
+    return rd();
   }
 };

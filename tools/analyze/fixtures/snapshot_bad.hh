@@ -1,6 +1,7 @@
 // Sabotage fixture: the snapshot checker must flag dropped_ (never
 #pragma once
-// saved) and half_ (saved but never restored). WILL_FAIL ctest.
+// saved), half_ (saved but never restored) and lost_ (an implementation
+// of a pure-virtual codec interface that skips it). WILL_FAIL ctest.
 namespace snap {
 class Writer {
  public:
@@ -24,4 +25,23 @@ class Cursor {
   unsigned long kept_ = 0;
   unsigned long half_ = 0;
   unsigned long dropped_ = 0;
+};
+
+// The pure-virtual exemption covers the interface only: an
+// implementation in the same file that drops a member still fires.
+class Codec {
+ public:
+  virtual ~Codec() = default;
+  virtual void save(snap::Writer& w) const = 0;
+  virtual void restore(snap::Reader& r) = 0;
+};
+
+class Counter : public Codec {
+ public:
+  void save(snap::Writer& w) const override { w.u64(count_); }
+  void restore(snap::Reader& r) override { count_ = r.u64(); }
+
+ private:
+  unsigned long count_ = 0;
+  unsigned long lost_ = 0;
 };

@@ -1,6 +1,7 @@
-// Companion fixture: full coverage, an annotated constant, and an
+// Companion fixture: full coverage, an annotated constant, an unowned
 #pragma once
-// unowned pointer — the snapshot checker must stay silent.
+// pointer, and a stateless pure-virtual codec interface — the snapshot
+// checker must stay silent.
 namespace snap {
 class Writer {
  public:
@@ -21,4 +22,11 @@ class Cursor {
   unsigned long kept_ = 0;
   unsigned long cfg_ = 0;  // no-snapshot(construction-time config)
   const Cursor* parent_ = nullptr;  // not owned
+};
+
+class Codec {
+ public:
+  virtual ~Codec() = default;
+  virtual void save(snap::Writer& w) const = 0;
+  virtual void restore(snap::Reader& r) = 0;
 };

@@ -24,13 +24,17 @@ FIX = "tools/analyze/fixtures"
 # (check, bad file-set or root, ok file-set or root, min bad findings)
 CASES = [
     ("determinism", [f"{FIX}/determinism_bad.cc"],
-     [f"{FIX}/determinism_ok.cc"], 3),
+     [f"{FIX}/determinism_ok.cc"], 4),
     ("snapshot", [f"{FIX}/snapshot_bad.hh"],
-     [f"{FIX}/snapshot_ok.hh"], 2),
+     [f"{FIX}/snapshot_ok.hh"], 3),
     ("errors", [f"{FIX}/errors_bad.cc"],
      [f"{FIX}/errors_ok.cc"], 3),
     ("layering", f"{FIX}/layering_bad", f"{FIX}/layering_ok", 4),
     ("fault-coverage", f"{FIX}/fault_bad", f"{FIX}/fault_ok", 2),
+    ("include-hygiene",
+     [f"{FIX}/hygiene_bad.hh", f"{FIX}/hygiene_bad.cc"],
+     [f"{FIX}/hygiene_ok.hh", f"{FIX}/hygiene_ok.cc"], 3),
+    ("style", [f"{FIX}/style_bad.cc"], [f"{FIX}/style_ok.cc"], 4),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Shared text-level scanning helpers for the semantic analysis suite.
+"""Shared text-level scanning helpers for the static analysis suite.
 
 The AST backend (astlib) is authoritative when libclang is importable;
 these helpers power the degraded text backend that keeps every checker
@@ -16,6 +16,13 @@ import re
 ALLOW_RE = re.compile(r"//\s*analyze:\s*allow\(([a-z\-]+)\)")
 
 CXX_EXTENSIONS = (".cc", ".hh", ".h", ".cpp", ".hpp")
+HEADER_EXTENSIONS = (".hh", ".h", ".hpp")
+
+# What the semantic checkers read: the simulator and its tests.
+SEMANTIC_DIRS = ("src/", "tests/")
+# Shipped (non-test) code, held to the bare-assert, unseeded-RNG and
+# own-header-first rules.
+SHIPPED_DIRS = ("src/", "tools/")
 
 
 class Finding:
