@@ -298,30 +298,6 @@ inline void report_artifact(const std::string& path) {
   return g;
 }
 
-/// Replay: warm up, then measure. During warm-up the migration engine
-/// runs in instant mode, fast-forwarding placement to the steady state
-/// the paper's trillion-reference traces reach (EXPERIMENTS.md explains
-/// the methodology); measurement always uses real copy dynamics.
-[[nodiscard]] inline RunResult run(const WorkloadInfo& w,
-                                   const MemSimConfig& cfg, std::uint64_t n,
-                                   double warmup_fraction = 0.5,
-                                   std::uint64_t seed = 42,
-                                   bool instant_warmup = true) {
-  MemSim sim(cfg);
-  auto gen = w.make(seed);
-  const auto warm = static_cast<std::uint64_t>(
-      static_cast<double>(n) * warmup_fraction);
-  if (warm > 0) {
-    if (instant_warmup) sim.set_instant_migration(true);
-    sim.run(*gen, warm);
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-  }
-  sim.run(*gen, n - warm);
-  sim.finish();
-  return sim.result();
-}
-
 /// Convenience: a migration config for the Section IV studies.
 [[nodiscard]] inline MemSimConfig migration_config(
     std::uint64_t page_bytes, MigrationDesign design, std::uint64_t interval,

@@ -29,9 +29,9 @@ RunResult run_config(std::uint64_t on_cap, std::uint64_t page,
 
   MemSim sim(cfg);
   auto w = make_pgbench(7);
-  sim.controller().set_instant_migration(true);
+  sim.set_instant_migration(true);
   sim.run(*w, accesses / 2);
-  sim.controller().set_instant_migration(false);
+  sim.set_instant_migration(false);
   sim.reset_stats();
   sim.run(*w, accesses / 2);
   sim.finish();

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "common/table.hh"
+#include "schemes/swap_scheme.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -37,7 +38,8 @@ Row run_design(MigrationDesign d, std::uint64_t accesses) {
   // swing, which is exactly the regime Fig 11 compares.
   sim.run(*w, accesses);
   sim.finish();
-  return Row{sim.result(), sim.controller().engine().stats()};
+  const auto& swap = dynamic_cast<const schemes::SwapScheme&>(sim.scheme());
+  return Row{sim.result(), swap.engine().stats()};
 }
 
 }  // namespace

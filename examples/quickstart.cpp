@@ -26,9 +26,9 @@ RunResult run_once(bool migration, MigrationDesign design,
   auto workload = make_pgbench(/*seed=*/42);
   // Fast-forward placement to steady state, then measure with real
   // migration dynamics (see EXPERIMENTS.md, "warm-up methodology").
-  sim.controller().set_instant_migration(true);
+  sim.set_instant_migration(true);
   sim.run(*workload, accesses / 2);
-  sim.controller().set_instant_migration(false);
+  sim.set_instant_migration(false);
   sim.reset_stats();
   sim.run(*workload, accesses / 2);
   sim.finish();

@@ -32,20 +32,20 @@ TableMutation ras_park(SlotId row) {
 
 MigrationEngine::MigrationEngine(TranslationTable& table,
                                  DramSystem& on_package,
-                                 DramSystem& off_package, const Config& cfg)
-    : table_(table), on_(on_package), off_(off_package), cfg_(cfg) {
-  HMM_CHECK((cfg.design == MigrationDesign::N) ==
+                                 DramSystem& off_package,
+                                 MigrationDesign design)
+    : table_(table), on_(on_package), off_(off_package), design_(design) {
+  HMM_CHECK((design == MigrationDesign::N) ==
                 (table.mode() == TableMode::FunctionalN),
             "migration design and table mode disagree");
-  HMM_CHECK((cfg.design == MigrationDesign::Nomad) ==
+  HMM_CHECK((design == MigrationDesign::Nomad) ==
                 (table.mode() == TableMode::Shadow),
             "nomad design requires the Shadow table mode");
 }
 
 std::uint64_t MigrationEngine::chunk_size() const noexcept {
   const Geometry& g = table_.geometry();
-  if (cfg_.chunk_bytes != 0) return std::min(cfg_.chunk_bytes, g.page_bytes);
-  // Auto: small enough that one chunk's data-bus hold is comparable to a
+  // Small enough that one chunk's data-bus hold is comparable to a
   // row miss (so demand traffic is barely perturbed, as a real controller
   // interleaving at burst granularity would behave), large enough that a
   // 4MB page copy stays within a few thousand scheduler events.
@@ -54,7 +54,7 @@ std::uint64_t MigrationEngine::chunk_size() const noexcept {
 }
 
 bool MigrationEngine::can_swap(PageId hot, SlotId cold_slot) const noexcept {
-  if (cfg_.design == MigrationDesign::Nomad) return false;  // use can_migrate
+  if (design_ == MigrationDesign::Nomad) return false;  // use can_migrate
   if (!idle() || degraded_ || wedged_) return false;
   const Geometry& g = table_.geometry();
   if (hot >= g.total_pages() || hot == g.omega()) return false;
@@ -106,14 +106,14 @@ std::vector<CopyStep> MigrationEngine::plan_swap(
 
   auto slot_base = [&](SlotId s) { return g.machine_base(s); };
   auto fill = [&](CopyStep& st, SlotId slot, PageId p, MachAddr old_base) {
-    st.live_fill = cfg_.design == MigrationDesign::LiveMigration;
+    st.live_fill = design_ == MigrationDesign::LiveMigration;
     st.fill_slot = slot;
     st.fill_page = p;
     st.fill_old_base = old_base;
-    st.start_sub_block = cfg_.critical_first ? hot_sub_block : 0;
+    st.start_sub_block = hot_sub_block;
   };
 
-  if (cfg_.design == MigrationDesign::N) {
+  if (design_ == MigrationDesign::N) {
     // Functional model of the basic design: a direct (buffered) exchange;
     // the controller stalls demand for the whole duration, and the table
     // is written once at the end.
@@ -223,7 +223,7 @@ std::vector<CopyStep> MigrationEngine::plan_swap(
 }
 
 bool MigrationEngine::can_migrate(PageId page) const noexcept {
-  if (cfg_.design != MigrationDesign::Nomad) return false;
+  if (design_ != MigrationDesign::Nomad) return false;
   if (!idle() || degraded_ || wedged_) return false;
   const Geometry& g = table_.geometry();
   if (page >= g.total_pages() || page == g.omega()) return false;
@@ -253,41 +253,39 @@ std::vector<CopyStep> MigrationEngine::plan_txn(PageId page) const {
   return {st};
 }
 
-bool MigrationEngine::start_migration(PageId page, Cycle now) {
-  if (!can_migrate(page)) return false;
-  steps_ = plan_txn(page);
-  apply(begin_shadow_mutation(page, table_.hole()));
+bool MigrationEngine::launch(std::vector<CopyStep> plan, Cycle now) {
+  HMM_CHECK(!plan.empty(), "swap planned with no copy steps");
+  steps_ = std::move(plan);
   ++stats_.swaps_started;
   swap_began_ = now;
   pass_ = 0;
   if (instant_) {
+    // Fast-forward: apply the choreography's end state without copies.
     for (const CopyStep& st : steps_)
       for (const TableMutation& m : st.after) apply(m);
     steps_.clear();
-    ++stats_.swaps_completed;
+    finish_swap(now);
     return true;
   }
   begin_step(now);
   return true;
 }
 
+bool MigrationEngine::launch_txn(PageId page, Cycle now) {
+  std::vector<CopyStep> plan = plan_txn(page);
+  apply(begin_shadow_mutation(page, table_.hole()));
+  return launch(std::move(plan), now);
+}
+
+bool MigrationEngine::start_migration(PageId page, Cycle now) {
+  if (!can_migrate(page)) return false;
+  return launch_txn(page, now);
+}
+
 bool MigrationEngine::start_swap(PageId hot, std::uint32_t hot_sub_block,
                                  SlotId cold_slot, Cycle now) {
   if (!can_swap(hot, cold_slot)) return false;
-  steps_ = plan_swap(hot, hot_sub_block, cold_slot);
-  HMM_CHECK(!steps_.empty(), "swap planned with no copy steps");
-  ++stats_.swaps_started;
-  swap_began_ = now;
-  if (instant_) {
-    // Fast-forward: apply the choreography's end state without copies.
-    for (const CopyStep& st : steps_)
-      for (const TableMutation& m : st.after) apply(m);
-    steps_.clear();
-    ++stats_.swaps_completed;
-    return true;
-  }
-  begin_step(now);
-  return true;
+  return launch(plan_swap(hot, hot_sub_block, cold_slot), now);
 }
 
 PageId MigrationEngine::resident_of(PageId frame) const noexcept {
@@ -301,7 +299,7 @@ bool MigrationEngine::can_evacuate(PageId frame) const noexcept {
   const PageId v = resident_of(frame);
   if (v == kInvalidPage) return false;  // data-free: retire directly
   const RasFrameView* rv = table_.ras_view();
-  switch (cfg_.design) {
+  switch (design_) {
     case MigrationDesign::N:
       return true;  // the placement map can express any relocation
     case MigrationDesign::NMinus1:
@@ -330,62 +328,36 @@ bool MigrationEngine::start_evacuation(PageId frame, PageId spare,
   const Geometry& g = table_.geometry();
   const PageId v = resident_of(frame);
 
-  if (cfg_.design == MigrationDesign::Nomad) {
-    // A perfectly ordinary shadow transaction — the occupant streams into
-    // the hole while the failing frame keeps serving — except the
-    // cross-package-boundary profitability rule is waived: this move is
-    // for survival, not speed. The caller relocates the post-commit hole
-    // (the failing frame) to a spare.
-    steps_ = plan_txn(v);
-    apply(begin_shadow_mutation(v, table_.hole()));
-    ++stats_.swaps_started;
-    swap_began_ = now;
-    pass_ = 0;
-  } else if (cfg_.design == MigrationDesign::N) {
+  // A perfectly ordinary shadow transaction — the occupant streams into
+  // the hole while the failing frame keeps serving — except the
+  // cross-package-boundary profitability rule is waived: this move is
+  // for survival, not speed. The caller relocates the post-commit hole
+  // (the failing frame) to a spare.
+  if (design_ == MigrationDesign::Nomad) return launch_txn(v, now);
+
+  CopyStep st;
+  st.src = g.machine_base(frame);
+  st.bytes = g.page_bytes;
+  if (design_ == MigrationDesign::N) {
     HMM_CHECK(spare != kInvalidPage && resident_of(spare) == kInvalidPage,
               "design-N evacuation needs a data-free spare frame");
-    CopyStep st;
-    st.src = g.machine_base(frame);
     st.dst = g.machine_base(spare);
-    st.bytes = g.page_bytes;
     st.after = {note_data(v, spare)};
     if (frame < g.slots())
       st.after.push_back(
           set_occupant(static_cast<SlotId>(frame), kInvalidPage));
-    steps_ = {st};
-    ++stats_.swaps_started;
-    swap_began_ = now;
   } else {
     // N-1 / Live: one copy into the empty slot; the landing row keeps its
     // P bit forever (parked), encoding that its left page — the ghost at
     // this instant — stays at Ω. This consumes the choreography's only
     // free landing zone, so the engine degrades once the copy completes
-    // (see finish_step) and a second retirement is inexpressible.
+    // (see finish_swap) and a second retirement is inexpressible.
     const SlotId e = *table_.empty_slot();
-    CopyStep st;
-    st.src = g.machine_base(frame);
     st.dst = g.machine_base(e);
-    st.bytes = g.page_bytes;
     st.after = {set_row(e, v), set_pending(e), note_data(v, e),
                 ras_park(e)};
-    steps_ = {st};
-    ++stats_.swaps_started;
-    swap_began_ = now;
   }
-
-  if (instant_) {
-    for (const CopyStep& st : steps_)
-      for (const TableMutation& m : st.after) apply(m);
-    steps_.clear();
-    ++stats_.swaps_completed;
-    if ((cfg_.design == MigrationDesign::NMinus1 ||
-         cfg_.design == MigrationDesign::LiveMigration) &&
-        !table_.empty_slot().has_value())
-      enter_degraded(now);
-    return true;
-  }
-  begin_step(now);
-  return true;
+  return launch({st}, now);
 }
 
 bool MigrationEngine::plan_touches(PageId frame) const noexcept {
@@ -399,17 +371,12 @@ bool MigrationEngine::plan_touches(PageId frame) const noexcept {
 
 bool MigrationEngine::abort_current(Cycle now) {
   if (idle() || wedged_) return false;
-  if (cfg_.design == MigrationDesign::N) {
+  if (design_ == MigrationDesign::N) {
     // Design N applies every table mutation in its final step, so
     // dropping an unfinished plan is a clean rollback — no wedge needed
     // for this *deliberate* abort (only injected mid-copy faults model
     // the design's unrecoverable hardware states).
-    if (table_.fill_active()) table_.end_fill();
-    steps_.clear();
-    inflight_.clear();
-    retry_count_.clear();
-    ++stats_.swaps_aborted;
-    stats_.busy_cycles += now - swap_began_;
+    drop_plan(now);
     return true;
   }
   abort_swap(now);
@@ -425,7 +392,7 @@ std::uint64_t MigrationEngine::chunk_offset(std::uint64_t k) const noexcept {
 void MigrationEngine::begin_step(Cycle at) {
   const CopyStep& st = steps_.front();
   const std::uint64_t chunk = chunk_size();
-  if (cfg_.design == MigrationDesign::Nomad) {
+  if (design_ == MigrationDesign::Nomad) {
     // Pass 0 streams the whole page in order; finish_pass() re-streams
     // only what demand writes dirtied.
     std::vector<std::uint64_t> offsets;
@@ -434,34 +401,33 @@ void MigrationEngine::begin_step(Cycle at) {
     begin_pass(std::move(offsets), at);
     return;
   }
-  chunks_total_ = std::max<std::uint64_t>(1, st.bytes / chunk);
-  next_chunk_ = 0;
-  chunks_completed_ = 0;
-  first_chunk_ = 0;
-  retry_count_.clear();
+  const std::uint64_t chunks = std::max<std::uint64_t>(1, st.bytes / chunk);
+  std::uint64_t first = 0;
   if (st.live_fill) {
     const Geometry& g = table_.geometry();
     table_.begin_fill(st.fill_slot, st.fill_page, st.fill_old_base);
     const std::uint64_t start_byte =
         static_cast<std::uint64_t>(st.start_sub_block) * g.sub_block_bytes;
-    first_chunk_ = (start_byte / chunk) % chunks_total_;
+    first = (start_byte / chunk) % chunks;
   }
-  const unsigned window = std::max(1u, cfg_.copy_window);
-  while (next_chunk_ < chunks_total_ && next_chunk_ < window)
-    submit_read(next_chunk_++, at);
+  stream(chunks, first, at);
 }
 
 void MigrationEngine::begin_pass(std::vector<std::uint64_t> offsets,
                                  Cycle at) {
   HMM_CHECK(!offsets.empty(), "nomad copy pass with no chunks");
   pass_offsets_ = std::move(offsets);
-  chunks_total_ = pass_offsets_.size();
+  stream(pass_offsets_.size(), 0, at);
+}
+
+void MigrationEngine::stream(std::uint64_t chunks, std::uint64_t first,
+                             Cycle at) {
+  chunks_total_ = chunks;
   next_chunk_ = 0;
   chunks_completed_ = 0;
-  first_chunk_ = 0;
+  first_chunk_ = first;
   retry_count_.clear();
-  const unsigned window = std::max(1u, cfg_.copy_window);
-  while (next_chunk_ < chunks_total_ && next_chunk_ < window)
+  while (next_chunk_ < chunks_total_ && next_chunk_ < kCopyWindow)
     submit_read(next_chunk_++, at);
 }
 
@@ -470,7 +436,7 @@ void MigrationEngine::submit_read(std::uint64_t chunk, Cycle at) {
   const std::uint64_t offset = chunk_offset(chunk);
   const MachAddr addr = st.src + offset;
   const Geometry& g = table_.geometry();
-  if (cfg_.design == MigrationDesign::Nomad && table_.shadow_active()) {
+  if (design_ == MigrationDesign::Nomad && table_.shadow_active()) {
     // A sub-block's dirty bit is cleared when the chunk holding its FIRST
     // byte is submitted for (re-)reading. Clearing at submission rather
     // than completion is conservative: a demand write racing the
@@ -513,7 +479,7 @@ void MigrationEngine::on_completion(const DramCompletion& c, Region from) {
       // The whole swap fails mid-flight. The basic N design has no
       // recovery choreography, so it wedges; N-1/Live roll back to the
       // last completed step boundary (always a valid table state).
-      if (cfg_.design == MigrationDesign::N)
+      if (design_ == MigrationDesign::N)
         wedge();
       else
         abort_swap(c.finish);
@@ -542,32 +508,28 @@ void MigrationEngine::on_completion(const DramCompletion& c, Region from) {
   const CopyStep& st = steps_.front();
   const std::uint64_t offset = chunk_offset(fc.chunk);
   stats_.bytes_copied += chunk_size();
-  if (st.live_fill) {
-    // A sub-block becomes servable only once its LAST byte has been
-    // copied (chunks may be smaller than a sub-block; within a sub-block
-    // chunks complete in order on the serialized channel, so last-byte
-    // completion implies the whole sub-block arrived).
+  const bool shadow = design_ == MigrationDesign::Nomad &&
+                      table_.shadow_active();
+  if (st.live_fill || shadow) {
+    // A sub-block becomes servable (live fill) or counts as filled (the
+    // nomad shadow copy) only once its LAST byte has been copied: chunks
+    // may be smaller than a sub-block, and within a sub-block chunks
+    // complete in order on the serialized channel, so last-byte
+    // completion implies the whole sub-block arrived.
     const std::uint64_t sub = g.sub_block_bytes;
     const std::uint64_t end = offset + chunk_size();
-    for (std::uint64_t b = (offset / sub) * sub; b < end; b += sub) {
-      if (b + sub <= end) table_.mark_sub_block(g.sub_block_of(b));
-    }
-  } else if (cfg_.design == MigrationDesign::Nomad &&
-             table_.shadow_active()) {
-    // Same last-byte rule as the live fill: a sub-block counts as filled
-    // once the chunk write covering its final byte lands (chunks of one
-    // sub-block complete in order on the serialized channel).
-    const std::uint64_t sub = g.sub_block_bytes;
-    const std::uint64_t end = offset + chunk_size();
-    for (std::uint64_t b = (offset / sub) * sub; b < end; b += sub) {
-      if (b + sub <= end) table_.shadow_mark_filled(g.sub_block_of(b));
+    for (std::uint64_t b = (offset / sub) * sub; b + sub <= end; b += sub) {
+      if (st.live_fill)
+        table_.mark_sub_block(g.sub_block_of(b));
+      else
+        table_.shadow_mark_filled(g.sub_block_of(b));
     }
   }
   ++chunks_completed_;
   if (next_chunk_ < chunks_total_) {
     submit_read(next_chunk_++, c.finish);
   } else if (chunks_completed_ == chunks_total_ && inflight_.empty()) {
-    if (cfg_.design == MigrationDesign::Nomad)
+    if (design_ == MigrationDesign::Nomad)
       finish_pass(c.finish);
     else
       finish_step(c.finish);
@@ -584,14 +546,14 @@ void MigrationEngine::resubmit(const InFlightChunk& fc, Cycle at) {
 void MigrationEngine::handle_chunk_failure(const InFlightChunk& fc, Cycle at) {
   const std::uint64_t k = (fc.chunk << 1) | (fc.write_phase ? 1u : 0u);
   const unsigned tries = ++retry_count_[k];
-  if (tries <= cfg_.max_chunk_retries) {
+  if (tries <= kMaxChunkRetries) {
     ++stats_.chunk_retries;
-    const Cycle backoff = cfg_.retry_backoff << (tries - 1);
+    const Cycle backoff = kRetryBackoff << (tries - 1);
     resubmit(fc, at + backoff);
     return;
   }
   // Retry budget exhausted.
-  if (cfg_.design == MigrationDesign::N)
+  if (design_ == MigrationDesign::N)
     wedge();
   else
     abort_swap(at);
@@ -618,7 +580,7 @@ void MigrationEngine::finish_pass(Cycle at) {
     finish_step(at);
     return;
   }
-  if (pass_ + 1 >= cfg_.max_copy_passes) {
+  if (pass_ + 1 >= kMaxCopyPasses) {
     // The writer is outrunning the copier; give up cleanly.
     abort_swap(at);
     return;
@@ -627,46 +589,41 @@ void MigrationEngine::finish_pass(Cycle at) {
   begin_pass(std::move(next), at);
 }
 
-void MigrationEngine::abort_swap(Cycle at) {
-  if (cfg_.design == MigrationDesign::Nomad) {
-    // Transactional rollback: one mutation discards the shadow copy and
-    // the table is bit-identical to its pre-begin state (begin never
-    // touched the routing). The hole is never lost, so unlike N-1 there
-    // is no slot-lost degradation path — only a persistent fault storm
-    // (K consecutive aborts) freezes the placement.
-    if (table_.shadow_active()) apply(abort_shadow_mutation());
-    steps_.clear();
-    inflight_.clear();
-    retry_count_.clear();
-    pass_offsets_.clear();
-    pass_ = 0;
-    ++stats_.swaps_aborted;
-    stats_.busy_cycles += at - swap_began_;
-    if (++consecutive_aborts_ >= cfg_.degrade_after_aborts)
-      enter_degraded(at);
-    return;
-  }
+void MigrationEngine::drop_plan(Cycle at) {
   // Table mutations only ever apply at step completions, so the current
   // table state *is* the last step boundary — a valid Fig-8 state where
   // every page still has exactly one data home. Rolling back is therefore
   // just discarding the unfinished remainder of the plan. A pending bit
   // left set keeps routing its row's left page to Ω, which is where that
   // page's data genuinely still lives — it must NOT be cleared here.
+  // Nomad's rollback is one mutation that discards the shadow copy: the
+  // table is bit-identical to its pre-begin state (begin never touched
+  // the routing).
   if (table_.fill_active()) table_.end_fill();
+  if (table_.shadow_active()) apply(abort_shadow_mutation());
   steps_.clear();
   inflight_.clear();
   retry_count_.clear();
+  pass_offsets_.clear();
+  pass_ = 0;
   ++stats_.swaps_aborted;
   stats_.busy_cycles += at - swap_began_;
-  ++consecutive_aborts_;
+}
+
+void MigrationEngine::abort_swap(Cycle at) {
+  drop_plan(at);
   // Aborting after the hot page claimed the empty slot permanently consumes
   // it; without an empty slot the N-1 choreography cannot start, so the
   // engine degrades immediately. Otherwise degrade only after K consecutive
-  // failures (transient storms should not end migration for good).
-  const bool slot_lost = table_.mode() == TableMode::HardwareNMinus1 &&
-                         !table_.empty_slot().has_value();
-  if (slot_lost || consecutive_aborts_ >= cfg_.degrade_after_aborts)
+  // failures (transient storms should not end migration for good). Nomad
+  // never loses its hole, so only a persistent fault storm freezes it.
+  if (++consecutive_aborts_ >= kDegradeAfterAborts || landing_zone_lost())
     enter_degraded(at);
+}
+
+bool MigrationEngine::landing_zone_lost() const noexcept {
+  return table_.mode() == TableMode::HardwareNMinus1 &&
+         !table_.empty_slot().has_value();
 }
 
 void MigrationEngine::wedge() {
@@ -720,26 +677,23 @@ void MigrationEngine::apply(const TableMutation& m) {
 void MigrationEngine::finish_step(Cycle at) {
   CopyStep st = std::move(steps_.front());
   steps_.erase(steps_.begin());
-  if (st.live_fill) {
-    for (const TableMutation& m : st.after) apply(m);
-    table_.end_fill();
-  } else {
-    for (const TableMutation& m : st.after) apply(m);
-  }
+  for (const TableMutation& m : st.after) apply(m);
+  if (st.live_fill) table_.end_fill();
   if (!steps_.empty()) {
     begin_step(at);
     return;
   }
+  consecutive_aborts_ = 0;
+  finish_swap(at);
+}
+
+void MigrationEngine::finish_swap(Cycle at) {
   ++stats_.swaps_completed;
   stats_.busy_cycles += at - swap_began_;
-  consecutive_aborts_ = 0;
   // An N-1 retirement parked the empty slot for good: without a free
   // landing zone the choreography cannot start again, so the engine
   // degrades (placement frozen, demand still served).
-  if ((cfg_.design == MigrationDesign::NMinus1 ||
-       cfg_.design == MigrationDesign::LiveMigration) &&
-      !table_.empty_slot().has_value())
-    enter_degraded(at);
+  if (landing_zone_lost()) enter_degraded(at);
 }
 
 namespace {
@@ -779,7 +733,7 @@ void MigrationEngine::save(snap::Writer& w) const {
   w.u64(next_chunk_);
   w.u64(chunks_completed_);
   w.u64(first_chunk_);
-  if (cfg_.design == MigrationDesign::Nomad) {
+  if (design_ == MigrationDesign::Nomad) {
     // Appended only for nomad so the other designs' byte layouts (and
     // their golden snapshot CRCs) are unchanged.
     w.u32(pass_);
@@ -846,7 +800,7 @@ void MigrationEngine::restore(snap::Reader& r) {
   next_chunk_ = r.u64();
   chunks_completed_ = r.u64();
   first_chunk_ = r.u64();
-  if (cfg_.design == MigrationDesign::Nomad) {
+  if (design_ == MigrationDesign::Nomad) {
     pass_ = r.u32();
     pass_offsets_.assign(r.u64(), 0);
     for (std::uint64_t& off : pass_offsets_) off = r.u64();

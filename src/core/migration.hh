@@ -88,26 +88,21 @@ struct CopyStep {
 
 class MigrationEngine {
  public:
-  struct Config {
-    MigrationDesign design = MigrationDesign::LiveMigration;
-    bool critical_first = true;   ///< live: start the fill at the MRU block
-    std::uint64_t chunk_bytes = 0;  ///< 0 = auto (see chunk_size())
-    /// Copy chunks kept in flight: pipelines the read and write sides so
-    /// the copy runs at the slower channel's full rate (the paper's
-    /// 374us-per-4MB figure assumes exactly that).
-    unsigned copy_window = 4;
-    /// Recovery policy under fault injection: a failed chunk is re-streamed
-    /// up to this many times (exponential backoff) before the swap gives up.
-    unsigned max_chunk_retries = 3;
-    Cycle retry_backoff = 256;  ///< first retry delay; doubles per attempt
-    /// After this many consecutive aborted swaps the engine freezes the
-    /// table at its current (valid) mapping and stops migrating.
-    unsigned degrade_after_aborts = 3;
-    /// Nomad: total copy passes allowed per transaction (pass 0 streams
-    /// the whole page; each later pass re-copies only the sub-blocks that
-    /// demand writes dirtied). Exhausting the budget aborts the txn.
-    unsigned max_copy_passes = 4;
-  };
+  /// Copy chunks kept in flight: pipelines the read and write sides so
+  /// the copy runs at the slower channel's full rate (the paper's
+  /// 374us-per-4MB figure assumes exactly that).
+  static constexpr unsigned kCopyWindow = 4;
+  /// Recovery policy under fault injection: a failed chunk is re-streamed
+  /// up to this many times (exponential backoff) before the swap gives up.
+  static constexpr unsigned kMaxChunkRetries = 3;
+  static constexpr Cycle kRetryBackoff = 256;  ///< first retry; doubles
+  /// After this many consecutive aborted swaps the engine freezes the
+  /// table at its current (valid) mapping and stops migrating.
+  static constexpr unsigned kDegradeAfterAborts = 3;
+  /// Nomad: total copy passes allowed per transaction (pass 0 streams the
+  /// whole page; each later pass re-copies only the sub-blocks that demand
+  /// writes dirtied). Exhausting the budget aborts the txn.
+  static constexpr unsigned kMaxCopyPasses = 4;
 
   struct Stats {
     std::uint64_t swaps_started = 0;
@@ -124,10 +119,10 @@ class MigrationEngine {
   };
 
   MigrationEngine(TranslationTable& table, DramSystem& on_package,
-                  DramSystem& off_package, const Config& cfg);
+                  DramSystem& off_package, MigrationDesign design);
 
   [[nodiscard]] bool idle() const noexcept { return steps_.empty(); }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
+  [[nodiscard]] MigrationDesign design() const noexcept { return design_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   /// Attach a fault injector (nullptr detaches). Not owned.
@@ -157,8 +152,9 @@ class MigrationEngine {
   /// True if (hot, cold_slot) is a swap this engine can start now.
   [[nodiscard]] bool can_swap(PageId hot, SlotId cold_slot) const noexcept;
 
-  /// Plan and begin the hottest-coldest swap. `hot_sub_block` seeds
-  /// critical-data-first. Returns false if busy or the pair is invalid.
+  /// Plan and begin the hottest-coldest swap. A live fill starts at
+  /// `hot_sub_block` (critical data first). Returns false if busy or the
+  /// pair is invalid.
   bool start_swap(PageId hot, std::uint32_t hot_sub_block, SlotId cold_slot,
                   Cycle now);
 
@@ -240,21 +236,37 @@ class MigrationEngine {
   };
 
   [[nodiscard]] std::uint64_t chunk_size() const noexcept;
+  /// Installs `plan` and starts it: instant mode applies every mutation at
+  /// once, otherwise the first step begins streaming.
+  bool launch(std::vector<CopyStep> plan, Cycle now);
+  /// Nomad: open a transaction moving `page` into the hole.
+  bool launch_txn(PageId page, Cycle now);
   void begin_step(Cycle at);
   /// Nomad: stream the given chunk byte offsets as one copy pass.
   void begin_pass(std::vector<std::uint64_t> offsets, Cycle at);
+  /// Resets the chunk counters for a copy of `chunks` chunks starting at
+  /// rotation index `first`, and fills the copy window.
+  void stream(std::uint64_t chunks, std::uint64_t first, Cycle at);
   /// Nomad: pass done — commit if clean, re-copy dirty/unfilled
   /// sub-blocks, or abort when the pass budget is exhausted.
   void finish_pass(Cycle at);
   void submit_read(std::uint64_t chunk, Cycle at);
   void submit_write(std::uint64_t chunk, Cycle at);
   void finish_step(Cycle at);
+  /// The whole plan has been applied (streamed or instant).
+  void finish_swap(Cycle at);
   void apply(const TableMutation& m);
   void resubmit(const InFlightChunk& fc, Cycle at);
   void handle_chunk_failure(const InFlightChunk& fc, Cycle at);
+  /// Discards the unfinished plan, rolling the table back to the last
+  /// step boundary (nomad: to its pre-begin state).
+  void drop_plan(Cycle at);
   void abort_swap(Cycle at);
   void wedge();
   void enter_degraded(Cycle at);
+  /// N-1/Live: the encoding's only free landing zone, the empty slot, is
+  /// gone (parked by a retirement or claimed by an aborted swap).
+  [[nodiscard]] bool landing_zone_lost() const noexcept;
   /// Chunk index (in fill order) -> byte offset within the page.
   [[nodiscard]] std::uint64_t chunk_offset(std::uint64_t k) const noexcept;
   [[nodiscard]] static std::uint64_t key(Region r, RequestId id) noexcept {
@@ -264,7 +276,7 @@ class MigrationEngine {
   TranslationTable& table_;
   DramSystem& on_;
   DramSystem& off_;
-  Config cfg_;  // no-snapshot(construction-time config)
+  MigrationDesign design_;  // no-snapshot(construction-time config)
   Stats stats_;
 
   std::vector<CopyStep> steps_;  ///< remaining steps, front = current

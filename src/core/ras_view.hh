@@ -6,14 +6,11 @@
 // (flagged as failing but not yet evacuated), and which are reserved
 // spares (held data-free at boot, like a DRAM vendor's spare rows, so
 // retirement has somewhere to move data to). Core components — the
-// translation table's validate(), the migration engine's candidate
-// screening, the invariant auditor — only ever need these three
-// predicates, so they depend on this tiny interface instead of the RAS
-// library, keeping the library layering acyclic (ras depends on core,
-// never the reverse).
+// translation table's validate() and the migration engine's candidate
+// screening — only ever need these three predicates, so they depend on
+// this tiny interface instead of the RAS library, keeping the library
+// layering acyclic (ras depends on core, never the reverse).
 #pragma once
-
-#include <vector>
 
 #include "common/types.hh"
 
@@ -38,37 +35,6 @@ class RasFrameView {
   /// identity page never becomes resident; only relocated data lives
   /// there, recorded in the placement map.
   [[nodiscard]] virtual bool reserved_spare(PageId frame) const noexcept = 0;
-};
-
-/// The retirement-workflow contract between the RAS engine and the
-/// controller that drives evacuations. The RAS layer is passive policy +
-/// state: it flags failing frames as pending; the scheme/controller owns
-/// the machinery that can actually move data, performs the evacuation,
-/// and reports back through complete_retirement() / pin_frame().
-class RasService : public RasFrameView {
- public:
-  /// Media-error + patrol-scrub hook on the demand path: `frame` is the
-  /// machine frame the access was routed to. Returns added latency (ECC
-  /// correction, uncorrectable recovery, scrub collision); may flag the
-  /// frame as pending retirement, and may throw
-  /// SimError(CapacityExhausted) when health drops below the floor.
-  virtual Cycle on_demand_access(PageId frame, Cycle now) = 0;
-
-  [[nodiscard]] virtual bool has_pending() const noexcept = 0;
-  /// Smallest-id pending frame (deterministic order); kInvalidPage when
-  /// none.
-  [[nodiscard]] virtual PageId next_pending() const noexcept = 0;
-  [[nodiscard]] virtual std::vector<PageId> pending_frames() const = 0;
-  /// The frame has been evacuated (or proven data-free): blacklist it.
-  virtual void complete_retirement(PageId frame, Cycle now) = 0;
-  /// The frame's occupant cannot be expressed anywhere else by this
-  /// scheme: keep serving it in place, but never place anything new there.
-  /// May throw SimError(CapacityExhausted).
-  virtual void pin_frame(PageId frame) = 0;
-  /// Next available spare frame (kInvalidPage when the pool is dry).
-  [[nodiscard]] virtual PageId peek_spare() const noexcept = 0;
-  /// Remove `frame` from the pool once it has been pressed into service.
-  virtual void consume_spare(PageId frame) = 0;
 };
 
 }  // namespace hmm

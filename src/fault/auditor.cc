@@ -2,31 +2,14 @@
 
 #include <string>
 
-#include "core/controller.hh"
 #include "core/translation_table.hh"
 
 namespace hmm::fault {
 
-InvariantAuditor::InvariantAuditor(const TranslationTable& table,
-                                   const HeteroMemoryController* controller,
-                                   std::uint64_t interval)
-    : table_(&table),
-      controller_(controller),
-      subject_(nullptr),
-      interval_(interval) {}
-
-InvariantAuditor::InvariantAuditor(const Auditable* subject,
-                                   std::uint64_t interval)
-    : table_(nullptr),
-      controller_(nullptr),
-      subject_(subject),
-      interval_(interval) {}
-
 void InvariantAuditor::audit() {
   ++audits_;
 
-  const TranslationTable* t =
-      subject_ != nullptr ? subject_->audited_table() : table_;
+  const TranslationTable* t = subject_->audited_table();
   if (t != nullptr) {
     const std::string table_err = t->validate();
     if (!table_err.empty())
@@ -48,11 +31,7 @@ void InvariantAuditor::audit() {
     }
   }
 
-  std::string err;
-  if (subject_ != nullptr)
-    err = subject_->audit_check();
-  else if (controller_ != nullptr)
-    err = controller_->audit();
+  const std::string err = subject_->audit_check();
   if (!err.empty()) throw SimError(SimErrorKind::AuditFailed, err);
 
   if (extra_check_) {

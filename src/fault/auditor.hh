@@ -2,10 +2,11 @@
 // TranslationTable::validate()).
 //
 // MemSim calls on_access() once per demand access; every `interval`
-// accesses the auditor sweeps the translation table (bidirectional
-// RAM/CAM consistency, P/F-bit protocol legality, encoding-vs-placement
-// agreement), checks fill-bitmap monotonicity against the previous
-// observation, and runs the controller's tracker self-checks. Any
+// accesses the auditor sweeps the subject's translation table, if it has
+// one (bidirectional RAM/CAM consistency, P/F-bit protocol legality,
+// encoding-vs-placement agreement), checks fill-bitmap monotonicity
+// against the previous observation, and runs the subject's own
+// self-checks (e.g. the swap scheme's hotness trackers). Any
 // violation throws SimError(AuditFailed) — injected corruption surfaces
 // as a structured, attributable error instead of a silently wrong run.
 #pragma once
@@ -20,7 +21,6 @@
 
 namespace hmm {
 class TranslationTable;
-class HeteroMemoryController;
 }  // namespace hmm
 
 namespace hmm::fault {
@@ -42,15 +42,11 @@ class Auditable {
 
 class InvariantAuditor {
  public:
-  /// `interval` == 0 disables the periodic audit entirely (audit() can
-  /// still be called directly). `controller` may be null.
-  InvariantAuditor(const TranslationTable& table,
-                   const HeteroMemoryController* controller,
-                   std::uint64_t interval);
-
-  /// Scheme-generic form: audits whatever table/state the subject exposes.
-  /// `subject` is not owned and must outlive the auditor.
-  InvariantAuditor(const Auditable* subject, std::uint64_t interval);
+  /// Audits whatever table/state `subject` exposes. `subject` is not
+  /// owned and must outlive the auditor. `interval` == 0 disables the
+  /// periodic audit entirely (audit() can still be called directly).
+  InvariantAuditor(const Auditable* subject, std::uint64_t interval)
+      : subject_(subject), interval_(interval) {}
 
   /// Fast path: counts the access, audits when the interval elapses.
   void on_access() {
@@ -90,9 +86,7 @@ class InvariantAuditor {
   }
 
  private:
-  const TranslationTable* table_;  ///< not owned; may be null
-  const HeteroMemoryController* controller_;  ///< not owned; may be null
-  const Auditable* subject_;  ///< not owned; may be null
+  const Auditable* subject_;  ///< not owned
   // no-snapshot(re-attached by the owner after restore)
   std::function<std::string()> extra_check_;
   std::uint64_t interval_;  // no-snapshot(construction-time config)

@@ -15,7 +15,7 @@
 //   SwapAbort            engine: the in-flight swap aborts mid-step
 //   ChannelStall         dram:   transient stall delays a request's arrival
 //   TableBitFlip         memsim: a P/occupant bit of the table flips
-//   HotnessCorrupt       controller: an access is recorded for a wrong page
+//   HotnessCorrupt       schemes: an access is recorded for a wrong page
 //   MediaTransient       ras: a transient bit flip in a machine frame
 //   MediaStuckAt         ras: a permanent stuck-at cell in a machine frame
 #pragma once

@@ -97,7 +97,7 @@ struct RetirementEvent {
   PageId frame = kInvalidPage;
 };
 
-class RasEngine final : public RasService {
+class RasEngine final : public RasFrameView {
  public:
   static constexpr std::size_t kMaxRetirementLog = 64;
 
@@ -113,18 +113,38 @@ class RasEngine final : public RasService {
     return retire_log_;
   }
 
-  // --- RasFrameView / RasService -------------------------------------------
+  // --- RasFrameView ---------------------------------------------------------
   [[nodiscard]] bool retired(PageId frame) const noexcept override;
   [[nodiscard]] bool quarantined(PageId frame) const noexcept override;
   [[nodiscard]] bool reserved_spare(PageId frame) const noexcept override;
-  Cycle on_demand_access(PageId frame, Cycle now) override;
-  [[nodiscard]] bool has_pending() const noexcept override;
-  [[nodiscard]] PageId next_pending() const noexcept override;
-  [[nodiscard]] std::vector<PageId> pending_frames() const override;
-  void complete_retirement(PageId frame, Cycle now) override;
-  void pin_frame(PageId frame) override;
-  [[nodiscard]] PageId peek_spare() const noexcept override;
-  void consume_spare(PageId frame) override;
+
+  // --- retirement workflow -------------------------------------------------
+  // The engine is passive policy + state: it flags failing frames as
+  // pending; the scheme owns the machinery that can actually move data,
+  // performs the evacuation, and reports back through
+  // complete_retirement() / pin_frame().
+
+  /// Media-error + patrol-scrub hook on the demand path: `frame` is the
+  /// machine frame the access was routed to. Returns added latency (ECC
+  /// correction, uncorrectable recovery, scrub collision); may flag the
+  /// frame as pending retirement, and may throw
+  /// SimError(CapacityExhausted) when health drops below the floor.
+  Cycle on_demand_access(PageId frame, Cycle now);
+  [[nodiscard]] bool has_pending() const noexcept;
+  /// Smallest-id pending frame (deterministic order); kInvalidPage when
+  /// none.
+  [[nodiscard]] PageId next_pending() const noexcept;
+  [[nodiscard]] std::vector<PageId> pending_frames() const;
+  /// The frame has been evacuated (or proven data-free): blacklist it.
+  void complete_retirement(PageId frame, Cycle now);
+  /// The frame's occupant cannot be expressed anywhere else by this
+  /// scheme: keep serving it in place, but never place anything new there.
+  /// May throw SimError(CapacityExhausted).
+  void pin_frame(PageId frame);
+  /// Next available spare frame (kInvalidPage when the pool is dry).
+  [[nodiscard]] PageId peek_spare() const noexcept;
+  /// Remove `frame` from the pool once it has been pressed into service.
+  void consume_spare(PageId frame);
 
   // --- remap service (schemes without relocation machinery) ----------------
   /// Permanently remap `frame` onto a spare (a bulk copy is charged) and

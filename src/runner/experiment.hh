@@ -78,7 +78,14 @@ struct CellResult {
   ///                   never journaled, so --resume finishes it
   std::string status = "failed";
   unsigned attempts = 0;  ///< 1 normally; 2 when the cell was retried
-  double wall_seconds = 0;  ///< non-deterministic; excluded from comparisons
+  /// Both attempts' wall time for a retried cell. Like the two throughput
+  /// fields below it is host-dependent and excluded from comparisons.
+  double wall_seconds = 0;
+  /// References the attempt that produced `result` replayed, warm-up
+  /// included (`result.accesses` for a custom `job`).
+  std::uint64_t accesses_replayed = 0;
+  /// accesses_replayed per wall second of that attempt alone.
+  double accesses_per_sec = 0;
   RunResult result;
   /// True when this cell was replayed verbatim from a sweep journal
   /// (--resume) instead of being executed. Metrics are the recorded ones.

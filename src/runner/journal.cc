@@ -151,6 +151,8 @@ void encode_cell(snap::Writer& w, const CellResult& cell) {
   w.str(cell.status);
   w.u32(cell.attempts);
   w.f64(cell.wall_seconds);
+  w.u64(cell.accesses_replayed);
+  w.f64(cell.accesses_per_sec);
   encode_result(w, cell.result);
   w.end_section();
 }
@@ -165,6 +167,8 @@ CellResult decode_cell(snap::Reader& r) {
   cell.status = r.str();
   cell.attempts = r.u32();
   cell.wall_seconds = r.f64();
+  cell.accesses_replayed = r.u64();
+  cell.accesses_per_sec = r.f64();
   decode_result(r, cell.result);
   r.end_section();
   return cell;

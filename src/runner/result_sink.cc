@@ -46,7 +46,7 @@ std::string ResultSink::write_json(const std::vector<CellResult>& cells) const {
   // Cross-cell aggregation (exercises the stats merge path): latency and
   // per-job wall-time summaries over the successful cells.
   RunningStat lat, wall;
-  std::uint64_t total_accesses = 0;
+  std::uint64_t total_replayed = 0;
   std::uint64_t failed = 0;
   std::uint64_t retried = 0;
   std::uint64_t crashed = 0;
@@ -65,7 +65,7 @@ std::string ResultSink::write_json(const std::vector<CellResult>& cells) const {
       continue;
     }
     lat.add(c.result.avg_latency);
-    total_accesses += c.result.accesses;
+    total_replayed += c.accesses_replayed;
   }
 
   JsonWriter j(os);
@@ -90,11 +90,9 @@ std::string ResultSink::write_json(const std::vector<CellResult>& cells) const {
     if (c.ok) {
       const RunResult& r = c.result;
       // Simulator throughput, not simulated performance: how fast this host
-      // chewed through the cell (schema v4). Non-deterministic like
-      // wall_seconds; downstream diffing must ignore it.
-      if (c.wall_seconds > 0)
-        j.kv("accesses_per_sec",
-             static_cast<double>(r.accesses) / c.wall_seconds);
+      // replayed the cell, warm-up included (schema v4). Non-deterministic
+      // like wall_seconds; downstream diffing must ignore it.
+      j.kv("accesses_per_sec", c.accesses_per_sec);
       j.key("metrics").begin_object();
       j.kv("accesses", r.accesses);
       j.kv("avg_latency", r.avg_latency);
@@ -187,7 +185,7 @@ std::string ResultSink::write_json(const std::vector<CellResult>& cells) const {
   j.kv("wall_seconds_total", wall.sum());  // non-deterministic
   if (wall.sum() > 0)
     j.kv("accesses_per_sec_total",
-         static_cast<double>(total_accesses) / wall.sum());
+         static_cast<double>(total_replayed) / wall.sum());
   j.end_object();
   j.end_object();
   const std::string body = os.str();

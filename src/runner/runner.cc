@@ -91,7 +91,8 @@ RunResult ExperimentRunner::replay(const ExperimentSpec& spec,
 
 RunResult ExperimentRunner::durable_replay(const ExperimentSpec& spec,
                                            std::uint64_t seed,
-                                           const std::string& ckpt_path) const {
+                                           const std::string& ckpt_path,
+                                           std::uint64_t& replayed) const {
   MemSim sim(spec.config);
   auto gen = spec.workload.make(seed);
   const auto warm = static_cast<std::uint64_t>(
@@ -107,6 +108,7 @@ RunResult ExperimentRunner::durable_replay(const ExperimentSpec& spec,
       restored = true;
     }
   }
+  replayed = spec.accesses - meta.accesses_done;
   // Fresh run: arm the warm-up fast-forward replay() would arm. A restored
   // run gets the flag back from the engine snapshot instead.
   if (!restored && warm > 0 && spec.instant_warmup)
@@ -170,12 +172,15 @@ CellResult ExperimentRunner::attempt(const ExperimentSpec& spec,
       // analyze: allow(errors): internal control flow, classified below
       if (interrupt_requested()) throw InterruptedRun{};
       cell.result = spec.job(seed);
+      cell.accesses_replayed = cell.result.accesses;
     } else if (cell_timeout_ > 0 && spec.config.max_wall_seconds <= 0) {
       ExperimentSpec bounded = spec;
       bounded.config.max_wall_seconds = cell_timeout_;
-      cell.result = durable_replay(bounded, seed, ckpt_path);
+      cell.result =
+          durable_replay(bounded, seed, ckpt_path, cell.accesses_replayed);
     } else {
-      cell.result = durable_replay(spec, seed, ckpt_path);
+      cell.result =
+          durable_replay(spec, seed, ckpt_path, cell.accesses_replayed);
     }
     cell.ok = true;
     cell.status = "ok";
@@ -198,6 +203,9 @@ CellResult ExperimentRunner::attempt(const ExperimentSpec& spec,
   cell.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  if (cell.ok && cell.wall_seconds > 0)
+    cell.accesses_per_sec =
+        static_cast<double>(cell.accesses_replayed) / cell.wall_seconds;
   return cell;
 }
 

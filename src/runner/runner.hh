@@ -87,9 +87,12 @@ class ExperimentRunner {
   /// interrupt flag, restores `ckpt_path` when present, and checkpoints
   /// periodically and on interrupt. Bit-identical to replay() when it
   /// runs to completion (interrupted or not, across any restore).
+  /// `replayed` counts the references this call replayed (all of them,
+  /// less whatever a restored checkpoint had already done).
   [[nodiscard]] RunResult durable_replay(const ExperimentSpec& spec,
                                          std::uint64_t seed,
-                                         const std::string& ckpt_path) const;
+                                         const std::string& ckpt_path,
+                                         std::uint64_t& replayed) const;
   [[nodiscard]] std::string checkpoint_path(const ExperimentSpec& spec) const;
 
   unsigned jobs_;

@@ -3,12 +3,11 @@
 // A MemoryScheme is everything design-specific about a heterogeneous main
 // memory: placement policy, migration/fill policy, hotness or tag
 // tracking, and the per-scheme statistics. MemSim owns exactly one scheme
-// and drives it through this interface, so the paper's N / N-1 / Live
-// designs and nomad (SwapScheme wrapping HeteroMemoryController) and the
-// competing die-stacked-DRAM designs (flat-HMA, MemCache and its
-// pure-cache Alloy preset) replay the same traces through the same DRAM
-// models, fault injector, invariant auditor, snapshot codec, and sweep
-// runner.
+// and drives it through this interface, so the paper's controller (the
+// N / N-1 / Live designs and nomad, all one SwapScheme) and the competing
+// die-stacked-DRAM designs (flat-HMA, MemCache and its pure-cache Alloy
+// preset) replay the same traces through the same DRAM models, fault
+// injector, invariant auditor, snapshot codec, and sweep runner.
 //
 // Obligations of an implementation (DESIGN.md §"Scheme zoo"):
 //   * deterministic: no wall clock, no unseeded RNG;
@@ -22,14 +21,38 @@
 #include <cstdint>
 #include <string>
 
+#include "common/params.hh"
 #include "common/snapshot.hh"
 #include "common/types.hh"
-#include "core/controller.hh"
+#include "core/geometry.hh"
+#include "core/migration.hh"
 #include "fault/auditor.hh"
 
 namespace hmm::ras {
 class RasEngine;
 }
+
+namespace hmm {
+
+/// The paper's controller configuration. Every scheme reads the geometry
+/// (flat-HMA also the epoch length); the rest configures the swap designs.
+struct ControllerConfig {
+  Geometry geom;
+  bool migration_enabled = true;
+  MigrationDesign design = MigrationDesign::LiveMigration;
+  /// Accesses per monitoring epoch ("swap interval" of Section IV).
+  std::uint64_t swap_interval = 10'000;
+  /// Perfect-knowledge hotness (ablation upper bound) instead of MQ.
+  bool oracle_hotness = false;
+
+  /// Table updates are OS routines below kPureHardwareMinPage pages; pure
+  /// hardware tracks coarser pages (Section III-B).
+  [[nodiscard]] bool is_os_assisted() const noexcept {
+    return geom.page_bytes < params::kPureHardwareMinPage;
+  }
+};
+
+}  // namespace hmm
 
 namespace hmm::schemes {
 
@@ -41,8 +64,7 @@ struct SchemeConfig {
   double cache_fraction = 0.5;
 };
 
-/// Routing decision for one demand access. Mirrors the controller's
-/// Decision field-for-field so SwapScheme forwards bit-identically.
+/// Routing decision for one demand access, the one every scheme returns.
 struct SchemeDecision {
   Route route;
   /// Cycles the access must additionally wait before issue (translation

@@ -1,15 +1,29 @@
-// The paper's swap-based designs (N, N-1, Live) as one MemoryScheme.
+// The paper's heterogeneity-aware on-chip memory controller (Fig 3) as
+// one MemoryScheme: the swap designs N, N-1, Live, and nomad.
 //
-// A thin forwarding shell around HeteroMemoryController: every call maps
-// 1:1 onto the controller API and the snapshot stream is exactly the
-// controller's own, so the three extracted schemes stay bit-identical to
-// the pre-zoo controller path (proven by tests/scheme_test.cc goldens).
+// Front stage: the physical->machine Address Translation (moved ahead of
+// transaction scheduling, so each access is routed to the on-package or
+// off-package region first and the two regions schedule independently —
+// the per-region scheduling lives in dram::DramSystem).
+//
+// Side stage: the Migration Controller — hotness monitoring (clock
+// pseudo-LRU on-package, multi-queue off-package), the hottest-coldest
+// trigger evaluated once per swap-interval epoch (nomad: the
+// hole-directed trigger), and the MigrationEngine that performs the
+// Fig 8 choreography in the background.
+//
+// Implementation flavours (Section III-B), decided by page granularity:
+//  * pure hardware — feasible for macro pages >= 1MB; no per-update cost;
+//  * OS-assisted  — required below 1MB; every translation-table update
+//    costs a user/kernel switch (~127 cycles [19]) charged to the CPU.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
-#include "core/controller.hh"
+#include "core/hotness.hh"
 #include "core/migration.hh"
+#include "core/translation_table.hh"
 #include "ras/ras.hh"
 #include "schemes/scheme.hh"
 
@@ -17,91 +31,124 @@ namespace hmm::schemes {
 
 class SwapScheme final : public MemoryScheme {
  public:
+  struct Stats {
+    std::uint64_t accesses = 0;
+    std::uint64_t on_package_hits = 0;   ///< accesses routed on-package
+    std::uint64_t off_package_hits = 0;
+    std::uint64_t fill_forwards = 0;     ///< served by a filling slot
+    std::uint64_t swap_attempts = 0;     ///< trigger fired
+    std::uint64_t swaps_rejected = 0;    ///< engine busy / invalid pair
+    std::uint64_t os_stall_cycles = 0;
+  };
+
+  /// Builds the table and engine for `cfg.controller.design`.
   SwapScheme(const SchemeConfig& cfg, DramSystem& on_package,
-             DramSystem& off_package)
-      : ctl_(cfg.controller, on_package, off_package) {}
+             DramSystem& off_package);
 
   [[nodiscard]] const char* name() const noexcept override {
-    return to_string(ctl_.config().design);
+    return to_string(cfg_.design);
   }
-
+  /// Translate + monitor one demand access; may trigger a swap.
   [[nodiscard]] SchemeDecision on_access(PhysAddr addr, AccessType type,
-                                         Cycle now) override {
-    const HeteroMemoryController::Decision d = ctl_.on_access(addr, type,
-                                                              now);
-    return SchemeDecision{d.route, d.extra_latency, d.stall_until_idle};
-  }
-
+                                         Cycle now) override;
   [[nodiscard]] Route translate(PhysAddr addr) const override {
-    return ctl_.table().translate(addr);
+    return table_.translate(addr);
   }
-
   void on_background_completion(const DramCompletion& c,
                                 Region from) override {
-    ctl_.on_completion(c, from);
+    engine_.on_completion(c, from);
   }
-
   [[nodiscard]] bool background_idle() const noexcept override {
-    return ctl_.migration_idle();
+    return engine_.idle();
   }
-
   [[nodiscard]] std::size_t in_flight_chunks() const noexcept override {
-    return ctl_.engine().in_flight_chunks();
+    return engine_.in_flight_chunks();
   }
-
-  void set_instant(bool on) override { ctl_.set_instant_migration(on); }
-
+  /// Warm-up fast-forward (see MigrationEngine::set_instant).
+  void set_instant(bool on) override { engine_.set_instant(on); }
+  /// The scheme's own fault site is HotnessCorrupt: an off-package access
+  /// gets recorded against a scrambled page id.
   void set_fault_injector(fault::FaultInjector* inj) override {
-    ctl_.set_fault_injector(inj);
+    injector_ = inj;
+    engine_.set_fault_injector(inj);
   }
-
-  void set_ras(ras::RasEngine* ras) override { ctl_.set_ras(ras); }
-
+  /// The scheme then runs evacuations: each access it first
+  /// retires/evacuates/pins pending failing frames through the migration
+  /// engine, and the table starts enforcing retired-frame invariants.
+  void set_ras(ras::RasEngine* ras) override {
+    ras_ = ras;
+    table_.set_ras_view(ras);
+  }
   [[nodiscard]] TranslationTable* mutable_table() noexcept override {
-    return &ctl_.table();
+    return &table_;
   }
-
-  [[nodiscard]] SchemeMetrics metrics() const override {
-    SchemeMetrics m;
-    const HeteroMemoryController::Stats& cs = ctl_.stats();
-    const MigrationEngine::Stats& es = ctl_.engine().stats();
-    m.on_package_fraction =
-        cs.accesses == 0 ? 0.0
-                         : static_cast<double>(cs.on_package_hits) /
-                               static_cast<double>(cs.accesses);
-    m.swaps = es.swaps_completed;
-    m.migrated_bytes = es.bytes_copied;
-    m.os_stall_cycles = cs.os_stall_cycles;
-    m.chunk_retries = es.chunk_retries;
-    m.chunks_dropped = es.chunks_dropped;
-    m.swap_aborts = es.swaps_aborted;
-    m.degraded = ctl_.engine().degraded();
-    m.degraded_at = ctl_.engine().degraded_at();
-    return m;
-  }
-
-  void save(snap::Writer& w) const override { ctl_.save(w); }
-  void restore(snap::Reader& r) override { ctl_.restore(r); }
-
+  [[nodiscard]] SchemeMetrics metrics() const override;
+  /// Covers the table, engine, and trackers; the config is not serialized.
+  void save(snap::Writer& w) const override;
+  void restore(snap::Reader& r) override;
   [[nodiscard]] const TranslationTable* audited_table()
       const noexcept override {
-    return &ctl_.table();
+    return &table_;
   }
-  [[nodiscard]] std::string audit_check() const override {
-    return ctl_.audit();
-  }
+  /// Hotness-tracker self-check (the table has its own validate()).
+  [[nodiscard]] std::string audit_check() const override;
 
-  /// The wrapped controller, for the swap-design-only surface (engine
-  /// stats, tracker test hooks) that predates the scheme zoo.
-  [[nodiscard]] HeteroMemoryController& controller() noexcept {
-    return ctl_;
+  [[nodiscard]] const TranslationTable& table() const noexcept {
+    return table_;
   }
-  [[nodiscard]] const HeteroMemoryController& controller() const noexcept {
-    return ctl_;
+  [[nodiscard]] const MigrationEngine& engine() const noexcept {
+    return engine_;
   }
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Test-only: the multi-queue tracker, exposed so auditor tests can
+  /// corrupt it and prove the audit path surfaces the mismatch.
+  [[nodiscard]] MultiQueueTracker& mq_for_test() noexcept { return mq_; }
 
  private:
-  HeteroMemoryController ctl_;
+  void consider_swap(Cycle now);
+  /// Nomad: hole-directed trigger — promote the hottest off-package page
+  /// into an on-package hole, or demote the coldest resident when the
+  /// hole is off-package (DESIGN.md §10).
+  void consider_migration(Cycle now);
+  /// Charges `updates` OS table-update routines to the CPU when the page
+  /// granularity makes the design OS-assisted.
+  void charge_os_updates(Cycle updates);
+  /// Epoch boundary for the trackers the trigger just consulted.
+  void reset_epoch();
+  [[nodiscard]] MultiQueueTracker::Hottest hottest() const noexcept {
+    return cfg_.oracle_hotness ? oracle_.hottest() : mq_.hottest();
+  }
+  /// Stop tracking `page` (it just moved on-package).
+  void forget(PageId page) noexcept;
+  /// Hottest-coldest rule: move only when the off-package MRU page is
+  /// accessed more often than the on-package LRU page. MQ counts halve
+  /// once per epoch, so their steady-state value is ~2x the per-epoch
+  /// rate; the oracle's counts are exact per-epoch rates.
+  [[nodiscard]] bool hotter_than(const MultiQueueTracker::Hottest& hot,
+                                 std::uint64_t cold_count) const noexcept;
+  /// RAS retirement step, run on every access: finish the in-flight
+  /// evacuation, abort a swap that touches a newly failing frame, and
+  /// start the next evacuation (or retire data-free frames / pin frames
+  /// the design cannot evacuate).
+  void ras_service(Cycle now);
+  /// Retire data-free `frame`; a nomad hole must first be relocated onto
+  /// a spare, and a dry pool pins it instead.
+  void retire_data_free(PageId frame, Cycle now);
+
+  ControllerConfig cfg_;  // no-snapshot(construction-time config)
+  TranslationTable table_;
+  MigrationEngine engine_;
+  SlotClockTracker slot_tracker_;
+  MultiQueueTracker mq_;
+  OracleTracker oracle_;
+  Stats stats_;
+  std::uint64_t since_epoch_ = 0;
+  Cycle pending_os_stall_ = 0;
+  fault::FaultInjector* injector_ = nullptr;  ///< not owned; may be null
+  ras::RasEngine* ras_ = nullptr;  ///< not owned; may be null
+  /// Frame whose evacuation the engine is currently running; serialized
+  /// at the end of 'HMCT' only when RAS is attached.
+  PageId evac_frame_ = kInvalidPage;
 };
 
 }  // namespace hmm::schemes

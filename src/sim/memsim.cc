@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "schemes/registry.hh"
-#include "schemes/swap_scheme.hh"
 
 namespace hmm {
 
@@ -48,14 +47,6 @@ std::string MemSim::ras_route_sweep() const {
              " routes to retired frame " + std::to_string(frame);
   }
   return {};
-}
-
-HeteroMemoryController& MemSim::controller() {
-  auto* swap = dynamic_cast<schemes::SwapScheme*>(scheme_.get());
-  HMM_CHECK(swap != nullptr,
-            std::string("scheme '") + scheme_->name() +
-                "' has no HeteroMemoryController (swap designs only)");
-  return swap->controller();
 }
 
 void MemSim::check_deadline() const {

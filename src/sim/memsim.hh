@@ -1,7 +1,7 @@
 // Trace-driven main-memory simulator (Section IV).
 //
 // Replays a reference stream through a pluggable MemoryScheme (the paper's
-// swap designs wrap the heterogeneity-aware controller; the zoo adds
+// heterogeneity-aware controller is the swap scheme; the zoo adds
 // cache-style alternatives): translation + hotness/tag tracking + swap or
 // fill triggering, demand requests into the per-region cycle-level DRAM
 // models, background copy traffic interleaved with demand, and (design N)
@@ -19,7 +19,6 @@
 #include <string>
 
 #include "common/stats.hh"
-#include "core/controller.hh"
 #include "fault/auditor.hh"
 #include "fault/fault_injector.hh"
 #include "power/energy_model.hh"
@@ -87,10 +86,6 @@ class MemSim {
   }
   /// Warm-up fast-forward, scheme-generic (see MemoryScheme::set_instant).
   void set_instant_migration(bool on) { scheme_->set_instant(on); }
-  /// The swap designs' controller. Throws SimError(CheckFailed) when the
-  /// configured scheme is not one of N / N-1 / Live — cache-style schemes
-  /// have no HeteroMemoryController.
-  [[nodiscard]] HeteroMemoryController& controller();
   [[nodiscard]] DramSystem& on_package() noexcept { return on_; }
   [[nodiscard]] DramSystem& off_package() noexcept { return off_; }
   [[nodiscard]] const fault::FaultInjector& injector() const noexcept {
@@ -108,10 +103,10 @@ class MemSim {
 
   /// Checkpoint/restore of the complete simulator state. The restoring
   /// side must construct MemSim with the same MemSimConfig; save() covers
-  /// everything that evolves after construction (controller + table +
-  /// engine + trackers, both DRAM systems with the demand bookkeeping
-  /// their requests carry, injector, auditor, pacing clocks, latency
-  /// stats). The wall-clock deadline intentionally restarts at restore
+  /// everything that evolves after construction (the scheme with its
+  /// table, engine and trackers, both DRAM systems with the demand
+  /// bookkeeping their requests carry, injector, auditor, pacing clocks,
+  /// latency stats). The wall-clock deadline intentionally restarts at restore
   /// time: a resumed cell gets a fresh budget rather than inheriting
   /// elapsed time from a dead process.
   void save(snap::Writer& w) const;

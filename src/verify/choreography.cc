@@ -72,7 +72,7 @@ class Explorer {
         table_(cfg.geom, mode_),
         on_(DramSystem::make(Region::OnPackage)),
         off_(DramSystem::make(Region::OffPackage)),
-        engine_(table_, on_, off_, engine_config(cfg)) {
+        engine_(table_, on_, off_, cfg.design) {
     report_.design = cfg.design;
   }
 
@@ -99,13 +99,6 @@ class Explorer {
   }
 
  private:
-  static MigrationEngine::Config engine_config(const CheckerConfig& cfg) {
-    MigrationEngine::Config ec;
-    ec.design = cfg.design;
-    ec.critical_first = true;
-    return ec;
-  }
-
   bool model_bounds_ok() {
     const Geometry& g = cfg_.geom;
     if (!g.valid()) {

@@ -1,8 +1,9 @@
-// Heterogeneity-aware controller tests: routing/monitoring, the epoch
-// trigger, the hottest-coldest rule, OS-assisted costs, and oracle mode.
+// Heterogeneity-aware controller tests, driving the swap scheme directly:
+// routing/monitoring, the epoch trigger, the hottest-coldest rule,
+// OS-assisted costs, and oracle mode.
 #include <gtest/gtest.h>
 
-#include "core/controller.hh"
+#include "schemes/swap_scheme.hh"
 
 namespace hmm {
 namespace {
@@ -18,20 +19,22 @@ struct Rig {
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
             SchedulerPolicy::FrFcfs),
-        ctl(cfg, on, off) {}
+        ctl(schemes::SchemeConfig{cfg}, on, off) {}
 
   /// Feed an access and pump engine traffic to completion (so swaps
   /// finish between epochs in these unit tests).
-  HeteroMemoryController::Decision access(PhysAddr a, Cycle now) {
+  schemes::SchemeDecision access(PhysAddr a, Cycle now) {
     auto d = ctl.on_access(a, AccessType::Read, now);
     int guard = 0;
-    while (!ctl.migration_idle() && ++guard < 100000) {
+    while (!ctl.background_idle() && ++guard < 100000) {
       on.drain_all(now);
       off.drain_all(now);
       const auto x = on.take_completions();
       const auto y = off.take_completions();
-      for (const auto& c : x) ctl.on_completion(c, Region::OnPackage);
-      for (const auto& c : y) ctl.on_completion(c, Region::OffPackage);
+      for (const auto& c : x)
+        ctl.on_background_completion(c, Region::OnPackage);
+      for (const auto& c : y)
+        ctl.on_background_completion(c, Region::OffPackage);
       if (x.empty() && y.empty()) break;
     }
     return d;
@@ -39,7 +42,7 @@ struct Rig {
 
   DramSystem on;
   DramSystem off;
-  HeteroMemoryController ctl;
+  schemes::SwapScheme ctl;
 };
 
 ControllerConfig base_cfg() {
@@ -106,11 +109,11 @@ TEST(Controller, OsAssistedChargesStalls) {
 
 TEST(Controller, PureHardwareHasNoOsStalls) {
   ControllerConfig cfg = base_cfg();
-  cfg.os_assisted = false;  // explicit override
-  ASSERT_FALSE(cfg.is_os_assisted());
+  cfg.geom = Geometry{64 * MiB, 16 * MiB, 1 * MiB, 64 * KiB};
+  ASSERT_FALSE(cfg.is_os_assisted());  // 1MB pages: pure hardware
   Rig rig(cfg);
   Cycle now = 0;
-  for (int i = 0; i < 400; ++i) rig.access(20 * kPage, now += 20);
+  for (int i = 0; i < 400; ++i) rig.access(40 * MiB, now += 20);
   EXPECT_GT(rig.ctl.engine().stats().swaps_completed, 0u);
   EXPECT_EQ(rig.ctl.stats().os_stall_cycles, 0u);
 }
@@ -167,9 +170,9 @@ TEST(Controller, FillForwardsCounted) {
     rig.on.drain_until(now);
     rig.off.drain_until(now);
     for (const auto& c : rig.on.take_completions())
-      rig.ctl.on_completion(c, Region::OnPackage);
+      rig.ctl.on_background_completion(c, Region::OnPackage);
     for (const auto& c : rig.off.take_completions())
-      rig.ctl.on_completion(c, Region::OffPackage);
+      rig.ctl.on_background_completion(c, Region::OffPackage);
   }
   // 21 eventually migrates; during its fill some accesses were forwarded.
   EXPECT_GT(rig.ctl.stats().fill_forwards, 0u);

@@ -86,11 +86,11 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
     auto gen = spec.workload.make(seed);
     CheckpointMeta meta{fp, 0, false};
     if (warm > 0 && spec.instant_warmup)
-      sim.controller().set_instant_migration(true);
+      sim.set_instant_migration(true);
     while (meta.accesses_done < kill_at) {
       if (warm > 0 && !meta.stats_reset_done && meta.accesses_done >= warm) {
         sim.finish();
-        sim.controller().set_instant_migration(false);
+        sim.set_instant_migration(false);
         sim.reset_stats();
         meta.stats_reset_done = true;
         continue;
@@ -116,7 +116,7 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
          (warm > 0 && !meta.stats_reset_done)) {
     if (warm > 0 && !meta.stats_reset_done && meta.accesses_done >= warm) {
       sim.finish();
-      sim.controller().set_instant_migration(false);
+      sim.set_instant_migration(false);
       sim.reset_stats();
       meta.stats_reset_done = true;
       continue;
@@ -149,7 +149,7 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
 }
 
 // Degraded mode is a checkpointable state: with every swap aborted by the
-// injector, the engine exhausts degrade_after_aborts and freezes the table
+// injector, the engine exhausts kDegradeAfterAborts and freezes the table
 // at its last valid (post-rollback) mapping. A run killed *after* that
 // point checkpoints the frozen table + degraded flags, and the resumed
 // run must replay the rest of the degraded execution bit-identically.
@@ -169,9 +169,9 @@ TEST(Checkpoint, DegradedModeRunResumesBitIdentically) {
   {
     MemSim sim(spec.config);
     auto gen = spec.workload.make(seed);
-    sim.controller().set_instant_migration(true);
+    sim.set_instant_migration(true);
     sim.run(*gen, 4000);  // warm-up boundary of sim_spec()
-    sim.controller().set_instant_migration(false);
+    sim.set_instant_migration(false);
     sim.reset_stats();
     sim.run(*gen, 2000);
     sim.finish();
@@ -297,6 +297,8 @@ TEST(Checkpoint, OlderFormatVersionIsRejected) {
   c.status = "ok";
   c.attempts = 2;
   c.wall_seconds = 1.5;
+  c.accesses_replayed = 8192;
+  c.accesses_per_sec = 8192 / 0.75;  // the second of two attempts
   c.result.accesses = 4096;
   c.result.avg_latency = 123.456;
   c.result.p99_latency = 999.0;
@@ -322,6 +324,8 @@ TEST(Journal, EncodeDecodeCellIsLossless) {
   EXPECT_EQ(b.status, a.status);
   EXPECT_EQ(b.attempts, a.attempts);
   EXPECT_EQ(b.wall_seconds, a.wall_seconds);
+  EXPECT_EQ(b.accesses_replayed, a.accesses_replayed);
+  EXPECT_EQ(b.accesses_per_sec, a.accesses_per_sec);
   expect_same_result(b.result, a.result);
   ASSERT_EQ(b.result.fault_events.size(), 1u);
   EXPECT_EQ(b.result.fault_events[0].site,
@@ -467,6 +471,8 @@ TEST(RunnerDurability, ProcessIsolationMatchesInProcessResults) {
     EXPECT_TRUE(in_process[i].ok) << in_process[i].error;
     EXPECT_TRUE(isolated[i].ok) << isolated[i].error;
     EXPECT_EQ(isolated[i].seed, in_process[i].seed);
+    EXPECT_EQ(isolated[i].accesses_replayed, grid[i].accesses);
+    EXPECT_GT(isolated[i].accesses_per_sec, 0.0);
     expect_same_result(isolated[i].result, in_process[i].result);
   }
 }

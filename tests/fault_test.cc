@@ -12,6 +12,7 @@
 #include "fault/auditor.hh"
 #include "fault/fault_injector.hh"
 #include "fault/sim_error.hh"
+#include "schemes/swap_scheme.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -140,7 +141,7 @@ struct EngineRig {
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
             SchedulerPolicy::FrFcfs),
-        engine(table, on, off, MigrationEngine::Config{d, true, 0}),
+        engine(table, on, off, d),
         injector(plan) {
     engine.set_fault_injector(&injector);
   }
@@ -275,14 +276,29 @@ TEST(EngineRecovery, DesignNWedgesInsteadOfCorrupting) {
 
 // --- invariant auditor ------------------------------------------------------
 
+// A bare translation table as the audit subject (nothing else to check).
+class TableSubject final : public fault::Auditable {
+ public:
+  explicit TableSubject(const TranslationTable& table) : table_(table) {}
+  [[nodiscard]] const TranslationTable* audited_table()
+      const noexcept override {
+    return &table_;
+  }
+  [[nodiscard]] std::string audit_check() const override { return {}; }
+
+ private:
+  const TranslationTable& table_;
+};
+
 TEST(InvariantAuditorTest, AuditsEveryIntervalAndPassesOnACleanTable) {
   const Geometry g{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
   TranslationTable table(g, TableMode::HardwareNMinus1);
-  fault::InvariantAuditor auditor(table, nullptr, /*interval=*/4);
+  const TableSubject subject(table);
+  fault::InvariantAuditor auditor(&subject, /*interval=*/4);
   for (int i = 0; i < 8; ++i) EXPECT_NO_THROW(auditor.on_access());
   EXPECT_EQ(auditor.audits(), 2u);
 
-  fault::InvariantAuditor disabled(table, nullptr, /*interval=*/0);
+  fault::InvariantAuditor disabled(&subject, /*interval=*/0);
   for (int i = 0; i < 100; ++i) disabled.on_access();
   EXPECT_EQ(disabled.audits(), 0u);
 }
@@ -290,7 +306,8 @@ TEST(InvariantAuditorTest, AuditsEveryIntervalAndPassesOnACleanTable) {
 TEST(InvariantAuditorTest, DetectsAFlippedPendingBit) {
   const Geometry g{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
   TranslationTable table(g, TableMode::HardwareNMinus1);
-  fault::InvariantAuditor auditor(table, nullptr, 1);
+  const TableSubject subject(table);
+  fault::InvariantAuditor auditor(&subject, 1);
   EXPECT_NO_THROW(auditor.audit());
 
   ASSERT_TRUE(table.empty_slot().has_value());
@@ -307,7 +324,8 @@ TEST(InvariantAuditorTest, DetectsAFlippedPendingBit) {
 TEST(InvariantAuditorTest, DetectsAFlippedOccupantBit) {
   const Geometry g{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
   TranslationTable table(g, TableMode::HardwareNMinus1);
-  fault::InvariantAuditor auditor(table, nullptr, 1);
+  const TableSubject subject(table);
+  fault::InvariantAuditor auditor(&subject, 1);
   EXPECT_NO_THROW(auditor.audit());
 
   // Flip a high bit of an occupied row: the forged page id is outside the
@@ -326,7 +344,8 @@ TEST(InvariantAuditorTest, DetectsAFlippedOccupantBit) {
 TEST(InvariantAuditorTest, CorruptedTableRowNamesTheTableInItsError) {
   const Geometry g{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
   TranslationTable table(g, TableMode::HardwareNMinus1);
-  fault::InvariantAuditor auditor(table, nullptr, 1);
+  const TableSubject subject(table);
+  fault::InvariantAuditor auditor(&subject, 1);
 
   SlotId occupied = 0;
   while (table.occupant(occupied) == kInvalidPage) ++occupied;
@@ -342,16 +361,16 @@ TEST(InvariantAuditorTest, CorruptedTableRowNamesTheTableInItsError) {
 }
 
 TEST(InvariantAuditorTest, MultiQueueMismatchSurfacesThroughTheController) {
-  ControllerConfig cfg;
-  cfg.geom = Geometry{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
-  cfg.design = MigrationDesign::NMinus1;
-  cfg.swap_interval = 1'000'000;  // monitor only; no swap mid-test
+  schemes::SchemeConfig cfg;
+  cfg.controller.geom = Geometry{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
+  cfg.controller.design = MigrationDesign::NMinus1;
+  cfg.controller.swap_interval = 1'000'000;  // monitor only; no swap
   DramSystem on(Region::OnPackage, DramTiming::on_package_sip(), 1,
                 SchedulerPolicy::FrFcfs);
   DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
                  SchedulerPolicy::FrFcfs);
-  HeteroMemoryController ctl(cfg, on, off);
-  fault::InvariantAuditor auditor(ctl.table(), &ctl, 1);
+  schemes::SwapScheme ctl(cfg, on, off);
+  fault::InvariantAuditor auditor(&ctl, 1);
 
   // Touch a few off-package pages so the multi-queue tracker has entries.
   for (int i = 0; i < 4; ++i)
@@ -372,7 +391,8 @@ TEST(InvariantAuditorTest, MultiQueueMismatchSurfacesThroughTheController) {
 TEST(InvariantAuditorTest, NonMonotonicFillBitmapRaisesAuditFailed) {
   const Geometry g{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
   TranslationTable table(g, TableMode::HardwareNMinus1);
-  fault::InvariantAuditor auditor(table, nullptr, 1);
+  const TableSubject subject(table);
+  fault::InvariantAuditor auditor(&subject, 1);
 
   const SlotId slot = *table.empty_slot();
   const PageId incoming = 20;

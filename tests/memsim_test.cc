@@ -27,9 +27,9 @@ RunResult replay(const MemSimConfig& cfg, std::uint64_t n,
   MemSim sim(cfg);
   auto w = make_pgbench(seed);
   if (instant_warmup) {
-    sim.controller().set_instant_migration(true);
+    sim.set_instant_migration(true);
     sim.run(*w, n / 2);
-    sim.controller().set_instant_migration(false);
+    sim.set_instant_migration(false);
     sim.reset_stats();
   }
   sim.run(*w, n);
@@ -137,8 +137,8 @@ TEST_P(MemSimMatrix, RunsCleanAndKeepsInvariants) {
   EXPECT_LE(r.on_package_fraction, 1.0);
   EXPECT_GT(r.energy_pj, 0.0);
   if (p.design != MigrationDesign::N) {
-    EXPECT_TRUE(sim.controller().table().validate().empty())
-        << sim.controller().table().validate();
+    const TranslationTable& t = *sim.scheme().mutable_table();
+    EXPECT_TRUE(t.validate().empty()) << t.validate();
   }
 }
 

@@ -23,7 +23,7 @@ struct Rig {
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
             SchedulerPolicy::FrFcfs),
-        engine(table, on, off, MigrationEngine::Config{design, true, 0}) {}
+        engine(table, on, off, design) {}
 
   /// Pump all DRAM work to completion, checking invariants per batch.
   void run_to_idle(bool validate_each = true) {

@@ -22,7 +22,7 @@ struct Rig {
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
             SchedulerPolicy::FrFcfs),
-        engine(table, on, off, MigrationEngine::Config{design, true, 0}) {}
+        engine(table, on, off, design) {}
 
   TranslationTable table;
   DramSystem on;

@@ -138,9 +138,9 @@ TEST(NomadTable, ValidateCatchesInjectedBitFlips) {
   MemSim sim(cfg);
   auto w = make_pgbench(seed);
   if (instant_warmup) {
-    sim.controller().set_instant_migration(true);
+    sim.set_instant_migration(true);
     sim.run(*w, n / 2);
-    sim.controller().set_instant_migration(false);
+    sim.set_instant_migration(false);
     sim.reset_stats();
   }
   sim.run(*w, n);
@@ -175,7 +175,7 @@ TEST(NomadSim, TotalChunkLossAbortsIntoDegradedModeNotAWedge) {
   cfg.fault.seed = 7;
   cfg.fault.add(fault::FaultSite::MigrationChunkDrop, 1.0);
   // Every copy chunk drops: each transaction exhausts its retry budget
-  // and aborts; after degrade_after_aborts consecutive aborts the engine
+  // and aborts; after kDegradeAfterAborts consecutive aborts the engine
   // freezes the table. The run must COMPLETE (periodic audits clean) —
   // nomad has no wedge state. No instant warm-up: instant transactions
   // stream no chunks, so they would commit fault-free (and the swaps

@@ -8,12 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "core/controller.hh"
 #include "fault/fault_injector.hh"
 #include "fault/sim_error.hh"
 #include "ras/ras.hh"
 #include "runner/journal.hh"
 #include "schemes/registry.hh"
+#include "schemes/swap_scheme.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -266,7 +266,7 @@ TEST(RasEngine, StateRoundTripsThroughSnapshot) {
   EXPECT_EQ(back.healthy_frames(), eng.healthy_frames());
 }
 
-// --- controller-driven evacuation (swap designs) ----------------------------
+// --- swap-scheme-driven evacuation ------------------------------------------
 
 struct Rig {
   Rig(ControllerConfig cfg, const ras::RasConfig& rcfg)
@@ -274,7 +274,7 @@ struct Rig {
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
             SchedulerPolicy::FrFcfs),
-        ctl(cfg, on, off),
+        ctl(schemes::SchemeConfig{cfg}, on, off),
         ras(rcfg, cfg.geom, nullptr) {
     ctl.set_ras(&ras);
   }
@@ -283,20 +283,22 @@ struct Rig {
   void access(PhysAddr a, Cycle now) {
     (void)ctl.on_access(a, AccessType::Read, now);
     int guard = 0;
-    while (!ctl.migration_idle() && ++guard < 100000) {
+    while (!ctl.background_idle() && ++guard < 100000) {
       on.drain_all(now);
       off.drain_all(now);
       const auto x = on.take_completions();
       const auto y = off.take_completions();
-      for (const auto& c : x) ctl.on_completion(c, Region::OnPackage);
-      for (const auto& c : y) ctl.on_completion(c, Region::OffPackage);
+      for (const auto& c : x)
+        ctl.on_background_completion(c, Region::OnPackage);
+      for (const auto& c : y)
+        ctl.on_background_completion(c, Region::OffPackage);
       if (x.empty() && y.empty()) break;
     }
   }
 
   DramSystem on;
   DramSystem off;
-  HeteroMemoryController ctl;
+  schemes::SwapScheme ctl;
   ras::RasEngine ras;
 };
 
@@ -329,7 +331,7 @@ TEST(RasController, OccupiedFrameIsEvacuatedThenBlacklisted) {
     const Route r = rig.ctl.table().translate(victim * kPage);
     EXPECT_NE(r.mach >> small_geom().page_shift(), victim) << to_string(d);
     EXPECT_TRUE(rig.ctl.table().validate().empty()) << to_string(d);
-    EXPECT_TRUE(rig.ctl.audit().empty()) << to_string(d);
+    EXPECT_TRUE(rig.ctl.audit_check().empty()) << to_string(d);
   }
 }
 
@@ -349,7 +351,7 @@ TEST(RasController, InexpressibleEvacuationPinsInsteadOfRetiring) {
     EXPECT_FALSE(rig.ras.retired(3)) << to_string(d);
     const Route r = rig.ctl.table().translate(3 * kPage);
     EXPECT_EQ(r.mach >> small_geom().page_shift(), 3u) << to_string(d);
-    EXPECT_TRUE(rig.ctl.audit().empty()) << to_string(d);
+    EXPECT_TRUE(rig.ctl.audit_check().empty()) << to_string(d);
   }
 }
 
@@ -400,7 +402,7 @@ TEST(RasController, FrameFailingMidSwapAbortsTheTransaction) {
     PageId touched = kInvalidPage;
     for (int i = 0; i < 2000 && touched == kInvalidPage; ++i) {
       (void)rig.ctl.on_access(20 * kPage, AccessType::Read, now += 7);
-      if (!rig.ctl.migration_idle()) {
+      if (!rig.ctl.background_idle()) {
         for (PageId f = 0; f < small_geom().total_pages(); ++f)
           if (rig.ctl.engine().plan_touches(f)) {
             touched = f;
@@ -417,7 +419,7 @@ TEST(RasController, FrameFailingMidSwapAbortsTheTransaction) {
     EXPECT_TRUE(rig.ras.retired(touched) || rig.ras.pinned_count() > 0)
         << to_string(d);
     EXPECT_TRUE(rig.ctl.table().validate().empty()) << to_string(d);
-    EXPECT_TRUE(rig.ctl.audit().empty()) << to_string(d);
+    EXPECT_TRUE(rig.ctl.audit_check().empty()) << to_string(d);
   }
 }
 

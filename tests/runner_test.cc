@@ -293,6 +293,24 @@ TEST(ExperimentRunner, CellTimeoutOptionBoundsARealReplay) {
   EXPECT_NE(out[0].error.find("[timeout]"), std::string::npos);
 }
 
+// Simulator throughput counts every reference the cell replayed, warm-up
+// included, over that attempt's wall time: a 0.5-warm-up cell measures
+// only half its references, yet accesses_per_sec covers all of them.
+TEST(ExperimentRunner, AccessesPerSecCountsTheWarmUp) {
+  std::vector<ExperimentSpec> grid = small_grid();
+  grid.resize(1);
+  ASSERT_EQ(grid[0].warmup_fraction, 0.5);
+  const std::vector<CellResult> out = ExperimentRunner({.jobs = 1}).run(grid);
+  ASSERT_EQ(out.size(), 1u);
+  const CellResult& c = out[0];
+  ASSERT_TRUE(c.ok) << c.error;
+  ASSERT_EQ(c.attempts, 1u);
+  const auto n = static_cast<double>(grid[0].accesses);
+  EXPECT_EQ(c.result.accesses, grid[0].accesses / 2);
+  EXPECT_EQ(c.accesses_replayed, grid[0].accesses);
+  EXPECT_NEAR(c.accesses_per_sec * c.wall_seconds, n, 1e-6 * n);
+}
+
 // --- result sink: status fields ---------------------------------------------
 
 TEST(ResultSink, JsonCarriesStatusAttemptsAndErrors) {

@@ -1,8 +1,9 @@
 // Scheme-zoo tests: the registry (canonical names, structured unknown-name
-// error), golden bit-identity of the extracted N / N-1 / Live swap schemes
-// against the pre-refactor controller, behaviour sanity for the Alloy /
-// flat-HMA / MemCache designs, per-scheme snapshot round-trips, and the
-// invariant auditor catching injected per-scheme corruption.
+// error), golden bit-identity of the N / N-1 / Live swap schemes against
+// the pre-refactor controller, a mid-swap checkpoint golden for every swap
+// design, behaviour sanity for the Alloy / flat-HMA / MemCache designs,
+// per-scheme snapshot round-trips, and the invariant auditor catching
+// injected per-scheme corruption.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "schemes/flat_hma.hh"
 #include "schemes/memcache.hh"
 #include "schemes/registry.hh"
+#include "schemes/swap_scheme.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -57,7 +59,7 @@ GoldenRun golden_replay(MemSimConfig cfg, const std::string& seed_name) {
   GoldenRun g;
   g.result = sim.result();
   snap::Writer w;
-  sim.controller().table().save(w);
+  sim.scheme().mutable_table()->save(w);
   g.table_crc = snap::crc32(w.buffer().data(), w.buffer().size());
   return g;
 }
@@ -243,13 +245,8 @@ TEST(SchemeRegistry, SwapNameOverridesControllerDesign) {
   cfg.controller.design = MigrationDesign::N;  // deliberately stale
   MemSim sim(cfg);
   EXPECT_STREQ(sim.scheme().name(), "N-1");
-  EXPECT_EQ(sim.controller().config().design, MigrationDesign::NMinus1);
-}
-
-TEST(SchemeRegistry, ControllerAccessorThrowsForCacheStyleSchemes) {
-  MemSim sim(zoo_cfg("Alloy"));
-  EXPECT_STREQ(sim.scheme().name(), "Alloy");
-  EXPECT_THROW((void)sim.controller(), SimError);
+  const auto& swap = dynamic_cast<const schemes::SwapScheme&>(sim.scheme());
+  EXPECT_EQ(swap.engine().design(), MigrationDesign::NMinus1);
 }
 
 // --- golden bit-identity ----------------------------------------------------
@@ -274,6 +271,43 @@ TEST(SchemeGolden, EmptySchemeNameDerivesFromControllerDesign) {
     cfg.controller.design = x.design;
     expect_matches_golden(golden_replay(cfg, x.name), x);
   }
+}
+
+// CRC-32 of the whole-simulator checkpoint, MemSim::save(), taken with a
+// swap in flight: the golden warm-up, 2100 measured references, then
+// references fed straight to the scheme until one starts a swap.
+// MemSim::step holds design N's demand until its swap drains, so only the
+// scheme's own on_access() can leave N mid-swap at a step boundary; for
+// the other designs the swap that began at reference 8000 is still
+// streaming and the loop does not run.
+std::uint32_t midswap_snapshot_crc(const std::string& name) {
+  MemSim sim(golden_cfg(name));
+  auto gen = section4_workloads()[0].make(
+      runner::derive_seed(42, "golden/" + name));  // FT
+  sim.set_instant_migration(true);
+  sim.run(*gen, 6000);
+  sim.set_instant_migration(false);
+  sim.reset_stats();
+  sim.run_chunk(*gen, 2100);
+  for (int i = 0; i < 10000 && sim.scheme().background_idle(); ++i) {
+    const TraceRecord r = gen->next();
+    (void)sim.scheme().on_access(r.addr, r.type, r.timestamp);
+  }
+  EXPECT_FALSE(sim.scheme().background_idle()) << name;
+  snap::Writer w;
+  sim.save(w);
+  return snap::crc32(w.buffer().data(), w.buffer().size());
+}
+
+// Pins, byte for byte, the simulator state a format-3 checkpoint carries
+// mid-swap: both DRAM systems, the table, the engine's plan with its
+// pending mutations and in-flight chunks, the trackers, the 'HMCT'
+// section, and the latency stats.
+TEST(SchemeGolden, MidSwapCheckpointBytesArePinned) {
+  EXPECT_EQ(midswap_snapshot_crc("N"), 4031670850u);
+  EXPECT_EQ(midswap_snapshot_crc("N-1"), 2695170727u);
+  EXPECT_EQ(midswap_snapshot_crc("Live"), 3479765813u);
+  EXPECT_EQ(midswap_snapshot_crc("nomad"), 2987426613u);
 }
 
 // --- Alloy goldens -----------------------------------------------------------

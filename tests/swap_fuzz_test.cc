@@ -36,8 +36,7 @@ TEST_P(SwapFuzz, RandomSwapSequencesPreserveAllInvariants) {
                 SchedulerPolicy::FrFcfs);
   DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
                  SchedulerPolicy::FrFcfs);
-  MigrationEngine engine(table, on, off,
-                         MigrationEngine::Config{fp.design, true, 0});
+  MigrationEngine engine(table, on, off, fp.design);
 
   Pcg32 rng(0xf422ull + fp.page);
   const PageId pages = g.total_pages();
@@ -123,8 +122,7 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
                 SchedulerPolicy::FrFcfs);
   DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
                  SchedulerPolicy::FrFcfs);
-  MigrationEngine engine(table, on, off,
-                         MigrationEngine::Config{fp.design, true, 0});
+  MigrationEngine engine(table, on, off, fp.design);
 
   // Rates are per *opportunity* (one per chunk completion / DRAM submit);
   // a 512KB page swap is several thousand opportunities, so these small
