@@ -13,14 +13,22 @@
 //
 // Sections are flat (no nesting) and must be read back in write order —
 // the format is a checkpoint, not an archive.
+//
+// A component writes its state as one `template <class Ar> void io(Ar&)`
+// over the field API at the bottom of this file, which saves when Ar is
+// Writer and restores when Ar is Reader, so every field is named once.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/random.hh"
+#include "common/stats.hh"
 #include "fault/sim_error.hh"
 
 namespace hmm::snap {
@@ -73,10 +81,15 @@ inline constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
 class Writer {
  public:
+  /// Little-endian integer of exactly sizeof(W) bytes.
+  template <class W>
+  void put(W v) {
+    le(static_cast<std::uint64_t>(v), static_cast<int>(sizeof(W)));
+  }
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void b(bool v) { u8(v ? 1 : 0); }
   void f64(double v) {
     std::uint64_t bits;
@@ -86,9 +99,6 @@ class Writer {
   void str(const std::string& s) {
     u64(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-  void bytes(const std::uint8_t* data, std::size_t len) {
-    buf_.insert(buf_.end(), data, data + len);
   }
 
   /// Opens a section; all writes until end_section() become its payload.
@@ -136,17 +146,17 @@ class Reader {
   explicit Reader(const std::vector<std::uint8_t>& buf)
       : Reader(buf.data(), buf.size()) {}
 
+  template <class W>
+  [[nodiscard]] W get() {
+    return static_cast<W>(le(static_cast<int>(sizeof(W))));
+  }
   [[nodiscard]] std::uint8_t u8() {
     need(1);
     return data_[pos_++];
   }
-  [[nodiscard]] std::uint16_t u16() {
-    return static_cast<std::uint16_t>(le(2));
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    return static_cast<std::uint32_t>(le(4));
-  }
-  [[nodiscard]] std::uint64_t u64() { return le(8); }
+  [[nodiscard]] std::uint16_t u16() { return get<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return get<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return get<std::uint64_t>(); }
   [[nodiscard]] bool b() { return u8() != 0; }
   [[nodiscard]] double f64() {
     const std::uint64_t bits = u64();
@@ -154,6 +164,20 @@ class Reader {
     std::memcpy(&v, &bits, sizeof v);
     return v;
   }
+  /// A u64 element count, refused when larger than the bytes left (in
+  /// the open section, if any) before anything is allocated from it:
+  /// every element takes at least one byte, so only a corrupt or crafted
+  /// file can carry such a count.
+  [[nodiscard]] std::uint64_t count() {
+    const std::uint64_t n = u64();
+    const std::size_t end = section_end_ != 0 ? section_end_ : len_;
+    if (n > end - pos_)
+      snapshot_error("element count " + std::to_string(n) + " exceeds the " +
+                     std::to_string(end - pos_) + " bytes left at offset " +
+                     std::to_string(pos_));
+    return n;
+  }
+
   [[nodiscard]] std::string str() {
     const std::uint64_t n = u64();
     need(n);
@@ -197,7 +221,6 @@ class Reader {
   }
 
   [[nodiscard]] bool at_end() const noexcept { return pos_ >= len_; }
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
 
  private:
   void need(std::uint64_t n) const {
@@ -223,5 +246,191 @@ class Reader {
   std::size_t pos_ = 0;
   std::size_t section_end_ = 0;  ///< 0 = no section open
 };
+
+// --- the field API ---------------------------------------------------------
+//
+// Each call names one field and works in both directions: with a Writer
+// it appends the field, with a Reader it assigns it. Scalars spell their
+// wire width and never deduce it from the field's type — SlotId is
+// 32-bit in memory but u64 on the wire in 'TTBL', 'MENG', 'CLCK' and
+// 'FHMA', so a deduced width would change every checkpoint. A
+// component's save() runs io() through const_cast: handed a Writer,
+// io() only reads.
+
+template <class Ar>
+inline constexpr bool kSaving = std::is_same_v<Ar, Writer>;
+
+/// One integer, bool or enum field at wire width W.
+template <class W, class Ar, class T>
+void fixed(Ar& ar, T& v) {
+  if constexpr (kSaving<Ar>)
+    ar.put(static_cast<W>(v));
+  else
+    v = static_cast<T>(ar.template get<W>());
+}
+
+template <class Ar, class T>
+void u8(Ar& ar, T& v) {
+  fixed<std::uint8_t>(ar, v);
+}
+template <class Ar, class T>
+void u32(Ar& ar, T& v) {
+  fixed<std::uint32_t>(ar, v);
+}
+template <class Ar, class T>
+void u64(Ar& ar, T& v) {
+  fixed<std::uint64_t>(ar, v);
+}
+/// A bool as one byte, 0 or 1.
+template <class Ar, class T>
+void b(Ar& ar, T& v) {
+  fixed<std::uint8_t>(ar, v);
+}
+template <class Ar>
+void f64(Ar& ar, double& v) {
+  if constexpr (kSaving<Ar>)
+    ar.f64(v);
+  else
+    v = ar.f64();
+}
+template <class Ar>
+void str(Ar& ar, std::string& v) {
+  if constexpr (kSaving<Ar>)
+    ar.str(v);
+  else
+    v = ar.str();
+}
+
+/// A construction-time shape (a slot or channel count, a mode): written,
+/// and on restore compared with the constructed object rather than
+/// adopted, so a checkpoint of a differently built object is refused.
+template <class W, class Ar, class T>
+void expect(Ar& ar, const T& v, const char* what) {
+  if constexpr (kSaving<Ar>) {
+    ar.put(static_cast<W>(v));
+  } else if (ar.template get<W>() != static_cast<W>(v)) {
+    snapshot_error(std::string(what) +
+                   " mismatch: the checkpoint was taken on a different "
+                   "configuration");
+  }
+}
+
+/// One CRC-framed section whose payload is whatever `body` reads/writes.
+template <class Ar, class F>
+void section(Ar& ar, std::uint32_t section_tag, F&& body) {
+  ar.begin_section(section_tag);
+  body();
+  ar.end_section();
+}
+
+/// A nested component, through its own save()/restore().
+template <class Ar, class C>
+void part(Ar& ar, C& c) {
+  if constexpr (kSaving<Ar>)
+    c.save(ar);
+  else
+    c.restore(ar);
+}
+
+/// A u64 count, then `each(element)` in order. Restore rebuilds the
+/// container from value-initialized elements.
+template <class Ar, class V, class F>
+void seq(Ar& ar, V& v, F&& each) {
+  if constexpr (kSaving<Ar>) {
+    ar.u64(v.size());
+  } else {
+    v.clear();
+    v.resize(ar.count());
+  }
+  for (auto& x : v) each(x);
+}
+
+/// A std::vector<bool>: a u64 count, then one byte per bit.
+template <class Ar>
+void bits(Ar& ar, std::vector<bool>& v) {
+  if constexpr (kSaving<Ar>) {
+    ar.u64(v.size());
+    for (const bool bit : v) ar.b(bit);
+  } else {
+    v.assign(ar.count(), false);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = ar.b();
+  }
+}
+
+/// A u64 count, then `each(key, value)` in ascending key order, so the
+/// bytes never depend on hash-table iteration order.
+template <class Ar, class M, class F>
+void sorted_map(Ar& ar, M& m, F&& each) {
+  if constexpr (kSaving<Ar>) {
+    std::vector<const typename M::value_type*> order;
+    order.reserve(m.size());
+    // analyze: allow(determinism): sorted by key before anything is written
+    for (const auto& e : m) order.push_back(&e);
+    std::sort(order.begin(), order.end(),
+              [](const auto* x, const auto* y) { return x->first < y->first; });
+    ar.u64(order.size());
+    for (const auto* e : order) each(e->first, e->second);
+  } else {
+    m.clear();
+    for (std::uint64_t n = ar.count(); n > 0; --n) {
+      typename M::key_type k{};
+      typename M::mapped_type v{};
+      each(k, v);
+      m.insert_or_assign(k, v);
+    }
+  }
+}
+
+/// A u64 count, then `each(key)` in ascending order.
+template <class Ar, class S, class F>
+void sorted_set(Ar& ar, S& s, F&& each) {
+  if constexpr (kSaving<Ar>) {
+    std::vector<typename S::key_type> order(s.begin(), s.end());
+    std::sort(order.begin(), order.end());
+    ar.u64(order.size());
+    for (const auto& k : order) each(k);
+  } else {
+    s.clear();
+    for (std::uint64_t n = ar.count(); n > 0; --n) {
+      typename S::key_type k{};
+      each(k);
+      s.insert(k);
+    }
+  }
+}
+
+/// RunningStat's raw accumulators (count, sum, min, max), sentinels
+/// included, so a restored stat is bit-identical.
+template <class Ar>
+void stat(Ar& ar, RunningStat& s) {
+  RunningStat::Raw raw = s.raw();
+  u64(ar, raw.count);
+  f64(ar, raw.sum);
+  f64(ar, raw.min);
+  f64(ar, raw.max);
+  if constexpr (!kSaving<Ar>) s.set_raw(raw);
+}
+
+/// A Pcg32's (state, inc).
+template <class Ar>
+void rng(Ar& ar, Pcg32& g) {
+  Pcg32::Raw raw = g.raw();
+  u64(ar, raw.state);
+  u64(ar, raw.inc);
+  if constexpr (!kSaving<Ar>) g.set_raw(raw);
+}
+
+/// Every Log2Histogram bucket, then the total.
+template <class Ar>
+void hist(Ar& ar, Log2Histogram& h) {
+  for (unsigned i = 0; i < Log2Histogram::kBuckets; ++i) {
+    std::uint64_t n = h.bucket(i);
+    u64(ar, n);
+    if constexpr (!kSaving<Ar>) h.set_bucket(i, n);
+  }
+  std::uint64_t total = h.total();
+  u64(ar, total);
+  if constexpr (!kSaving<Ar>) h.set_total(total);
+}
 
 }  // namespace hmm::snap

@@ -153,56 +153,43 @@ std::string MultiQueueTracker::validate() const {
 }
 
 void SlotClockTracker::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('C', 'L', 'C', 'K'));
-  w.u64(ref_.size());
-  for (const std::uint8_t b : ref_) w.u8(b);
-  for (const std::uint64_t c : counts_) w.u64(c);
-  w.u64(hand_);
-  w.end_section();
+  const_cast<SlotClockTracker*>(this)->io(w);
 }
 
-void SlotClockTracker::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('C', 'L', 'C', 'K'));
-  const std::uint64_t n = r.u64();
-  ref_.assign(n, 0);
-  counts_.assign(n, 0);
-  for (std::uint8_t& b : ref_) b = r.u8();
-  for (std::uint64_t& c : counts_) c = r.u64();
-  hand_ = static_cast<SlotId>(r.u64());
-  r.end_section();
+void SlotClockTracker::restore(snap::Reader& r) { io(r); }
+
+template <class Ar>
+void SlotClockTracker::io(Ar& ar) {
+  snap::section(ar, snap::tag('C', 'L', 'C', 'K'), [&] {
+    snap::expect<std::uint64_t>(ar, ref_.size(), "clock tracker slot count");
+    for (std::uint8_t& bit : ref_) snap::u8(ar, bit);
+    for (std::uint64_t& c : counts_) snap::u64(ar, c);
+    snap::u64(ar, hand_);
+  });
 }
 
 void MultiQueueTracker::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('M', 'Q', 'T', 'R'));
-  w.u32(levels_);
-  w.u32(capacity_);
-  for (const auto& q : queues_) {
-    w.u64(q.size());
-    for (const Entry& e : q) {
-      w.u64(e.page);
-      w.u64(e.count);
-      w.u32(e.last_sub_block);
-    }
-  }
-  w.end_section();
+  const_cast<MultiQueueTracker*>(this)->io(w);
 }
 
 void MultiQueueTracker::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('M', 'Q', 'T', 'R'));
-  levels_ = r.u32();
-  capacity_ = r.u32();
-  queues_.assign(levels_, {});
+  io(r);
   index_.clear();
-  for (unsigned l = 0; l < levels_; ++l) {
-    queues_[l].resize(r.u64());
-    for (Entry& e : queues_[l]) {
-      e.page = r.u64();
-      e.count = r.u64();
-      e.last_sub_block = r.u32();
-    }
-    reindex(l);
-  }
-  r.end_section();
+  for (unsigned l = 0; l < levels_; ++l) reindex(l);
+}
+
+template <class Ar>
+void MultiQueueTracker::io(Ar& ar) {
+  snap::section(ar, snap::tag('M', 'Q', 'T', 'R'), [&] {
+    snap::expect<std::uint32_t>(ar, levels_, "multi-queue level count");
+    snap::expect<std::uint32_t>(ar, capacity_, "multi-queue level capacity");
+    for (auto& q : queues_)
+      snap::seq(ar, q, [&](auto& e) {
+        snap::u64(ar, e.page);
+        snap::u64(ar, e.count);
+        snap::u32(ar, e.last_sub_block);
+      });
+  });
 }
 
 }  // namespace hmm

@@ -10,7 +10,6 @@
 //    in ablation experiments (not realizable in hardware at fine grain).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -65,6 +64,9 @@ class SlotClockTracker {
   void restore(snap::Reader& r);
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
+
   std::vector<std::uint8_t> ref_;
   std::vector<std::uint64_t> counts_;
   SlotId hand_ = 0;
@@ -111,10 +113,14 @@ class MultiQueueTracker {
   void corrupt_entry_for_test() noexcept;
 
   // Queues carry the full state; index_ is rebuilt on restore via reindex().
+  // The level count and capacity are construction-time shapes.
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
+
   struct Entry {
     PageId page = kInvalidPage;
     std::uint64_t count = 0;
@@ -161,31 +167,21 @@ class OracleTracker {
   void reset_epoch() noexcept { counts_.clear(); }
   void erase(PageId p) noexcept { counts_.erase(p); }
 
-  void save(snap::Writer& w) const {
-    w.begin_section(snap::tag('O', 'R', 'C', 'L'));
-    std::vector<std::pair<PageId, std::pair<std::uint64_t, std::uint32_t>>>
-        v(counts_.begin(), counts_.end());
-    std::sort(v.begin(), v.end());
-    w.u64(v.size());
-    for (const auto& [p, e] : v) {
-      w.u64(p);
-      w.u64(e.first);
-      w.u32(e.second);
-    }
-    w.end_section();
-  }
-  void restore(snap::Reader& r) {
-    r.begin_section(snap::tag('O', 'R', 'C', 'L'));
-    counts_.clear();
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-      const PageId p = r.u64();
-      const std::uint64_t count = r.u64();
-      counts_[p] = {count, r.u32()};
-    }
-    r.end_section();
-  }
+  void save(snap::Writer& w) const { const_cast<OracleTracker*>(this)->io(w); }
+  void restore(snap::Reader& r) { io(r); }
 
  private:
+  template <class Ar>
+  void io(Ar& ar) {
+    snap::section(ar, snap::tag('O', 'R', 'C', 'L'), [&] {
+      snap::sorted_map(ar, counts_, [&](auto& p, auto& e) {
+        snap::u64(ar, p);
+        snap::u64(ar, e.first);
+        snap::u32(ar, e.second);
+      });
+    });
+  }
+
   std::unordered_map<PageId, std::pair<std::uint64_t, std::uint32_t>> counts_;
 };
 

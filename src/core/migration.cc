@@ -696,152 +696,67 @@ void MigrationEngine::finish_swap(Cycle at) {
   if (landing_zone_lost()) enter_degraded(at);
 }
 
-namespace {
-void save_mutation(snap::Writer& w, const TableMutation& m) {
-  w.u8(static_cast<std::uint8_t>(m.kind));
-  w.u64(m.row);
-  w.u64(m.page);
-  w.u64(m.machine);
-}
-
-TableMutation load_mutation(snap::Reader& r) {
-  TableMutation m;
-  m.kind = static_cast<TableMutation::Kind>(r.u8());
-  m.row = static_cast<SlotId>(r.u64());
-  m.page = r.u64();
-  m.machine = r.u64();
-  return m;
-}
-}  // namespace
-
 void MigrationEngine::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('M', 'E', 'N', 'G'));
-  w.u64(steps_.size());
-  for (const CopyStep& s : steps_) {
-    w.u64(s.src);
-    w.u64(s.dst);
-    w.u64(s.bytes);
-    w.b(s.live_fill);
-    w.u64(s.fill_slot);
-    w.u64(s.fill_page);
-    w.u64(s.fill_old_base);
-    w.u32(s.start_sub_block);
-    w.u64(s.after.size());
-    for (const TableMutation& m : s.after) save_mutation(w, m);
-  }
-  w.u64(chunks_total_);
-  w.u64(next_chunk_);
-  w.u64(chunks_completed_);
-  w.u64(first_chunk_);
-  if (design_ == MigrationDesign::Nomad) {
-    // Appended only for nomad so the other designs' byte layouts (and
-    // their golden snapshot CRCs) are unchanged.
-    w.u32(pass_);
-    w.u64(pass_offsets_.size());
-    for (const std::uint64_t off : pass_offsets_) w.u64(off);
-  }
-
-  std::vector<std::pair<std::uint64_t, InFlightChunk>> fl(inflight_.begin(),
-                                                          inflight_.end());
-  std::sort(fl.begin(), fl.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(fl.size());
-  for (const auto& [k, fc] : fl) {
-    w.u64(k);
-    w.u64(fc.chunk);
-    w.b(fc.write_phase);
-  }
-
-  std::vector<std::pair<std::uint64_t, unsigned>> rc(retry_count_.begin(),
-                                                     retry_count_.end());
-  std::sort(rc.begin(), rc.end());
-  w.u64(rc.size());
-  for (const auto& [k, n] : rc) {
-    w.u64(k);
-    w.u32(n);
-  }
-
-  w.u64(swap_began_);
-  w.b(instant_);
-  w.u32(consecutive_aborts_);
-  w.b(wedged_);
-  w.b(degraded_);
-  w.u64(degraded_at_);
-
-  w.u64(stats_.swaps_started);
-  w.u64(stats_.swaps_completed);
-  w.u64(stats_.bytes_copied);
-  w.u64(stats_.table_updates);
-  w.u64(stats_.busy_cycles);
-  w.u64(stats_.chunks_dropped);
-  w.u64(stats_.chunks_delayed);
-  w.u64(stats_.chunk_retries);
-  w.u64(stats_.swaps_aborted);
-  w.u64(stats_.swaps_wedged);
-  w.end_section();
+  const_cast<MigrationEngine*>(this)->io(w);
 }
 
-void MigrationEngine::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('M', 'E', 'N', 'G'));
-  steps_.assign(r.u64(), CopyStep{});
-  for (CopyStep& s : steps_) {
-    s.src = r.u64();
-    s.dst = r.u64();
-    s.bytes = r.u64();
-    s.live_fill = r.b();
-    s.fill_slot = static_cast<SlotId>(r.u64());
-    s.fill_page = r.u64();
-    s.fill_old_base = r.u64();
-    s.start_sub_block = r.u32();
-    s.after.resize(r.u64());
-    for (TableMutation& m : s.after) m = load_mutation(r);
-  }
-  chunks_total_ = r.u64();
-  next_chunk_ = r.u64();
-  chunks_completed_ = r.u64();
-  first_chunk_ = r.u64();
-  if (design_ == MigrationDesign::Nomad) {
-    pass_ = r.u32();
-    pass_offsets_.assign(r.u64(), 0);
-    for (std::uint64_t& off : pass_offsets_) off = r.u64();
-  } else {
-    pass_ = 0;
-    pass_offsets_.clear();
-  }
+void MigrationEngine::restore(snap::Reader& r) { io(r); }
 
-  inflight_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t k = r.u64();
-    InFlightChunk fc;
-    fc.chunk = r.u64();
-    fc.write_phase = r.b();
-    inflight_.emplace(k, fc);
-  }
-
-  retry_count_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t k = r.u64();
-    retry_count_[k] = r.u32();
-  }
-
-  swap_began_ = r.u64();
-  instant_ = r.b();
-  consecutive_aborts_ = r.u32();
-  wedged_ = r.b();
-  degraded_ = r.b();
-  degraded_at_ = r.u64();
-
-  stats_.swaps_started = r.u64();
-  stats_.swaps_completed = r.u64();
-  stats_.bytes_copied = r.u64();
-  stats_.table_updates = r.u64();
-  stats_.busy_cycles = r.u64();
-  stats_.chunks_dropped = r.u64();
-  stats_.chunks_delayed = r.u64();
-  stats_.chunk_retries = r.u64();
-  stats_.swaps_aborted = r.u64();
-  stats_.swaps_wedged = r.u64();
-  r.end_section();
+template <class Ar>
+void MigrationEngine::io(Ar& ar) {
+  snap::section(ar, snap::tag('M', 'E', 'N', 'G'), [&] {
+    snap::seq(ar, steps_, [&](auto& s) {
+      snap::u64(ar, s.src);
+      snap::u64(ar, s.dst);
+      snap::u64(ar, s.bytes);
+      snap::b(ar, s.live_fill);
+      snap::u64(ar, s.fill_slot);
+      snap::u64(ar, s.fill_page);
+      snap::u64(ar, s.fill_old_base);
+      snap::u32(ar, s.start_sub_block);
+      snap::seq(ar, s.after, [&](auto& m) {
+        snap::u8(ar, m.kind);
+        snap::u64(ar, m.row);
+        snap::u64(ar, m.page);
+        snap::u64(ar, m.machine);
+      });
+    });
+    snap::u64(ar, chunks_total_);
+    snap::u64(ar, next_chunk_);
+    snap::u64(ar, chunks_completed_);
+    snap::u64(ar, first_chunk_);
+    // Nomad only, so the other designs' byte layouts are unchanged; the
+    // other designs never move pass_ or pass_offsets_ off their defaults.
+    if (design_ == MigrationDesign::Nomad) {
+      snap::u32(ar, pass_);
+      snap::seq(ar, pass_offsets_, [&](auto& off) { snap::u64(ar, off); });
+    }
+    snap::sorted_map(ar, inflight_, [&](auto& k, auto& fc) {
+      snap::u64(ar, k);
+      snap::u64(ar, fc.chunk);
+      snap::b(ar, fc.write_phase);
+    });
+    snap::sorted_map(ar, retry_count_, [&](auto& k, auto& n) {
+      snap::u64(ar, k);
+      snap::u32(ar, n);
+    });
+    snap::u64(ar, swap_began_);
+    snap::b(ar, instant_);
+    snap::u32(ar, consecutive_aborts_);
+    snap::b(ar, wedged_);
+    snap::b(ar, degraded_);
+    snap::u64(ar, degraded_at_);
+    snap::u64(ar, stats_.swaps_started);
+    snap::u64(ar, stats_.swaps_completed);
+    snap::u64(ar, stats_.bytes_copied);
+    snap::u64(ar, stats_.table_updates);
+    snap::u64(ar, stats_.busy_cycles);
+    snap::u64(ar, stats_.chunks_dropped);
+    snap::u64(ar, stats_.chunks_delayed);
+    snap::u64(ar, stats_.chunk_retries);
+    snap::u64(ar, stats_.swaps_aborted);
+    snap::u64(ar, stats_.swaps_wedged);
+  });
 }
 
 }  // namespace hmm

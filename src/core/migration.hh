@@ -235,6 +235,9 @@ class MigrationEngine {
     bool write_phase = false;
   };
 
+  template <class Ar>
+  void io(Ar& ar);
+
   [[nodiscard]] std::uint64_t chunk_size() const noexcept;
   /// Installs `plan` and starts it: instant mode applies every mutation at
   /// once, otherwise the first step begins streaming.

@@ -1,8 +1,6 @@
 #include "core/translation_table.hh"
 
-#include <algorithm>
 #include <string>
-#include <utility>
 
 #include "fault/sim_error.hh"
 
@@ -445,123 +443,57 @@ std::uint64_t TranslationTable::table_bits() const noexcept {
   return static_cast<std::uint64_t>(slots_) * (id_bits + 2);
 }
 
-namespace {
-template <typename K, typename V>
-std::vector<std::pair<K, V>> sorted_entries(
-    const std::unordered_map<K, V>& m) {
-  std::vector<std::pair<K, V>> v(m.begin(), m.end());
-  std::sort(v.begin(), v.end());
-  return v;
-}
-}  // namespace
-
 void TranslationTable::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('T', 'T', 'B', 'L'));
-  w.u8(static_cast<std::uint8_t>(mode_));
-  w.u64(slots_);
-  w.u64(rows_.size());
-  for (const RowState& r : rows_) {
-    w.u64(r.occupant);
-    w.b(r.pending);
-  }
-  const auto cam = sorted_entries(slot_of_);
-  w.u64(cam.size());
-  for (const auto& [page, slot] : cam) {
-    w.u64(page);
-    w.u64(slot);
-  }
-  const auto loc = sorted_entries(location_);
-  w.u64(loc.size());
-  for (const auto& [page, mach] : loc) {
-    w.u64(page);
-    w.u64(mach);
-  }
-  w.b(empty_cache_.has_value());
-  w.u64(empty_cache_.value_or(0));
-  w.b(fill_active_);
-  w.u64(fill_slot_);
-  w.u64(fill_page_);
-  w.u64(fill_old_base_);
-  w.u64(fill_bitmap_.size());
-  for (const bool bit : fill_bitmap_) w.b(bit);
-  if (mode_ == TableMode::Shadow) {
-    // Appended only in Shadow mode so the byte layout of existing modes
-    // (and their golden CRCs) is unchanged.
-    w.u64(hole_);
-    w.b(shadow_active_);
-    w.u64(shadow_page_);
-    w.u64(shadow_src_);
-    w.u64(shadow_dst_);
-    w.u64(shadow_filled_.size());
-    for (const bool bit : shadow_filled_) w.b(bit);
-    w.u64(shadow_dirty_.size());
-    for (const bool bit : shadow_dirty_) w.b(bit);
-  }
-  if (ras_view_ != nullptr) {
-    // Appended only when the RAS layer is attached, so pre-RAS byte
-    // layouts (and golden CRCs) are unchanged. The restoring side wires
-    // the same view before restore(), so the gate agrees.
-    w.u64(ras_parked_.size());
-    for (const SlotId s : ras_parked_) w.u64(s);
-  }
-  w.end_section();
+  const_cast<TranslationTable*>(this)->io(w);
 }
 
-void TranslationTable::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('T', 'T', 'B', 'L'));
-  mode_ = static_cast<TableMode>(r.u8());
-  slots_ = r.u64();
-  rows_.assign(r.u64(), RowState{});
-  for (RowState& row : rows_) {
-    row.occupant = r.u64();
-    row.pending = r.b();
-  }
-  slot_of_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const PageId page = r.u64();
-    slot_of_[page] = static_cast<SlotId>(r.u64());
-  }
-  location_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const PageId page = r.u64();
-    location_[page] = r.u64();
-  }
-  const bool has_empty = r.b();
-  const SlotId empty = static_cast<SlotId>(r.u64());
-  empty_cache_ = has_empty ? std::optional<SlotId>(empty) : std::nullopt;
-  fill_active_ = r.b();
-  fill_slot_ = static_cast<SlotId>(r.u64());
-  fill_page_ = r.u64();
-  fill_old_base_ = r.u64();
-  fill_bitmap_.assign(r.u64(), false);
-  for (std::size_t i = 0; i < fill_bitmap_.size(); ++i) fill_bitmap_[i] = r.b();
-  if (mode_ == TableMode::Shadow) {
-    hole_ = r.u64();
-    shadow_active_ = r.b();
-    shadow_page_ = r.u64();
-    shadow_src_ = r.u64();
-    shadow_dst_ = r.u64();
-    shadow_filled_.assign(r.u64(), false);
-    for (std::size_t i = 0; i < shadow_filled_.size(); ++i)
-      shadow_filled_[i] = r.b();
-    shadow_dirty_.assign(r.u64(), false);
-    for (std::size_t i = 0; i < shadow_dirty_.size(); ++i)
-      shadow_dirty_[i] = r.b();
-  } else {
-    hole_ = kInvalidPage;
-    shadow_active_ = false;
-    shadow_page_ = kInvalidPage;
-    shadow_src_ = kInvalidPage;
-    shadow_dst_ = kInvalidPage;
-    shadow_filled_.clear();
-    shadow_dirty_.clear();
-  }
-  ras_parked_.clear();
-  if (ras_view_ != nullptr) {
-    ras_parked_.assign(r.u64(), SlotId{0});
-    for (SlotId& s : ras_parked_) s = static_cast<SlotId>(r.u64());
-  }
-  r.end_section();
+void TranslationTable::restore(snap::Reader& r) { io(r); }
+
+template <class Ar>
+void TranslationTable::io(Ar& ar) {
+  const auto pair = [&](auto& k, auto& v) {
+    snap::u64(ar, k);
+    snap::u64(ar, v);
+  };
+  snap::section(ar, snap::tag('T', 'T', 'B', 'L'), [&] {
+    snap::expect<std::uint8_t>(ar, mode_, "translation table mode");
+    snap::expect<std::uint64_t>(ar, slots_, "translation table slot count");
+    snap::expect<std::uint64_t>(ar, rows_.size(), "translation table rows");
+    for (RowState& row : rows_) {
+      snap::u64(ar, row.occupant);
+      snap::b(ar, row.pending);
+    }
+    snap::sorted_map(ar, slot_of_, pair);
+    snap::sorted_map(ar, location_, pair);
+    bool has_empty = empty_cache_.has_value();
+    SlotId empty = empty_cache_.value_or(0);
+    snap::b(ar, has_empty);
+    snap::u64(ar, empty);
+    if constexpr (!snap::kSaving<Ar>)
+      empty_cache_ = has_empty ? std::optional<SlotId>(empty) : std::nullopt;
+    snap::b(ar, fill_active_);
+    snap::u64(ar, fill_slot_);
+    snap::u64(ar, fill_page_);
+    snap::u64(ar, fill_old_base_);
+    snap::bits(ar, fill_bitmap_);
+    // The gated tails keep the byte layouts (and golden digests) of the
+    // other modes and of RAS-less runs unchanged. A gate holds for the
+    // table's whole life (the mode from construction, the RAS view from
+    // before the first access), and a gated field never leaves its
+    // initial value while its gate is off, so restore need not reset it.
+    if (mode_ == TableMode::Shadow) {
+      snap::u64(ar, hole_);
+      snap::b(ar, shadow_active_);
+      snap::u64(ar, shadow_page_);
+      snap::u64(ar, shadow_src_);
+      snap::u64(ar, shadow_dst_);
+      snap::bits(ar, shadow_filled_);
+      snap::bits(ar, shadow_dirty_);
+    }
+    // The restoring side wires the same RAS view before restore().
+    if (ras_view_ != nullptr)
+      snap::seq(ar, ras_parked_, [&](auto& row) { snap::u64(ar, row); });
+  });
 }
 
 }  // namespace hmm

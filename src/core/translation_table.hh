@@ -197,6 +197,8 @@ class TranslationTable {
   // from rows_: mid-choreography a page can transiently appear in two rows
   // and only the CAM records which one wins. Maps are written sorted by
   // key so the encoding is independent of unordered_map iteration order.
+  // The mode and slot count are construction-time shapes: restore()
+  // refuses a checkpoint taken on a different table.
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
@@ -205,6 +207,9 @@ class TranslationTable {
     PageId occupant = kInvalidPage;  ///< kInvalidPage == marked empty
     bool pending = false;
   };
+
+  template <class Ar>
+  void io(Ar& ar);
 
   [[nodiscard]] PageId shadow_location(PageId p) const noexcept;
 

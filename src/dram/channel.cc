@@ -236,132 +236,65 @@ void DramChannel::reset_stats() {
   busy_cycles_ = 0;
 }
 
-namespace {
-void save_stat(snap::Writer& w, const RunningStat& s) {
-  const RunningStat::Raw raw = s.raw();
-  w.u64(raw.count);
-  w.f64(raw.sum);
-  w.f64(raw.min);
-  w.f64(raw.max);
-}
-
-void load_stat(snap::Reader& r, RunningStat& s) {
-  RunningStat::Raw raw;
-  raw.count = r.u64();
-  raw.sum = r.f64();
-  raw.min = r.f64();
-  raw.max = r.f64();
-  s.set_raw(raw);
-}
-}  // namespace
-
 void DramChannel::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('D', 'C', 'H', 'N'));
-  w.u64(banks_.size());
-  for (const Bank& b : banks_) {
-    w.b(b.open);
-    w.u64(b.open_row);
-    w.u64(b.ready_for_cas);
-    w.u64(b.ready_for_pre);
-    w.u64(b.act_time);
-  }
-  w.u64(queue_.size());
-  for (const Queued& q : queue_) {
-    w.u64(q.req.addr);
-    w.u32(q.req.bytes);
-    w.u8(static_cast<std::uint8_t>(q.req.type));
-    w.u8(static_cast<std::uint8_t>(q.req.priority));
-    w.u64(q.req.arrival);
-    w.u64(q.req.issued);
-    w.u64(q.req.id);
-    w.u32(q.coord.channel);
-    w.u32(q.coord.bank);
-    w.u64(q.coord.row);
-    w.u64(q.coord.column);
-  }
-  w.u64(demand_queued_);
-  w.u64(bus_busy_.size());
-  for (const auto& [start, end] : bus_busy_) {
-    w.u64(start);
-    w.u64(end);
-  }
-  w.u64(clock_);
-  w.u64(last_finish_);
-  w.u64(next_id_);
-  w.u64(completions_.size());
-  for (const DramCompletion& c : completions_) {
-    w.u64(c.id);
-    w.u64(c.issued);
-    w.u64(c.arrival);
-    w.u64(c.start);
-    w.u64(c.finish);
-    w.b(c.row_hit);
-    w.u8(static_cast<std::uint8_t>(c.priority));
-    w.u8(static_cast<std::uint8_t>(c.type));
-  }
-  save_stat(w, queue_delay_);
-  save_stat(w, service_time_);
-  w.u64(row_hits_);
-  w.u64(row_misses_);
-  w.u64(demand_bytes_);
-  w.u64(background_bytes_);
-  w.u64(busy_cycles_);
-  w.end_section();
+  const_cast<DramChannel*>(this)->io(w);
 }
 
 void DramChannel::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('D', 'C', 'H', 'N'));
-  banks_.assign(r.u64(), Bank{});
-  for (Bank& b : banks_) {
-    b.open = r.b();
-    b.open_row = r.u64();
-    b.ready_for_cas = r.u64();
-    b.ready_for_pre = r.u64();
-    b.act_time = r.u64();
-  }
-  queue_.assign(r.u64(), Queued{});
-  for (Queued& q : queue_) {
-    q.req.addr = r.u64();
-    q.req.bytes = r.u32();
-    q.req.type = static_cast<AccessType>(r.u8());
-    q.req.priority = static_cast<Priority>(r.u8());
-    q.req.arrival = r.u64();
-    q.req.issued = r.u64();
-    q.req.id = r.u64();
-    q.coord.channel = r.u32();
-    q.coord.bank = r.u32();
-    q.coord.row = r.u64();
-    q.coord.column = r.u64();
-  }
-  demand_queued_ = r.u64();
-  bus_busy_.assign(r.u64(), {});
-  for (auto& [start, end] : bus_busy_) {
-    start = r.u64();
-    end = r.u64();
-  }
-  clock_ = r.u64();
-  last_finish_ = r.u64();
-  next_id_ = r.u64();
-  completions_.assign(r.u64(), DramCompletion{});
-  for (DramCompletion& c : completions_) {
-    c.id = r.u64();
-    c.issued = r.u64();
-    c.arrival = r.u64();
-    c.start = r.u64();
-    c.finish = r.u64();
-    c.row_hit = r.b();
-    c.priority = static_cast<Priority>(r.u8());
-    c.type = static_cast<AccessType>(r.u8());
-  }
-  load_stat(r, queue_delay_);
-  load_stat(r, service_time_);
-  row_hits_ = r.u64();
-  row_misses_ = r.u64();
-  demand_bytes_ = r.u64();
-  background_bytes_ = r.u64();
-  busy_cycles_ = r.u64();
-  r.end_section();
+  io(r);
   refresh_earliest();
+}
+
+template <class Ar>
+void DramChannel::io(Ar& ar) {
+  snap::section(ar, snap::tag('D', 'C', 'H', 'N'), [&] {
+    snap::expect<std::uint64_t>(ar, banks_.size(), "DRAM bank count");
+    for (Bank& b : banks_) {
+      snap::b(ar, b.open);
+      snap::u64(ar, b.open_row);
+      snap::u64(ar, b.ready_for_cas);
+      snap::u64(ar, b.ready_for_pre);
+      snap::u64(ar, b.act_time);
+    }
+    snap::seq(ar, queue_, [&](auto& q) {
+      snap::u64(ar, q.req.addr);
+      snap::u32(ar, q.req.bytes);
+      snap::u8(ar, q.req.type);
+      snap::u8(ar, q.req.priority);
+      snap::u64(ar, q.req.arrival);
+      snap::u64(ar, q.req.issued);
+      snap::u64(ar, q.req.id);
+      snap::u32(ar, q.coord.channel);
+      snap::u32(ar, q.coord.bank);
+      snap::u64(ar, q.coord.row);
+      snap::u64(ar, q.coord.column);
+    });
+    snap::u64(ar, demand_queued_);
+    snap::seq(ar, bus_busy_, [&](auto& busy) {
+      snap::u64(ar, busy.first);
+      snap::u64(ar, busy.second);
+    });
+    snap::u64(ar, clock_);
+    snap::u64(ar, last_finish_);
+    snap::u64(ar, next_id_);
+    snap::seq(ar, completions_, [&](auto& c) {
+      snap::u64(ar, c.id);
+      snap::u64(ar, c.issued);
+      snap::u64(ar, c.arrival);
+      snap::u64(ar, c.start);
+      snap::u64(ar, c.finish);
+      snap::b(ar, c.row_hit);
+      snap::u8(ar, c.priority);
+      snap::u8(ar, c.type);
+    });
+    snap::stat(ar, queue_delay_);
+    snap::stat(ar, service_time_);
+    snap::u64(ar, row_hits_);
+    snap::u64(ar, row_misses_);
+    snap::u64(ar, demand_bytes_);
+    snap::u64(ar, background_bytes_);
+    snap::u64(ar, busy_cycles_);
+  });
 }
 
 }  // namespace hmm

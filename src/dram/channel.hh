@@ -98,6 +98,9 @@ class DramChannel {
   void restore(snap::Reader& r);
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
+
   struct Bank {
     bool open = false;
     std::uint64_t open_row = 0;

@@ -123,26 +123,22 @@ void DramSystem::reset_stats() {
 }
 
 void DramSystem::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('D', 'S', 'Y', 'S'));
-  w.u8(static_cast<std::uint8_t>(region_));
-  w.u64(channels_.size());
-  w.u64(next_id_);
-  w.end_section();
-  for (const DramChannel& c : channels_) c.save(w);
+  const_cast<DramSystem*>(this)->io(w);
 }
 
 void DramSystem::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('D', 'S', 'Y', 'S'));
-  const auto region = static_cast<Region>(r.u8());
-  const std::uint64_t n = r.u64();
-  if (region != region_ || n != channels_.size())
-    snap::snapshot_error(
-        "DRAM system shape mismatch: checkpoint was taken on a different "
-        "configuration");
-  next_id_ = r.u64();
-  r.end_section();
-  for (DramChannel& c : channels_) c.restore(r);
+  io(r);
   refresh_due();
+}
+
+template <class Ar>
+void DramSystem::io(Ar& ar) {
+  snap::section(ar, snap::tag('D', 'S', 'Y', 'S'), [&] {
+    snap::expect<std::uint8_t>(ar, region_, "DRAM region");
+    snap::expect<std::uint64_t>(ar, channels_.size(), "DRAM channel count");
+    snap::u64(ar, next_id_);
+  });
+  for (DramChannel& c : channels_) snap::part(ar, c);
 }
 
 }  // namespace hmm

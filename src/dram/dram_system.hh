@@ -84,6 +84,8 @@ class DramSystem {
   void restore(snap::Reader& r);
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
   /// Recompute due_ from the channels.
   void refresh_due() noexcept;
 

@@ -69,23 +69,21 @@ class InvariantAuditor {
   [[nodiscard]] std::uint64_t audits() const noexcept { return audits_; }
 
   void save(snap::Writer& w) const {
-    w.begin_section(snap::tag('A', 'U', 'D', 'T'));
-    w.u64(since_audit_);
-    w.u64(audits_);
-    w.u64(last_fill_page_);
-    w.u32(last_fill_ready_);
-    w.end_section();
+    const_cast<InvariantAuditor*>(this)->io(w);
   }
-  void restore(snap::Reader& r) {
-    r.begin_section(snap::tag('A', 'U', 'D', 'T'));
-    since_audit_ = r.u64();
-    audits_ = r.u64();
-    last_fill_page_ = r.u64();
-    last_fill_ready_ = r.u32();
-    r.end_section();
-  }
+  void restore(snap::Reader& r) { io(r); }
 
  private:
+  template <class Ar>
+  void io(Ar& ar) {
+    snap::section(ar, snap::tag('A', 'U', 'D', 'T'), [&] {
+      snap::u64(ar, since_audit_);
+      snap::u64(ar, audits_);
+      snap::u64(ar, last_fill_page_);
+      snap::u32(ar, last_fill_ready_);
+    });
+  }
+
   const Auditable* subject_;  ///< not owned
   // no-snapshot(re-attached by the owner after restore)
   std::function<std::string()> extra_check_;

@@ -102,6 +102,14 @@ struct FaultEvent {
   std::uint64_t detail = 0;       ///< site-specific (chunk index, page id...)
 };
 
+/// FaultEvent's wire form, shared by 'FINJ' and the journal's 'CELL'.
+template <class Ar>
+void event_io(Ar& ar, FaultEvent& e) {
+  snap::u8(ar, e.site);
+  snap::u64(ar, e.opportunity);
+  snap::u64(ar, e.detail);
+}
+
 class FaultInjector {
  public:
   static constexpr std::size_t kMaxEvents = 4096;
@@ -170,55 +178,8 @@ class FaultInjector {
   /// Checkpoint/restore of the dynamic state (opportunity counters, fire
   /// counts, site RNG streams, event log). The plan itself is not
   /// serialized — the restoring side constructs with the same FaultPlan.
-  void save(snap::Writer& w) const {
-    w.begin_section(snap::tag('F', 'I', 'N', 'J'));
-    w.u32(kFaultSiteCount);
-    for (const SiteState& st : sites_) {
-      w.u64(st.opportunities);
-      w.u64(st.fires);
-      const Pcg32::Raw raw = st.rng.raw();
-      w.u64(raw.state);
-      w.u64(raw.inc);
-    }
-    const Pcg32::Raw p = payload_rng_.raw();
-    w.u64(p.state);
-    w.u64(p.inc);
-    w.u64(total_fires_);
-    w.u64(events_dropped_);
-    w.u64(events_.size());
-    for (const FaultEvent& e : events_) {
-      w.u8(static_cast<std::uint8_t>(e.site));
-      w.u64(e.opportunity);
-      w.u64(e.detail);
-    }
-    w.end_section();
-  }
-  void restore(snap::Reader& r) {
-    r.begin_section(snap::tag('F', 'I', 'N', 'J'));
-    if (r.u32() != kFaultSiteCount)
-      snap::snapshot_error("fault-site count mismatch in checkpoint");
-    for (SiteState& st : sites_) {
-      st.opportunities = r.u64();
-      st.fires = r.u64();
-      Pcg32::Raw raw;
-      raw.state = r.u64();
-      raw.inc = r.u64();
-      st.rng.set_raw(raw);
-    }
-    Pcg32::Raw p;
-    p.state = r.u64();
-    p.inc = r.u64();
-    payload_rng_.set_raw(p);
-    total_fires_ = r.u64();
-    events_dropped_ = r.u64();
-    events_.assign(r.u64(), FaultEvent{});
-    for (FaultEvent& e : events_) {
-      e.site = static_cast<FaultSite>(r.u8());
-      e.opportunity = r.u64();
-      e.detail = r.u64();
-    }
-    r.end_section();
-  }
+  void save(snap::Writer& w) const { const_cast<FaultInjector*>(this)->io(w); }
+  void restore(snap::Reader& r) { io(r); }
 
  private:
   struct SiteState {
@@ -231,6 +192,22 @@ class FaultInjector {
 
   [[nodiscard]] static constexpr unsigned index(FaultSite s) noexcept {
     return static_cast<unsigned>(s);
+  }
+
+  template <class Ar>
+  void io(Ar& ar) {
+    snap::section(ar, snap::tag('F', 'I', 'N', 'J'), [&] {
+      snap::expect<std::uint32_t>(ar, kFaultSiteCount, "fault-site count");
+      for (SiteState& st : sites_) {
+        snap::u64(ar, st.opportunities);
+        snap::u64(ar, st.fires);
+        snap::rng(ar, st.rng);
+      }
+      snap::rng(ar, payload_rng_);
+      snap::u64(ar, total_fires_);
+      snap::u64(ar, events_dropped_);
+      snap::seq(ar, events_, [&](FaultEvent& e) { event_io(ar, e); });
+    });
   }
 
   FaultPlan plan_;  // no-snapshot(construction-time config)

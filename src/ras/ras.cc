@@ -245,112 +245,36 @@ double RasEngine::payload_draw(FrameHealth& h, PageId frame) {
 }
 
 void RasEngine::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('R', 'A', 'S', 'E'));
-  std::vector<PageId> keys;
-  keys.reserve(health_.size());
-  // analyze: allow(determinism): keys collected then sorted below
-  for (const auto& [f, h] : health_) keys.push_back(f);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const PageId f : keys) {
-    const FrameHealth& h = health_.at(f);
-    w.u64(f);
-    w.u64(h.transients);
-    w.u64(h.corrected);
-    w.u64(h.stuck);
-    w.u64(h.draws);
-    w.u64(h.last_scrub);
-  }
-  const auto write_set = [&w](const std::unordered_set<PageId>& s) {
-    std::vector<PageId> v(s.begin(), s.end());
-    std::sort(v.begin(), v.end());
-    w.u64(v.size());
-    for (const PageId f : v) w.u64(f);
-  };
-  write_set(pending_);
-  write_set(retired_);
-  write_set(pinned_);
-  w.u64(pool_.size());
-  for (const PageId f : pool_) w.u64(f);
-  std::vector<PageId> rk;
-  rk.reserve(remap_.size());
-  // analyze: allow(determinism): keys collected then sorted below
-  for (const auto& [f, s] : remap_) rk.push_back(f);
-  std::sort(rk.begin(), rk.end());
-  w.u64(rk.size());
-  for (const PageId f : rk) {
-    w.u64(f);
-    w.u64(remap_.at(f));
-  }
-  w.u64(scrub_cursor_);
-  w.u64(next_scrub_at_);
-  w.u64(retire_log_.size());
-  for (const RetirementEvent& e : retire_log_) {
-    w.u64(e.at);
-    w.u64(e.frame);
-  }
-  w.u64(metrics_.demand_corrected);
-  w.u64(metrics_.demand_uncorrectable);
-  w.u64(metrics_.scrub_probes);
-  w.u64(metrics_.scrub_corrected);
-  w.u64(metrics_.scrub_uncorrectable);
-  w.u64(metrics_.scrub_collisions);
-  w.u64(metrics_.stuck_faults);
-  w.u64(metrics_.frames_retired);
-  w.u64(metrics_.frames_pinned);
-  w.u64(metrics_.evacuations);
-  w.u64(metrics_.evacuation_bytes);
-  w.u64(metrics_.spares_used);
-  w.end_section();
+  const_cast<RasEngine*>(this)->io(w);
 }
 
-void RasEngine::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('R', 'A', 'S', 'E'));
-  health_.clear();
-  for (std::uint64_t n = r.u64(); n > 0; --n) {
-    const PageId f = r.u64();
-    FrameHealth h;
-    h.transients = r.u64();
-    h.corrected = r.u64();
-    h.stuck = r.u64();
-    h.draws = r.u64();
-    h.last_scrub = r.u64();
-    health_.emplace(f, h);
-  }
-  const auto read_set = [&r](std::unordered_set<PageId>& s) {
-    s.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) s.insert(r.u64());
-  };
-  read_set(pending_);
-  read_set(retired_);
-  read_set(pinned_);
-  pool_.assign(r.u64(), PageId{0});
-  for (PageId& f : pool_) f = r.u64();
-  remap_.clear();
-  for (std::uint64_t n = r.u64(); n > 0; --n) {
-    const PageId f = r.u64();
-    remap_[f] = r.u64();
-  }
-  scrub_cursor_ = r.u64();
-  next_scrub_at_ = r.u64();
-  retire_log_.assign(r.u64(), RetirementEvent{});
-  for (RetirementEvent& e : retire_log_) {
-    e.at = r.u64();
-    e.frame = r.u64();
-  }
-  metrics_.demand_corrected = r.u64();
-  metrics_.demand_uncorrectable = r.u64();
-  metrics_.scrub_probes = r.u64();
-  metrics_.scrub_corrected = r.u64();
-  metrics_.scrub_uncorrectable = r.u64();
-  metrics_.scrub_collisions = r.u64();
-  metrics_.stuck_faults = r.u64();
-  metrics_.frames_retired = r.u64();
-  metrics_.frames_pinned = r.u64();
-  metrics_.evacuations = r.u64();
-  metrics_.evacuation_bytes = r.u64();
-  metrics_.spares_used = r.u64();
-  r.end_section();
+void RasEngine::restore(snap::Reader& r) { io(r); }
+
+template <class Ar>
+void RasEngine::io(Ar& ar) {
+  const auto frame = [&](auto& f) { snap::u64(ar, f); };
+  snap::section(ar, snap::tag('R', 'A', 'S', 'E'), [&] {
+    snap::sorted_map(ar, health_, [&](auto& f, auto& h) {
+      snap::u64(ar, f);
+      snap::u64(ar, h.transients);
+      snap::u64(ar, h.corrected);
+      snap::u64(ar, h.stuck);
+      snap::u64(ar, h.draws);
+      snap::u64(ar, h.last_scrub);
+    });
+    snap::sorted_set(ar, pending_, frame);
+    snap::sorted_set(ar, retired_, frame);
+    snap::sorted_set(ar, pinned_, frame);
+    snap::seq(ar, pool_, frame);
+    snap::sorted_map(ar, remap_, [&](auto& f, auto& spare) {
+      snap::u64(ar, f);
+      snap::u64(ar, spare);
+    });
+    snap::u64(ar, scrub_cursor_);
+    snap::u64(ar, next_scrub_at_);
+    snap::seq(ar, retire_log_, [&](auto& e) { retirement_io(ar, e); });
+    metrics_io(ar, metrics_);
+  });
 }
 
 }  // namespace hmm::ras

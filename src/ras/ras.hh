@@ -91,11 +91,35 @@ struct RasMetrics {
   std::uint64_t spares_used = 0;
 };
 
+/// RasMetrics' wire form, shared by 'RASE' and the journal's 'CELL'.
+template <class Ar>
+void metrics_io(Ar& ar, RasMetrics& m) {
+  snap::u64(ar, m.demand_corrected);
+  snap::u64(ar, m.demand_uncorrectable);
+  snap::u64(ar, m.scrub_probes);
+  snap::u64(ar, m.scrub_corrected);
+  snap::u64(ar, m.scrub_uncorrectable);
+  snap::u64(ar, m.scrub_collisions);
+  snap::u64(ar, m.stuck_faults);
+  snap::u64(ar, m.frames_retired);
+  snap::u64(ar, m.frames_pinned);
+  snap::u64(ar, m.evacuations);
+  snap::u64(ar, m.evacuation_bytes);
+  snap::u64(ar, m.spares_used);
+}
+
 /// One retirement, for the availability bench's capacity-vs-time curve.
 struct RetirementEvent {
   Cycle at = 0;
   PageId frame = kInvalidPage;
 };
+
+/// RetirementEvent's wire form, shared by 'RASE' and the journal's 'CELL'.
+template <class Ar>
+void retirement_io(Ar& ar, RetirementEvent& e) {
+  snap::u64(ar, e.at);
+  snap::u64(ar, e.frame);
+}
 
 class RasEngine final : public RasFrameView {
  public:
@@ -193,6 +217,9 @@ class RasEngine final : public RasFrameView {
   void restore(snap::Reader& r);
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
+
   /// Per-frame health record (sparse: only frames with history).
   struct FrameHealth {
     std::uint64_t transients = 0;  ///< MediaTransient events observed

@@ -11,118 +11,55 @@ namespace hmm::runner {
 
 namespace {
 
-void encode_result(snap::Writer& w, const RunResult& r) {
-  w.u64(r.accesses);
-  w.f64(r.avg_latency);
-  w.f64(r.avg_read_latency);
-  w.f64(r.avg_write_latency);
-  w.f64(r.avg_on_latency);
-  w.f64(r.avg_off_latency);
-  w.f64(r.p99_latency);
-  w.f64(r.on_package_fraction);
-  w.f64(r.off_row_hit_rate);
-  w.f64(r.on_queue_delay);
-  w.f64(r.off_queue_delay);
-  w.u64(r.swaps);
-  w.u64(r.migrated_bytes);
-  w.u64(r.demand_bytes_on);
-  w.u64(r.demand_bytes_off);
-  w.u64(r.os_stall_cycles);
-  w.u64(r.end_time);
-  w.u64(r.faults_injected);
-  w.u64(r.chunk_retries);
-  w.u64(r.chunks_dropped);
-  w.u64(r.swap_aborts);
-  w.u64(r.audits);
-  w.b(r.degraded);
-  w.u64(r.degraded_at);
-  w.u64(r.fault_events.size());
-  for (const fault::FaultEvent& e : r.fault_events) {
-    w.u8(static_cast<std::uint8_t>(e.site));
-    w.u64(e.opportunity);
-    w.u64(e.detail);
-  }
-  w.f64(r.energy_pj);
-  w.f64(r.energy_off_only_pj);
-  w.u64(r.faults_dropped);
-  w.b(r.ras_enabled);
-  w.u64(r.ras.demand_corrected);
-  w.u64(r.ras.demand_uncorrectable);
-  w.u64(r.ras.scrub_probes);
-  w.u64(r.ras.scrub_corrected);
-  w.u64(r.ras.scrub_uncorrectable);
-  w.u64(r.ras.scrub_collisions);
-  w.u64(r.ras.stuck_faults);
-  w.u64(r.ras.frames_retired);
-  w.u64(r.ras.frames_pinned);
-  w.u64(r.ras.evacuations);
-  w.u64(r.ras.evacuation_bytes);
-  w.u64(r.ras.spares_used);
-  w.u64(r.ras_frames_pending);
-  w.u64(r.ras_spares_left);
-  w.u64(r.ras_healthy_frames);
-  w.u64(r.ras_retirements.size());
-  for (const ras::RetirementEvent& e : r.ras_retirements) {
-    w.u64(e.at);
-    w.u64(e.frame);
-  }
-}
-
-void decode_result(snap::Reader& rd, RunResult& r) {
-  r.accesses = rd.u64();
-  r.avg_latency = rd.f64();
-  r.avg_read_latency = rd.f64();
-  r.avg_write_latency = rd.f64();
-  r.avg_on_latency = rd.f64();
-  r.avg_off_latency = rd.f64();
-  r.p99_latency = rd.f64();
-  r.on_package_fraction = rd.f64();
-  r.off_row_hit_rate = rd.f64();
-  r.on_queue_delay = rd.f64();
-  r.off_queue_delay = rd.f64();
-  r.swaps = rd.u64();
-  r.migrated_bytes = rd.u64();
-  r.demand_bytes_on = rd.u64();
-  r.demand_bytes_off = rd.u64();
-  r.os_stall_cycles = rd.u64();
-  r.end_time = rd.u64();
-  r.faults_injected = rd.u64();
-  r.chunk_retries = rd.u64();
-  r.chunks_dropped = rd.u64();
-  r.swap_aborts = rd.u64();
-  r.audits = rd.u64();
-  r.degraded = rd.b();
-  r.degraded_at = rd.u64();
-  r.fault_events.assign(rd.u64(), fault::FaultEvent{});
-  for (fault::FaultEvent& e : r.fault_events) {
-    e.site = static_cast<fault::FaultSite>(rd.u8());
-    e.opportunity = rd.u64();
-    e.detail = rd.u64();
-  }
-  r.energy_pj = rd.f64();
-  r.energy_off_only_pj = rd.f64();
-  r.faults_dropped = rd.u64();
-  r.ras_enabled = rd.b();
-  r.ras.demand_corrected = rd.u64();
-  r.ras.demand_uncorrectable = rd.u64();
-  r.ras.scrub_probes = rd.u64();
-  r.ras.scrub_corrected = rd.u64();
-  r.ras.scrub_uncorrectable = rd.u64();
-  r.ras.scrub_collisions = rd.u64();
-  r.ras.stuck_faults = rd.u64();
-  r.ras.frames_retired = rd.u64();
-  r.ras.frames_pinned = rd.u64();
-  r.ras.evacuations = rd.u64();
-  r.ras.evacuation_bytes = rd.u64();
-  r.ras.spares_used = rd.u64();
-  r.ras_frames_pending = rd.u64();
-  r.ras_spares_left = rd.u64();
-  r.ras_healthy_frames = rd.u64();
-  r.ras_retirements.assign(rd.u64(), ras::RetirementEvent{});
-  for (ras::RetirementEvent& e : r.ras_retirements) {
-    e.at = rd.u64();
-    e.frame = rd.u64();
-  }
+template <class Ar>
+void cell_io(Ar& ar, CellResult& cell) {
+  RunResult& r = cell.result;
+  snap::section(ar, snap::tag('C', 'E', 'L', 'L'), [&] {
+    snap::str(ar, cell.key);
+    snap::u64(ar, cell.seed);
+    snap::b(ar, cell.ok);
+    snap::str(ar, cell.error);
+    snap::str(ar, cell.status);
+    snap::u32(ar, cell.attempts);
+    snap::f64(ar, cell.wall_seconds);
+    snap::u64(ar, cell.accesses_replayed);
+    snap::f64(ar, cell.accesses_per_sec);
+    snap::u64(ar, r.accesses);
+    snap::f64(ar, r.avg_latency);
+    snap::f64(ar, r.avg_read_latency);
+    snap::f64(ar, r.avg_write_latency);
+    snap::f64(ar, r.avg_on_latency);
+    snap::f64(ar, r.avg_off_latency);
+    snap::f64(ar, r.p99_latency);
+    snap::f64(ar, r.on_package_fraction);
+    snap::f64(ar, r.off_row_hit_rate);
+    snap::f64(ar, r.on_queue_delay);
+    snap::f64(ar, r.off_queue_delay);
+    snap::u64(ar, r.swaps);
+    snap::u64(ar, r.migrated_bytes);
+    snap::u64(ar, r.demand_bytes_on);
+    snap::u64(ar, r.demand_bytes_off);
+    snap::u64(ar, r.os_stall_cycles);
+    snap::u64(ar, r.end_time);
+    snap::u64(ar, r.faults_injected);
+    snap::u64(ar, r.chunk_retries);
+    snap::u64(ar, r.chunks_dropped);
+    snap::u64(ar, r.swap_aborts);
+    snap::u64(ar, r.audits);
+    snap::b(ar, r.degraded);
+    snap::u64(ar, r.degraded_at);
+    snap::seq(ar, r.fault_events, [&](auto& e) { fault::event_io(ar, e); });
+    snap::f64(ar, r.energy_pj);
+    snap::f64(ar, r.energy_off_only_pj);
+    snap::u64(ar, r.faults_dropped);
+    snap::b(ar, r.ras_enabled);
+    ras::metrics_io(ar, r.ras);
+    snap::u64(ar, r.ras_frames_pending);
+    snap::u64(ar, r.ras_spares_left);
+    snap::u64(ar, r.ras_healthy_frames);
+    snap::seq(ar, r.ras_retirements,
+              [&](auto& e) { ras::retirement_io(ar, e); });
+  });
 }
 
 /// Minimal JSON string escaping for the human-readable key/status fields.
@@ -143,34 +80,12 @@ std::string escape_json(const std::string& s) {
 }  // namespace
 
 void encode_cell(snap::Writer& w, const CellResult& cell) {
-  w.begin_section(snap::tag('C', 'E', 'L', 'L'));
-  w.str(cell.key);
-  w.u64(cell.seed);
-  w.b(cell.ok);
-  w.str(cell.error);
-  w.str(cell.status);
-  w.u32(cell.attempts);
-  w.f64(cell.wall_seconds);
-  w.u64(cell.accesses_replayed);
-  w.f64(cell.accesses_per_sec);
-  encode_result(w, cell.result);
-  w.end_section();
+  cell_io(w, const_cast<CellResult&>(cell));
 }
 
 CellResult decode_cell(snap::Reader& r) {
   CellResult cell;
-  r.begin_section(snap::tag('C', 'E', 'L', 'L'));
-  cell.key = r.str();
-  cell.seed = r.u64();
-  cell.ok = r.b();
-  cell.error = r.str();
-  cell.status = r.str();
-  cell.attempts = r.u32();
-  cell.wall_seconds = r.f64();
-  cell.accesses_replayed = r.u64();
-  cell.accesses_per_sec = r.f64();
-  decode_result(r, cell.result);
-  r.end_section();
+  cell_io(r, cell);
   return cell;
 }
 

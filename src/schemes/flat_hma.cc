@@ -222,58 +222,31 @@ void FlatHmaScheme::corrupt_placement_for_test() {
   place_[geom_.total_pages() - 3] = 0;
 }
 
-namespace {
-template <typename K, typename V>
-void save_sorted_map(snap::Writer& w, const std::unordered_map<K, V>& m) {
-  std::vector<std::pair<K, V>> v(m.begin(), m.end());
-  std::sort(v.begin(), v.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(v.size());
-  for (const auto& [k, val] : v) {
-    w.u64(static_cast<std::uint64_t>(k));
-    w.u64(static_cast<std::uint64_t>(val));
-  }
-}
-}  // namespace
-
 void FlatHmaScheme::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('F', 'H', 'M', 'A'));
-  w.b(profiling_);
-  w.u64(seen_);
-  save_sorted_map(w, counts_);
-  save_sorted_map(w, place_);
-  w.u64(pending_os_stall_);
-  w.u64(stats_.accesses);
-  w.u64(stats_.on_hits);
-  w.u64(stats_.placements);
-  w.u64(stats_.migrated_bytes);
-  w.u64(stats_.os_stall_cycles);
-  w.b(instant_);
-  w.end_section();
+  const_cast<FlatHmaScheme*>(this)->io(w);
 }
 
-void FlatHmaScheme::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('F', 'H', 'M', 'A'));
-  profiling_ = r.b();
-  seen_ = r.u64();
-  counts_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const PageId k = r.u64();
-    counts_[k] = r.u64();
-  }
-  place_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const PageId k = r.u64();
-    place_[k] = static_cast<SlotId>(r.u64());
-  }
-  pending_os_stall_ = r.u64();
-  stats_.accesses = r.u64();
-  stats_.on_hits = r.u64();
-  stats_.placements = r.u64();
-  stats_.migrated_bytes = r.u64();
-  stats_.os_stall_cycles = r.u64();
-  instant_ = r.b();
-  r.end_section();
+void FlatHmaScheme::restore(snap::Reader& r) { io(r); }
+
+template <class Ar>
+void FlatHmaScheme::io(Ar& ar) {
+  const auto pair = [&](auto& k, auto& v) {
+    snap::u64(ar, k);
+    snap::u64(ar, v);
+  };
+  snap::section(ar, snap::tag('F', 'H', 'M', 'A'), [&] {
+    snap::b(ar, profiling_);
+    snap::u64(ar, seen_);
+    snap::sorted_map(ar, counts_, pair);
+    snap::sorted_map(ar, place_, pair);
+    snap::u64(ar, pending_os_stall_);
+    snap::u64(ar, stats_.accesses);
+    snap::u64(ar, stats_.on_hits);
+    snap::u64(ar, stats_.placements);
+    snap::u64(ar, stats_.migrated_bytes);
+    snap::u64(ar, stats_.os_stall_cycles);
+    snap::b(ar, instant_);
+  });
 }
 
 }  // namespace hmm::schemes

@@ -53,6 +53,8 @@ class FlatHmaScheme final : public MemoryScheme {
   void corrupt_placement_for_test();
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
   void finalize_placement(Cycle now);
   /// Service one pending frame retirement: evict the page placed in a
   /// failing slot back to its home, or remap a failing off-package home

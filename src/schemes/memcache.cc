@@ -203,27 +203,22 @@ std::string MemCacheScheme::audit_check() const {
 }
 
 void MemCacheScheme::save(snap::Writer& w) const {
-  cache_.save(w);
-  w.begin_section(snap::tag('M', 'C', 'C', 'H'));
-  w.u64(stats_.accesses);
-  w.u64(stats_.mem_hits);
-  w.u64(stats_.cache_hits);
-  w.u64(stats_.fill_bytes);
-  w.u64(stats_.writeback_bytes);
-  w.b(instant_);
-  w.end_section();
+  const_cast<MemCacheScheme*>(this)->io(w);
 }
 
-void MemCacheScheme::restore(snap::Reader& r) {
-  cache_.restore(r);
-  r.begin_section(snap::tag('M', 'C', 'C', 'H'));
-  stats_.accesses = r.u64();
-  stats_.mem_hits = r.u64();
-  stats_.cache_hits = r.u64();
-  stats_.fill_bytes = r.u64();
-  stats_.writeback_bytes = r.u64();
-  instant_ = r.b();
-  r.end_section();
+void MemCacheScheme::restore(snap::Reader& r) { io(r); }
+
+template <class Ar>
+void MemCacheScheme::io(Ar& ar) {
+  snap::part(ar, cache_);
+  snap::section(ar, snap::tag('M', 'C', 'C', 'H'), [&] {
+    snap::u64(ar, stats_.accesses);
+    snap::u64(ar, stats_.mem_hits);
+    snap::u64(ar, stats_.cache_hits);
+    snap::u64(ar, stats_.fill_bytes);
+    snap::u64(ar, stats_.writeback_bytes);
+    snap::b(ar, instant_);
+  });
 }
 
 }  // namespace hmm::schemes

@@ -77,6 +77,8 @@ class MemCacheScheme final : public MemoryScheme {
     std::uint64_t writeback_bytes = 0;
   };
 
+  template <class Ar>
+  void io(Ar& ar);
   /// Service one pending frame retirement: purge a failing cache frame,
   /// or remap a failing memory-fraction / backing frame onto a spare.
   void ras_service(Cycle now);

@@ -11,7 +11,9 @@
 //
 // Obligations of an implementation (DESIGN.md §"Scheme zoo"):
 //   * deterministic: no wall clock, no unseeded RNG;
-//   * snapshot-complete: save()/restore() cover every evolving member;
+//   * snapshot-complete: one io() codec names every evolving member at
+//     an explicit wire width, and save()/restore() are one-line wrappers
+//     over it;
 //   * audit-ready: audit_check() cross-checks redundant internal state;
 //   * fault-tolerant: injected faults at the sites it opts into must
 //     surface as structured errors or stay provably benign.

@@ -282,43 +282,31 @@ std::string SwapScheme::audit_check() const {
 }
 
 void SwapScheme::save(snap::Writer& w) const {
-  table_.save(w);
-  engine_.save(w);
-  slot_tracker_.save(w);
-  mq_.save(w);
-  oracle_.save(w);
-  w.begin_section(snap::tag('H', 'M', 'C', 'T'));
-  w.u64(stats_.accesses);
-  w.u64(stats_.on_package_hits);
-  w.u64(stats_.off_package_hits);
-  w.u64(stats_.fill_forwards);
-  w.u64(stats_.swap_attempts);
-  w.u64(stats_.swaps_rejected);
-  w.u64(stats_.os_stall_cycles);
-  w.u64(since_epoch_);
-  w.u64(pending_os_stall_);
-  if (ras_ != nullptr) w.u64(evac_frame_);
-  w.end_section();
+  const_cast<SwapScheme*>(this)->io(w);
 }
 
-void SwapScheme::restore(snap::Reader& r) {
-  table_.restore(r);
-  engine_.restore(r);
-  slot_tracker_.restore(r);
-  mq_.restore(r);
-  oracle_.restore(r);
-  r.begin_section(snap::tag('H', 'M', 'C', 'T'));
-  stats_.accesses = r.u64();
-  stats_.on_package_hits = r.u64();
-  stats_.off_package_hits = r.u64();
-  stats_.fill_forwards = r.u64();
-  stats_.swap_attempts = r.u64();
-  stats_.swaps_rejected = r.u64();
-  stats_.os_stall_cycles = r.u64();
-  since_epoch_ = r.u64();
-  pending_os_stall_ = r.u64();
-  evac_frame_ = ras_ != nullptr ? r.u64() : kInvalidPage;
-  r.end_section();
+void SwapScheme::restore(snap::Reader& r) { io(r); }
+
+template <class Ar>
+void SwapScheme::io(Ar& ar) {
+  snap::part(ar, table_);
+  snap::part(ar, engine_);
+  snap::part(ar, slot_tracker_);
+  snap::part(ar, mq_);
+  snap::part(ar, oracle_);
+  snap::section(ar, snap::tag('H', 'M', 'C', 'T'), [&] {
+    snap::u64(ar, stats_.accesses);
+    snap::u64(ar, stats_.on_package_hits);
+    snap::u64(ar, stats_.off_package_hits);
+    snap::u64(ar, stats_.fill_forwards);
+    snap::u64(ar, stats_.swap_attempts);
+    snap::u64(ar, stats_.swaps_rejected);
+    snap::u64(ar, stats_.os_stall_cycles);
+    snap::u64(ar, since_epoch_);
+    snap::u64(ar, pending_os_stall_);
+    // evac_frame_ only moves while RAS is attached.
+    if (ras_ != nullptr) snap::u64(ar, evac_frame_);
+  });
 }
 
 }  // namespace hmm::schemes

@@ -105,6 +105,8 @@ class SwapScheme final : public MemoryScheme {
   [[nodiscard]] MultiQueueTracker& mq_for_test() noexcept { return mq_; }
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
   void consider_swap(Cycle now);
   /// Nomad: hole-directed trigger — promote the hottest off-package page
   /// into an on-package hole, or demote the coldest resident when the

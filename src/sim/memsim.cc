@@ -310,73 +310,35 @@ RunResult MemSim::result() const {
   return r;
 }
 
-namespace {
-void save_stat(snap::Writer& w, const RunningStat& s) {
-  const RunningStat::Raw raw = s.raw();
-  w.u64(raw.count);
-  w.f64(raw.sum);
-  w.f64(raw.min);
-  w.f64(raw.max);
-}
-
-void load_stat(snap::Reader& r, RunningStat& s) {
-  RunningStat::Raw raw;
-  raw.count = r.u64();
-  raw.sum = r.f64();
-  raw.min = r.f64();
-  raw.max = r.f64();
-  s.set_raw(raw);
-}
-}  // namespace
-
-void MemSim::save(snap::Writer& w) const {
-  on_.save(w);
-  off_.save(w);
-  scheme_->save(w);
-  injector_.save(w);
-  auditor_.save(w);
-  if (ras_ != nullptr) ras_->save(w);
-  w.begin_section(snap::tag('M', 'S', 'I', 'M'));
-  w.u64(deadline_check_);
-  w.u64(slip_);
-  w.u64(last_now_);
-  w.u64(end_time_);
-  w.u64(blocked_until_);
-  save_stat(w, latency_);
-  save_stat(w, read_latency_);
-  save_stat(w, write_latency_);
-  save_stat(w, on_latency_);
-  save_stat(w, off_latency_);
-  for (unsigned i = 0; i < Log2Histogram::kBuckets; ++i)
-    w.u64(latency_hist_.bucket(i));
-  w.u64(latency_hist_.total());
-  w.end_section();
-}
+void MemSim::save(snap::Writer& w) const { const_cast<MemSim*>(this)->io(w); }
 
 void MemSim::restore(snap::Reader& r) {
-  on_.restore(r);
-  off_.restore(r);
-  scheme_->restore(r);
-  injector_.restore(r);
-  auditor_.restore(r);
-  if (ras_ != nullptr) ras_->restore(r);
-  r.begin_section(snap::tag('M', 'S', 'I', 'M'));
-  deadline_check_ = r.u64();
-  slip_ = r.u64();
-  last_now_ = r.u64();
-  end_time_ = r.u64();
-  blocked_until_ = r.u64();
-  load_stat(r, latency_);
-  load_stat(r, read_latency_);
-  load_stat(r, write_latency_);
-  load_stat(r, on_latency_);
-  load_stat(r, off_latency_);
-  for (unsigned i = 0; i < Log2Histogram::kBuckets; ++i)
-    latency_hist_.set_bucket(i, r.u64());
-  latency_hist_.set_total(r.u64());
-  r.end_section();
+  io(r);
   // analyze: allow(determinism): watchdog clock, never simulated state
   started_ = std::chrono::steady_clock::now();
+}
+
+template <class Ar>
+void MemSim::io(Ar& ar) {
+  snap::part(ar, on_);
+  snap::part(ar, off_);
+  snap::part(ar, *scheme_);
+  snap::part(ar, injector_);
+  snap::part(ar, auditor_);
+  if (ras_ != nullptr) snap::part(ar, *ras_);
+  snap::section(ar, snap::tag('M', 'S', 'I', 'M'), [&] {
+    snap::u64(ar, deadline_check_);
+    snap::u64(ar, slip_);
+    snap::u64(ar, last_now_);
+    snap::u64(ar, end_time_);
+    snap::u64(ar, blocked_until_);
+    snap::stat(ar, latency_);
+    snap::stat(ar, read_latency_);
+    snap::stat(ar, write_latency_);
+    snap::stat(ar, on_latency_);
+    snap::stat(ar, off_latency_);
+    snap::hist(ar, latency_hist_);
+  });
 }
 
 }  // namespace hmm

@@ -123,6 +123,8 @@ class MemSim {
   };
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
   void pump(Cycle now);
   Cycle force_migration_idle(Cycle now);
   /// Hands every completion both regions have accumulated to its owner

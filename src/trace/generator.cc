@@ -45,33 +45,22 @@ TraceRecord SyntheticWorkload::next() {
 }
 
 void SyntheticWorkload::save(snap::Writer& w) const {
-  w.begin_section(snap::tag('W', 'K', 'L', 'D'));
-  const Pcg32::Raw raw = rng_.raw();
-  w.u64(raw.state);
-  w.u64(raw.inc);
-  w.u64(now_);
-  w.u64(emitted_);
-  w.u32(rr_cpu_);
-  w.u64(comps_.size());
-  for (const MixtureComponent& c : comps_) c.pattern->save_state(w);
-  w.end_section();
+  const_cast<SyntheticWorkload*>(this)->io(w);
 }
 
-void SyntheticWorkload::restore(snap::Reader& r) {
-  r.begin_section(snap::tag('W', 'K', 'L', 'D'));
-  Pcg32::Raw raw;
-  raw.state = r.u64();
-  raw.inc = r.u64();
-  rng_.set_raw(raw);
-  now_ = r.u64();
-  emitted_ = r.u64();
-  rr_cpu_ = r.u32();
-  if (r.u64() != comps_.size())
-    snap::snapshot_error(
-        "workload mixture shape mismatch: checkpoint was taken on a "
-        "different workload");
-  for (MixtureComponent& c : comps_) c.pattern->restore_state(r);
-  r.end_section();
+void SyntheticWorkload::restore(snap::Reader& r) { io(r); }
+
+template <class Ar>
+void SyntheticWorkload::io(Ar& ar) {
+  snap::section(ar, snap::tag('W', 'K', 'L', 'D'), [&] {
+    snap::rng(ar, rng_);
+    snap::u64(ar, now_);
+    snap::u64(ar, emitted_);
+    snap::u32(ar, rr_cpu_);
+    snap::expect<std::uint64_t>(ar, comps_.size(), "workload mixture size");
+    for (MixtureComponent& c : comps_)
+      for (std::uint64_t* word : c.pattern->cursors()) snap::u64(ar, *word);
+  });
 }
 
 }  // namespace hmm

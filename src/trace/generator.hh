@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "common/snapshot.hh"
 #include "common/types.hh"
 #include "trace/patterns.hh"
 #include "trace/record.hh"
@@ -59,6 +60,9 @@ class SyntheticWorkload {
   void restore(snap::Reader& r);
 
  private:
+  template <class Ar>
+  void io(Ar& ar);
+
   Params p_;  // no-snapshot(construction-time config)
   std::vector<MixtureComponent> comps_;
   // no-snapshot(derived from the component weights in the ctor)

@@ -3,11 +3,12 @@
 // (see workloads.cc for how each paper workload is composed).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/random.hh"
-#include "common/snapshot.hh"
 #include "common/types.hh"
 #include "common/units.hh"
 #include "trace/zipf.hh"
@@ -22,12 +23,12 @@ class Pattern {
   /// Phase boundary: patterns with time-varying hot sets drift here.
   virtual void on_phase(Pcg32& rng) { (void)rng; }
 
-  /// Checkpoint/restore of the pattern's mutable cursor state. Stateless
-  /// patterns (UniformPattern) keep the no-op default. Construction-time
-  /// parameters are not serialized — the restoring side rebuilds the same
-  /// workload first, then overlays the cursors.
-  virtual void save_state(snap::Writer& w) const { (void)w; }
-  virtual void restore_state(snap::Reader& r) { (void)r; }
+  /// The pattern's mutable cursor state, in checkpoint order; each word
+  /// is a u64 on the wire. Stateless patterns (UniformPattern) keep the
+  /// empty default. Construction-time parameters are not serialized — the
+  /// restoring side rebuilds the same workload first, then overlays the
+  /// cursors.
+  virtual std::vector<std::uint64_t*> cursors() { return {}; }
 };
 
 /// Linear stream: start, start+stride, ... wrapping inside the region.
@@ -56,13 +57,8 @@ class SequentialPattern final : public Pattern {
     cursor_ = 0;
   }
 
-  void save_state(snap::Writer& w) const override {
-    w.u64(slab_index_);
-    w.u64(cursor_);
-  }
-  void restore_state(snap::Reader& r) override {
-    slab_index_ = r.u64();
-    cursor_ = r.u64();
+  std::vector<std::uint64_t*> cursors() override {
+    return {&slab_index_, &cursor_};
   }
 
  private:
@@ -122,8 +118,7 @@ class ZipfPattern final : public Pattern {
     (void)rng;
   }
 
-  void save_state(snap::Writer& w) const override { w.u64(offset_); }
-  void restore_state(snap::Reader& r) override { offset_ = r.u64(); }
+  std::vector<std::uint64_t*> cursors() override { return {&offset_}; }
 
  private:
   [[nodiscard]] std::uint64_t permute(std::uint64_t rank) const noexcept {
@@ -162,13 +157,8 @@ class ChasePattern final : public Pattern {
     return a;
   }
 
-  void save_state(snap::Writer& w) const override {
-    w.u64(cursor_);
-    w.u64(run_left_);
-  }
-  void restore_state(snap::Reader& r) override {
-    cursor_ = r.u64();
-    run_left_ = r.u64();
+  std::vector<std::uint64_t*> cursors() override {
+    return {&cursor_, &run_left_};
   }
 
  private:
@@ -211,15 +201,8 @@ class StridedPattern final : public Pattern {
     cursor_ = 0;
   }
 
-  void save_state(snap::Writer& w) const override {
-    w.u64(stride_);
-    w.u64(slab_index_);
-    w.u64(cursor_);
-  }
-  void restore_state(snap::Reader& r) override {
-    stride_ = r.u64();
-    slab_index_ = r.u64();
-    cursor_ = r.u64();
+  std::vector<std::uint64_t*> cursors() override {
+    return {&stride_, &slab_index_, &cursor_};
   }
 
  private:

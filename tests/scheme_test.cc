@@ -1,21 +1,26 @@
 // Scheme-zoo tests: the registry (canonical names, structured unknown-name
 // error), golden bit-identity of the N / N-1 / Live swap schemes against
-// the pre-refactor controller, a mid-swap checkpoint golden for every swap
-// design, behaviour sanity for the Alloy / flat-HMA / MemCache designs,
-// per-scheme snapshot round-trips, and the invariant auditor catching
-// injected per-scheme corruption.
+// the pre-refactor controller, content digests of mid-swap snapshots,
+// whole checkpoint files and a journal record, behaviour sanity for the
+// Alloy / flat-HMA / MemCache designs, per-scheme snapshot round-trips,
+// and the invariant auditor catching injected per-scheme corruption.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/snapshot.hh"
 #include "runner/experiment.hh"
+#include "runner/journal.hh"
 #include "schemes/flat_hma.hh"
 #include "schemes/memcache.hh"
 #include "schemes/registry.hh"
 #include "schemes/swap_scheme.hh"
+#include "sim/checkpoint.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -27,6 +32,23 @@ using fault::SimError;
 using fault::SimErrorKind;
 
 // --- fixtures ---------------------------------------------------------------
+
+// FNV-1a 64 over raw bytes: the digest every byte golden below pins. A
+// CRC-32 would not do: each snapshot section ends in the CRC-32 of its
+// own payload, and because CRC-32 is affine, the CRC-32 of such a
+// section depends only on its tag and payload length.
+std::uint64_t content_digest(const std::uint8_t* data, std::size_t len) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= data[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t content_digest(const std::vector<std::uint8_t>& bytes) {
+  return content_digest(bytes.data(), bytes.size());
+}
 
 // The exact cell the pre-refactor goldens were captured on: FT workload,
 // Section IV geometry, swap_interval 2000, 6000 warm-up + 6000 measured
@@ -42,7 +64,7 @@ MemSimConfig golden_cfg(const std::string& scheme) {
 
 struct GoldenRun {
   RunResult result;
-  std::uint32_t table_crc = 0;
+  std::uint64_t table_digest = 0;
 };
 
 GoldenRun golden_replay(MemSimConfig cfg, const std::string& seed_name) {
@@ -60,31 +82,33 @@ GoldenRun golden_replay(MemSimConfig cfg, const std::string& seed_name) {
   g.result = sim.result();
   snap::Writer w;
   sim.scheme().mutable_table()->save(w);
-  g.table_crc = snap::crc32(w.buffer().data(), w.buffer().size());
+  g.table_digest = content_digest(w.buffer());
   return g;
 }
 
 // Every deterministic metric the pre-refactor controller produced on the
-// golden cell; captured before src/schemes/ existed.
+// golden cell; captured before src/schemes/ existed. The table digests
+// were captured before the codecs became io(), so they pin the bytes
+// the hand-written save() produced.
 struct Golden {
   const char* name;
   MigrationDesign design;
   std::uint64_t seed;
   std::uint64_t swaps, migrated, on_bytes, off_bytes, os_stall, end;
   double avg, p99, onfrac;
-  std::uint32_t table_crc;
+  std::uint64_t table_digest;
 };
 
 constexpr Golden kGoldens[] = {
     {"N", MigrationDesign::N, 2415334064924998932ull, 78, 1572864, 254976,
      129024, 9906, 486456, 2649.3843333333334, 65536.0,
-     0.62333333333333329, 1913507095u},
+     0.62333333333333329, 0x94d365ac79f67b10ull},
     {"N-1", MigrationDesign::NMinus1, 7828113572835807877ull, 68, 786432,
      254144, 129856, 43180, 226851, 192.56916666666666, 512.0, 0.616,
-     3942147815u},
+     0xd724f220301535b7ull},
     {"Live", MigrationDesign::LiveMigration, 91150292251304964ull, 72,
      786432, 250112, 133888, 45720, 227072, 192.73866666666666, 512.0,
-     0.61333333333333329, 3428239332u},
+     0.61333333333333329, 0x45c64cd61f918a16ull},
 };
 
 void expect_matches_golden(const GoldenRun& g, const Golden& x) {
@@ -99,7 +123,7 @@ void expect_matches_golden(const GoldenRun& g, const Golden& x) {
   EXPECT_DOUBLE_EQ(r.avg_latency, x.avg);
   EXPECT_DOUBLE_EQ(r.p99_latency, x.p99);
   EXPECT_DOUBLE_EQ(r.on_package_fraction, x.onfrac);
-  EXPECT_EQ(g.table_crc, x.table_crc);
+  EXPECT_EQ(g.table_digest, x.table_digest);
 }
 
 // Scaled-down geometry for the zoo behaviour tests (fast, and small
@@ -199,16 +223,16 @@ std::string describe(const RunResult& r) {
   return s;
 }
 
-// CRC of the line-cache tag store behind a cache-style scheme: the
-// section (tag, u64 payload size, payload, u32 CRC) that opens the
-// scheme's snapshot.
-std::uint32_t tag_store_crc(const MemSim& sim) {
+// Content digest of the line-cache tag store behind a cache-style
+// scheme: the section (tag, u64 payload size, payload, u32 CRC) that
+// opens the scheme's snapshot.
+std::uint64_t tag_store_digest(const MemSim& sim) {
   snap::Writer w;
   sim.scheme().save(w);
   snap::Reader r(w.buffer());
   (void)r.u32();
   const std::uint64_t payload = r.u64();
-  return snap::crc32(w.buffer().data(), 4 + 8 + payload + 4);
+  return content_digest(w.buffer().data(), 4 + 8 + payload + 4);
 }
 
 // --- registry ---------------------------------------------------------------
@@ -273,14 +297,14 @@ TEST(SchemeGolden, EmptySchemeNameDerivesFromControllerDesign) {
   }
 }
 
-// CRC-32 of the whole-simulator checkpoint, MemSim::save(), taken with a
-// swap in flight: the golden warm-up, 2100 measured references, then
-// references fed straight to the scheme until one starts a swap.
-// MemSim::step holds design N's demand until its swap drains, so only the
-// scheme's own on_access() can leave N mid-swap at a step boundary; for
-// the other designs the swap that began at reference 8000 is still
-// streaming and the loop does not run.
-std::uint32_t midswap_snapshot_crc(const std::string& name) {
+// Content digest of the whole-simulator checkpoint, MemSim::save(),
+// taken with a swap in flight: the golden warm-up, 2100 measured
+// references, then references fed straight to the scheme until one
+// starts a swap. MemSim::step holds design N's demand until its swap
+// drains, so only the scheme's own on_access() can leave N mid-swap at a
+// step boundary; for the other designs the swap that began at reference
+// 8000 is still streaming and the loop does not run.
+std::uint64_t midswap_snapshot_digest(const std::string& name) {
   MemSim sim(golden_cfg(name));
   auto gen = section4_workloads()[0].make(
       runner::derive_seed(42, "golden/" + name));  // FT
@@ -296,18 +320,154 @@ std::uint32_t midswap_snapshot_crc(const std::string& name) {
   EXPECT_FALSE(sim.scheme().background_idle()) << name;
   snap::Writer w;
   sim.save(w);
-  return snap::crc32(w.buffer().data(), w.buffer().size());
+  return content_digest(w.buffer());
 }
 
-// Pins, byte for byte, the simulator state a format-3 checkpoint carries
+// Pins the bytes of the simulator state a format-3 checkpoint carries
 // mid-swap: both DRAM systems, the table, the engine's plan with its
 // pending mutations and in-flight chunks, the trackers, the 'HMCT'
 // section, and the latency stats.
 TEST(SchemeGolden, MidSwapCheckpointBytesArePinned) {
-  EXPECT_EQ(midswap_snapshot_crc("N"), 4031670850u);
-  EXPECT_EQ(midswap_snapshot_crc("N-1"), 2695170727u);
-  EXPECT_EQ(midswap_snapshot_crc("Live"), 3479765813u);
-  EXPECT_EQ(midswap_snapshot_crc("nomad"), 2987426613u);
+  EXPECT_EQ(midswap_snapshot_digest("N"), 0xf2f01506b0356c38ull);
+  EXPECT_EQ(midswap_snapshot_digest("N-1"), 0x9ce97f3fcd4d3674ull);
+  EXPECT_EQ(midswap_snapshot_digest("Live"), 0xd66c0ef896396706ull);
+  EXPECT_EQ(midswap_snapshot_digest("nomad"), 0x5cd32aa189261005ull);
+}
+
+// --- checkpoint file goldens ------------------------------------------------
+
+// One save_checkpoint() file per cell of a matrix that reaches every
+// section and every conditional tail the format has: each registry
+// scheme mid-run on the golden FT cell, the oracle tracker, the indexer's
+// Chase pattern, and RAS + media faults + audits for the swap, cache and
+// flat schemes.
+struct FileCell {
+  std::string label;
+  MemSimConfig cfg;
+  std::unique_ptr<SyntheticWorkload> gen;
+  std::uint64_t digest;
+};
+
+MemSimConfig ras_cell_cfg(const std::string& scheme) {
+  MemSimConfig cfg = golden_cfg(scheme);
+  cfg.controller.swap_interval = 1000;
+  cfg.audit_interval = 1024;
+  cfg.fault.seed = runner::derive_seed(42, "ckpt/ras/" + scheme);
+  cfg.fault.add(FaultSite::MediaTransient, 1e-3)
+      .add(FaultSite::MediaStuckAt, 1e-3 / 4);
+  cfg.ras.enabled = true;
+  cfg.ras.scrub_interval = 5000;
+  return cfg;
+}
+
+std::vector<FileCell> checkpoint_file_cells() {
+  std::vector<FileCell> cells;
+  const auto ft = [](const std::string& name) {
+    return section4_workloads()[0].make(
+        runner::derive_seed(42, "golden/" + name));
+  };
+  const std::pair<const char*, std::uint64_t> registry[] = {
+      {"N", 0x03fd7ca42f679a99ull},
+      {"N-1", 0x78cfc59d5fd26465ull},
+      {"Live", 0x942189985946b263ull},
+      {"nomad", 0xf61e4c6e141e6899ull},
+      {"Alloy", 0x00b0d41375af5531ull},
+      {"flat-HMA", 0xd75c93e3cb18b451ull},
+      {"MemCache", 0x81fa2d4b6ecf1531ull}};
+  std::vector<std::string> names;
+  for (const auto& [name, digest] : registry) {
+    names.emplace_back(name);
+    cells.push_back({std::string("FT/") + name, golden_cfg(name), ft(name),
+                     digest});
+  }
+  EXPECT_EQ(names, schemes::scheme_names());
+  MemSimConfig oracle = golden_cfg("Live");
+  oracle.controller.oracle_hotness = true;
+  cells.push_back({"FT/Live/oracle", oracle, ft("Live"),
+                   0xb558146ac4d2b4f4ull});
+  cells.push_back({"indexer/N-1", golden_cfg("N-1"),
+                   make_indexer(runner::derive_seed(42, "ckpt/indexer")),
+                   0x033f8d0086d8b0ceull});
+  const std::pair<const char*, std::uint64_t> ras[] = {
+      {"N-1", 0x83755bb8b11ddfabull},
+      {"Live", 0xb143316653ce3b64ull},
+      {"nomad", 0x4ac0d062ce4951d1ull},
+      {"MemCache", 0xe4557d6098284e8bull},
+      {"flat-HMA", 0x7927725c1cba2980ull}};
+  for (const auto& [name, digest] : ras)
+    cells.push_back({std::string("ras/") + name, ras_cell_cfg(name),
+                     make_pgbench(runner::derive_seed(42, "ckpt/pgbench")),
+                     digest});
+  return cells;
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(SchemeGolden, CheckpointFilesArePinned) {
+  const std::string path = ::testing::TempDir() + "hmm_scheme_golden.ckpt";
+  bool swap_in_flight = false;
+  std::uint64_t fault_events = 0;
+  std::uint64_t audits = 0;
+  std::uint64_t swap_design_retired = 0;
+  for (FileCell& c : checkpoint_file_cells()) {
+    SCOPED_TRACE(c.label);
+    MemSim sim(c.cfg);
+    sim.set_instant_migration(true);
+    sim.run(*c.gen, 6000);
+    sim.set_instant_migration(false);
+    sim.reset_stats();
+    sim.run_chunk(*c.gen, 2100);
+    if (c.cfg.ras.enabled) {
+      // A media rate low enough to keep the run short rarely fails a
+      // whole frame, so flag an on-package one that holds data.
+      sim.mutable_ras()->flag_frame_for_test(3);
+      sim.run_chunk(*c.gen, 2000);
+    }
+    save_checkpoint(path, CheckpointMeta{0x5EEDull, 8100, true}, *c.gen,
+                    sim);
+    EXPECT_EQ(content_digest(read_file(path)), c.digest);
+    swap_in_flight |= !sim.scheme().background_idle();
+    fault_events += sim.injector().events().size();
+    audits += sim.auditor().audits();
+    if (c.cfg.ras.enabled && sim.scheme().audited_table() != nullptr)
+      swap_design_retired += sim.ras_engine()->retired_count();
+  }
+  std::remove(path.c_str());
+  // The matrix is not vacuous: it checkpoints a swap mid-flight, a fault
+  // log, audit counters, and a retired frame under a swap design.
+  EXPECT_TRUE(swap_in_flight);
+  EXPECT_GT(fault_events, 0u);
+  EXPECT_GT(audits, 0u);
+  EXPECT_GT(swap_design_retired, 0u);
+}
+
+// The journal's CELL record of a finished RAS cell, whose result carries
+// a fault-event log and a retirement log.
+TEST(SchemeGolden, JournalCellBlobIsPinned) {
+  MemSim sim(ras_cell_cfg("MemCache"));
+  auto gen = make_pgbench(runner::derive_seed(42, "ckpt/pgbench"));
+  sim.run_chunk(*gen, 4000);
+  sim.mutable_ras()->flag_frame_for_test(3);
+  sim.run(*gen, 4000);
+  runner::CellResult cell;
+  cell.key = "golden/ras/MemCache";
+  cell.seed = runner::derive_seed(42, "ckpt/pgbench");
+  cell.ok = true;
+  cell.status = "ok";
+  cell.attempts = 1;
+  cell.wall_seconds = 0.25;
+  cell.accesses_replayed = 8000;
+  cell.accesses_per_sec = 32000.0;
+  cell.result = sim.result();
+  EXPECT_FALSE(cell.result.fault_events.empty());
+  EXPECT_FALSE(cell.result.ras_retirements.empty());
+  snap::Writer w;
+  runner::encode_cell(w, cell);
+  EXPECT_EQ(content_digest(w.buffer()), 0xdb0e156999310373ull);
 }
 
 // --- Alloy goldens -----------------------------------------------------------
@@ -415,7 +575,7 @@ TEST(AlloyScheme, GoldenZooCell) {
   sim.run(*w, 40000);
   sim.finish();
   EXPECT_EQ(describe(sim.result()), kAlloyZooGolden);
-  EXPECT_EQ(tag_store_crc(sim), 1838043040u);
+  EXPECT_EQ(tag_store_digest(sim), 0x15aab1766537f813ull);
 }
 
 // Alloy under media faults with RAS retirement and the patrol scrub off:
@@ -445,7 +605,7 @@ TEST(AlloyScheme, GoldenRasRetirementCell) {
   sim.run(*w, 15000);
   sim.finish();
   EXPECT_EQ(describe(sim.result()), kAlloyRasGolden);
-  EXPECT_EQ(tag_store_crc(sim), 2289666822u);
+  EXPECT_EQ(tag_store_digest(sim), 0x454e4e5e4d6943fcull);
 }
 
 // --- zoo behaviour ----------------------------------------------------------

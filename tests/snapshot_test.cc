@@ -1,12 +1,19 @@
 // Snapshot layer tests: the CRC-framed binary format itself (round-trip,
-// corruption detection, framing discipline) and save/restore round-trips
-// of every stateful component. The canonical property is byte equality:
+// corruption detection, framing discipline), save/restore round-trips
+// of every stateful component, and crafted inputs whose CRCs are valid
+// but whose counts or shapes are not. The canonical property is byte
+// equality:
 //   save(x) == save(restore_into_fresh(save(x)))
 // which holds only if restore() reconstructs *all* serialized state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -15,7 +22,9 @@
 #include "common/stats.hh"
 #include "common/units.hh"
 #include "core/translation_table.hh"
+#include "dram/dram_system.hh"
 #include "fault/sim_error.hh"
+#include "runner/journal.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -252,6 +261,115 @@ TEST(MemSimSnapshot, SaveRestoreSaveIsByteIdenticalAcrossSwapPhases) {
     fresh.save(w2);
     ASSERT_EQ(w2.buffer(), w.buffer()) << "diverged at access " << k;
   }
+}
+
+// --- crafted inputs --------------------------------------------------------
+
+// A checkpoint or journal is read back from disk, so a count or shape in
+// it is untrusted even when its section CRC is valid: each must end in
+// SimError(Snapshot), never std::bad_alloc.
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Recomputes the CRC of the section whose header starts at `at`.
+void reseal(std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t size = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    size |= static_cast<std::uint64_t>(bytes[at + 4 + i]) << (8 * i);
+  const std::size_t payload = at + 12;
+  const std::uint32_t crc = snap::crc32(bytes.data() + payload, size);
+  for (int i = 0; i < 4; ++i)
+    bytes[payload + size + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+}
+
+void expect_snapshot_error(const std::function<void()>& restore) {
+  try {
+    restore();
+    ADD_FAILURE() << "the crafted input was accepted";
+  } catch (const fault::SimError& e) {
+    EXPECT_EQ(e.kind(), fault::SimErrorKind::Snapshot) << e.what();
+  }
+}
+
+TEST(CraftedSnapshot, HugeBankCountIsASnapshotError) {
+  DramSystem sys = DramSystem::make(Region::OffPackage);
+  snap::Writer w;
+  sys.save(w);
+  std::vector<std::uint8_t> bytes = w.take();
+  // 'DSYS' (header, u8 region, u64 channels, u64 next id, CRC) comes
+  // first; the first 'DCHN' payload opens with the bank count.
+  const std::size_t dchn = 12 + 1 + 8 + 8 + 4;
+  ASSERT_EQ(bytes[dchn], 'D');
+  ASSERT_EQ(bytes[dchn + 1], 'C');
+  put_u64(bytes, dchn + 12, 1ull << 40);
+  reseal(bytes, dchn);
+  DramSystem fresh = DramSystem::make(Region::OffPackage);
+  expect_snapshot_error([&] {
+    snap::Reader r(bytes);
+    fresh.restore(r);
+  });
+}
+
+TEST(CraftedSnapshot, HugeFaultEventCountDropsTheJournalLine) {
+  runner::CellResult cell;
+  cell.key = "crafted/a";
+  cell.status = "ok";
+  cell.ok = true;
+  // A marker right before the fault-event count, so the test finds the
+  // count without restating the record layout.
+  cell.result.degraded_at = 0x1122334455667788ull;
+  cell.result.fault_events.push_back(
+      fault::FaultEvent{fault::FaultSite::MediaTransient, 1, 2});
+  snap::Writer good;
+  runner::encode_cell(good, cell);
+  std::vector<std::uint8_t> bad = good.buffer();
+  const std::uint8_t marker[] = {0x88, 0x77, 0x66, 0x55,
+                                 0x44, 0x33, 0x22, 0x11};
+  const auto it = std::search(bad.begin(), bad.end(), std::begin(marker),
+                              std::end(marker));
+  ASSERT_NE(it, bad.end());
+  put_u64(bad, static_cast<std::size_t>(it - bad.begin()) + 8, 1ull << 40);
+  reseal(bad, 0);
+  expect_snapshot_error([&] {
+    snap::Reader r(bad);
+    (void)runner::decode_cell(r);
+  });
+
+  // --resume treats the crafted line like a torn tail: it is dropped and
+  // the good line before it survives.
+  const std::string path =
+      ::testing::TempDir() + "hmm_snapshot_crafted.jsonl";
+  {
+    std::ofstream os(path, std::ios::trunc);
+    os << "{\"key\":\"crafted/a\",\"status\":\"ok\",\"blob\":\""
+       << runner::to_hex(good.buffer()) << "\"}\n"
+       << "{\"key\":\"crafted/b\",\"status\":\"ok\",\"blob\":\""
+       << runner::to_hex(bad) << "\"}\n";
+  }
+  const runner::Journal j(path);
+  ASSERT_EQ(j.recovered().size(), 1u);
+  EXPECT_EQ(j.recovered()[0].key, "crafted/a");
+  std::remove(path.c_str());
+}
+
+// The slot count is a construction-time shape: a table checkpointed on
+// one geometry must not restore into a table built on another.
+TEST(CraftedSnapshot, TableShapeMismatchIsASnapshotError) {
+  TranslationTable small(Geometry{64 * MiB, 8 * MiB, 1 * MiB, 4 * KiB},
+                         TableMode::HardwareNMinus1);
+  TranslationTable large(Geometry{64 * MiB, 16 * MiB, 1 * MiB, 4 * KiB},
+                         TableMode::HardwareNMinus1);
+  const std::vector<std::uint8_t> bytes = table_bytes(small);
+  expect_snapshot_error([&] {
+    snap::Reader r(bytes);
+    large.restore(r);
+  });
 }
 
 }  // namespace

@@ -39,6 +39,8 @@ TEST(ChoreographyChecker, DesignNReachesOnlyItsDocumentedStall) {
   EXPECT_EQ(r.degraded_states, 0u);
 }
 
+// The table's snapshot bytes are the checker's dedup key, so the counts
+// are pinned too: a codec that changes a byte changes the state count.
 TEST(ChoreographyChecker, ReportsAreDeterministic) {
   const CheckerConfig cfg = small_config(MigrationDesign::NMinus1);
   const CheckerReport a = check_choreography(cfg);
@@ -46,6 +48,9 @@ TEST(ChoreographyChecker, ReportsAreDeterministic) {
   EXPECT_EQ(a.states_explored, b.states_explored);
   EXPECT_EQ(a.transitions, b.transitions);
   EXPECT_EQ(a.demand_checks, b.demand_checks);
+  EXPECT_EQ(a.states_explored, 16169u);
+  EXPECT_EQ(a.transitions, 32484u);
+  EXPECT_EQ(a.demand_checks, 452732u);
 }
 
 TEST(ChoreographyChecker, DetectsMutationsAppliedBeforeTheCopyLands) {
@@ -101,6 +106,9 @@ TEST(ChoreographyChecker, NomadReportsAreDeterministic) {
   EXPECT_EQ(a.states_explored, b.states_explored);
   EXPECT_EQ(a.transitions, b.transitions);
   EXPECT_EQ(a.demand_checks, b.demand_checks);
+  EXPECT_EQ(a.states_explored, 1932u);
+  EXPECT_EQ(a.transitions, 7704u);
+  EXPECT_EQ(a.demand_checks, 23184u);
 }
 
 TEST(ChoreographyChecker, DetectsACommitThatIgnoresDirtySubBlocks) {

@@ -1,10 +1,16 @@
-"""snapshot — member coverage of save()/restore() pairs.
+"""snapshot — member coverage of checkpoint codecs.
 
 Every class declaring both `save(snap::Writer&)` and
 `restore(snap::Reader&)` must reference each of its own non-static data
-members in both bodies. A member added to a class but not to its codecs
+members in its codec. A member added to a class but not to its codec
 silently rots every checkpoint — the golden bit-identity tests cannot
 catch a field that is *consistently* dropped.
+
+The codec is the class's `io` body when it has one (the one
+`template <class Ar> void io(Ar&)` that save() and restore() both run,
+inline or as `Class::io` in the sibling .cc): each member must be named
+there. A class without one keeps a save/restore pair, and each member
+must appear in both bodies.
 
 Exemptions (both backends):
   - pointer / reference members (not owned, rewired on restore)
@@ -40,6 +46,7 @@ MEMBER_RE = re.compile(
 NESTED_RE = re.compile(r"\s*(?:class|struct|enum|union)\s+\w+[^;]*$")
 PURE_SAVE_RE = re.compile(r"save\s*\(snap::Writer[^)]*\)\s*const\s*=\s*0")
 PURE_RESTORE_RE = re.compile(r"restore\s*\(snap::Reader[^)]*\)\s*=\s*0")
+IO_RE = re.compile(r"void\s+io\s*\(\s*\w+\s*&")
 
 
 def _function_body(text, sig_re):
@@ -96,16 +103,23 @@ def _check_header(ctx, sf, findings):
         # implementation is checked at its own definition.
         if PURE_SAVE_RE.search(body) and PURE_RESTORE_RE.search(body):
             continue
-        save_body = (
-            _function_body(body, re.compile(
-                r"void\s+save\s*\(snap::Writer[^)]*\)\s*const"))
+        io_body = (
+            _function_body(body, IO_RE)
             or _function_body(impl, re.compile(
-                rf"void\s+{name}::save\s*\(snap::Writer")))
-        restore_body = (
-            _function_body(body, re.compile(
-                r"void\s+restore\s*\(snap::Reader[^)]*\)"))
-            or _function_body(impl, re.compile(
-                rf"void\s+{name}::restore\s*\(snap::Reader")))
+                rf"void\s+{name}::io\s*\(\s*\w+\s*&")))
+        if io_body is not None:
+            save_body = restore_body = io_body
+        else:
+            save_body = (
+                _function_body(body, re.compile(
+                    r"void\s+save\s*\(snap::Writer[^)]*\)\s*const"))
+                or _function_body(impl, re.compile(
+                    rf"void\s+{name}::save\s*\(snap::Writer")))
+            restore_body = (
+                _function_body(body, re.compile(
+                    r"void\s+restore\s*\(snap::Reader[^)]*\)"))
+                or _function_body(impl, re.compile(
+                    rf"void\s+{name}::restore\s*\(snap::Reader")))
         if save_body is None or restore_body is None:
             if sf.allowed(base_line, NAME):
                 continue
@@ -127,7 +141,8 @@ def _check_header(ctx, sf, findings):
                 if member not in save_body:
                     findings.append(Finding(
                         sf.path, lineno, NAME,
-                        f"{name}::{member} is not written by save() — a "
+                        f"{name}::{member} is not written by "
+                        f"{'io' if io_body is not None else 'save'}() — a "
                         "checkpoint would silently drop it (mark the decl "
                         "no-snapshot(<why>) if that is intentional)"))
                 elif member not in restore_body:
@@ -153,6 +168,14 @@ def _method(cursor, ci, name, param_type):
             params = [a for a in c.get_arguments()]
             if len(params) == 1 and param_type in params[0].type.spelling:
                 return c
+    return None
+
+
+def _io_method(cursor, ci):
+    for c in cursor.get_children():
+        if c.kind in (ci.CursorKind.FUNCTION_TEMPLATE,
+                      ci.CursorKind.CXX_METHOD) and c.spelling == "io":
+            return c
     return None
 
 
@@ -202,8 +225,13 @@ def run_ast(ctx):
             if save.is_pure_virtual_method() and \
                     restore.is_pure_virtual_method():
                 continue
-            save_def = save.get_definition()
-            restore_def = restore.get_definition()
+            io = _io_method(c, ci)
+            if io is not None:
+                # One body serves both directions.
+                save_def = restore_def = io.get_definition()
+            else:
+                save_def = save.get_definition()
+                restore_def = restore.get_definition()
             if save_def is None or restore_def is None:
                 # Out-of-line bodies live in the sibling .cc, which is
                 # its own TU; that TU re-visits this class definition
@@ -234,9 +262,9 @@ def run_ast(ctx):
                     findings.append(Finding(
                         fpath or path, fline or line, NAME,
                         f"{c.spelling}::{member} is not written by "
-                        "save() — a checkpoint would silently drop it "
-                        "(mark the decl no-snapshot(<why>) if "
-                        "intentional)"))
+                        f"{'io' if io is not None else 'save'}() — a "
+                        "checkpoint would silently drop it (mark the "
+                        "decl no-snapshot(<why>) if intentional)"))
                 elif member not in restore_refs:
                     findings.append(Finding(
                         fpath or path, fline or line, NAME,

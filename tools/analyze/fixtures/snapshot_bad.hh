@@ -1,7 +1,8 @@
 // Sabotage fixture: the snapshot checker must flag dropped_ (never
 #pragma once
-// saved), half_ (saved but never restored) and lost_ (an implementation
-// of a pure-virtual codec interface that skips it). WILL_FAIL ctest.
+// saved), half_ (saved but never restored), lost_ (an implementation
+// of a pure-virtual codec interface that skips it) and skipped_ (left
+// out of a one-body io() codec). WILL_FAIL ctest.
 namespace snap {
 class Writer {
  public:
@@ -11,6 +12,8 @@ class Reader {
  public:
   unsigned long u64() { return 0; }
 };
+template <class Ar>
+void u64(Ar& ar, unsigned long& v);
 }  // namespace snap
 
 class Cursor {
@@ -44,4 +47,21 @@ class Counter : public Codec {
  private:
   unsigned long count_ = 0;
   unsigned long lost_ = 0;
+};
+
+// The io() form: save() and restore() both run one body, and every
+// member must be named in it.
+class Ledger {
+ public:
+  void save(snap::Writer& w) const { const_cast<Ledger*>(this)->io(w); }
+  void restore(snap::Reader& r) { io(r); }
+
+ private:
+  template <class Ar>
+  void io(Ar& ar) {
+    snap::u64(ar, entries_);
+  }
+
+  unsigned long entries_ = 0;
+  unsigned long skipped_ = 0;
 };

@@ -26,7 +26,7 @@ CASES = [
     ("determinism", [f"{FIX}/determinism_bad.cc"],
      [f"{FIX}/determinism_ok.cc"], 4),
     ("snapshot", [f"{FIX}/snapshot_bad.hh"],
-     [f"{FIX}/snapshot_ok.hh"], 3),
+     [f"{FIX}/snapshot_ok.hh"], 4),
     ("errors", [f"{FIX}/errors_bad.cc"],
      [f"{FIX}/errors_ok.cc"], 3),
     ("layering", f"{FIX}/layering_bad", f"{FIX}/layering_ok", 4),
