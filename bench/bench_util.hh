@@ -12,8 +12,8 @@
 //   HMM_RESULTS_DIR        where sweep JSON artifacts land (default
 //                          ./results; "" disables them)
 //   --keep-going / HMM_KEEP_GOING   exit 0 even when sweep cells failed
-//   --fault-rate R         per-opportunity fault probability (resilience
-//                          benches; 0 disables injection)
+//   --fault-rate R         per-opportunity fault probability in [0, 1]
+//                          (resilience benches; 0 disables injection)
 //   --fault-sites a,b      comma list of site names (default: every site
 //                          the bench exercises)
 //   --audit-interval N     full invariant audit every N accesses
@@ -32,14 +32,19 @@
 //   HMM_CKPT_INTERVAL      seconds between mid-cell auto-checkpoints
 //                          (default 30; 0 = checkpoint only on SIGINT/
 //                          SIGTERM)
+// A numeric flag (or HMM_JOBS) that does not parse whole, or lies out of
+// range, exits 2 with a message naming it.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/params.hh"
@@ -65,27 +70,35 @@ namespace hmm::bench {
   return static_cast<std::uint64_t>(static_cast<double>(n) * scale());
 }
 
+/// The value `text` of the numeric flag `flag`: all of it must parse as
+/// a T in [lo, hi]. Anything else (trailing characters, NaN, out of
+/// range) prints a message naming the flag and exits 2.
+template <class T>
+[[nodiscard]] T numeric_flag(const char* flag, const char* text, T lo,
+                             T hi) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec == std::errc{} && stop == end && v >= lo && v <= hi) return v;
+  std::cerr << flag << " takes a number in [" << lo << ", " << hi
+            << "], not '" << text << "'\n";
+  std::exit(2);
+}
+
 /// `--jobs N` / `--jobs=N` / `-j N` from argv, else HMM_JOBS, else 0
 /// (which the runner resolves to hardware concurrency).
 [[nodiscard]] inline unsigned jobs(int argc, char** argv) {
+  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    const char* val = nullptr;
-    if (std::strncmp(a, "--jobs=", 7) == 0) {
-      val = a + 7;
-    } else if ((std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) &&
-               i + 1 < argc) {
-      val = argv[i + 1];
-    }
-    if (val != nullptr) {
-      const long v = std::strtol(val, nullptr, 10);
-      if (v > 0) return static_cast<unsigned>(v);
-    }
+    if (std::strncmp(a, "--jobs=", 7) == 0)
+      return numeric_flag("--jobs", a + 7, 1u, kMax);
+    if ((std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) &&
+        i + 1 < argc)
+      return numeric_flag(a, argv[i + 1], 1u, kMax);
   }
-  if (const char* e = std::getenv("HMM_JOBS")) {
-    const long v = std::strtol(e, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
+  if (const char* e = std::getenv("HMM_JOBS"); e != nullptr && *e != '\0')
+    return numeric_flag("HMM_JOBS", e, 1u, kMax);
   return 0;
 }
 
@@ -206,23 +219,21 @@ inline void report_artifact(const std::string& path) {
   return false;
 }
 
-/// `--fault-rate R`: per-opportunity fault probability (default `fallback`).
+/// `--fault-rate R`: per-opportunity fault probability in [0, 1]
+/// (default `fallback`).
 [[nodiscard]] inline double fault_rate(int argc, char** argv,
                                        double fallback = 0.0) {
-  if (const char* v = option_value(argc, argv, "--fault-rate")) {
-    const double r = std::strtod(v, nullptr);
-    if (r >= 0) return r;
-  }
+  if (const char* v = option_value(argc, argv, "--fault-rate"))
+    return numeric_flag("--fault-rate", v, 0.0, 1.0);
   return fallback;
 }
 
 /// `--audit-interval N`: accesses between full invariant audits.
 [[nodiscard]] inline std::uint64_t audit_interval(int argc, char** argv,
                                                   std::uint64_t fallback) {
-  if (const char* v = option_value(argc, argv, "--audit-interval")) {
-    const long long n = std::strtoll(v, nullptr, 10);
-    if (n >= 0) return static_cast<std::uint64_t>(n);
-  }
+  if (const char* v = option_value(argc, argv, "--audit-interval"))
+    return numeric_flag<std::uint64_t>(
+        "--audit-interval", v, 0, std::numeric_limits<std::uint64_t>::max());
   return fallback;
 }
 
@@ -304,7 +315,7 @@ inline void report_artifact(const std::string& path) {
     std::uint64_t on_package = params::kSec4OnPackageCapacity) {
   MemSimConfig cfg;
   cfg.controller.geom = sec4_geometry(page_bytes, on_package);
-  cfg.controller.design = design;
+  cfg.scheme = to_string(design);
   cfg.controller.swap_interval = interval;
   cfg.controller.migration_enabled = true;
   return cfg;
@@ -326,8 +337,7 @@ inline void report_artifact(const std::string& path) {
 /// stay paired, as they were when every serial run used one fixed seed).
 [[nodiscard]] inline runner::ExperimentSpec cell(
     std::string key, std::string seed_key, const WorkloadInfo& w,
-    const MemSimConfig& cfg, std::uint64_t n, double warmup_fraction = 0.5,
-    bool instant_warmup = true) {
+    const MemSimConfig& cfg, std::uint64_t n, double warmup_fraction = 0.5) {
   runner::ExperimentSpec s;
   s.key = std::move(key);
   s.seed_key = std::move(seed_key);
@@ -335,7 +345,6 @@ inline void report_artifact(const std::string& path) {
   s.config = cfg;
   s.accesses = n;
   s.warmup_fraction = warmup_fraction;
-  s.instant_warmup = instant_warmup;
   return s;
 }
 

@@ -101,9 +101,9 @@ int main(int argc, char** argv) {
   for (const double rate : rates) {
     for (const std::string& s : names) {
       const std::string key = wk + "/r" + std::to_string(rate) + "/" + s;
-      // One config shape for every scheme: the swap designs read .design
-      // (the registry forces it from the name), the cache schemes use
-      // the geometry plus the partition knob.
+      // One config shape for every scheme: the name picks the swap
+      // design, the cache schemes use the geometry plus the partition
+      // knob.
       MemSimConfig cfg =
           bench::migration_config(page, MigrationDesign::LiveMigration,
                                   interval);

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
               params::kOffPackageLinkPjPerBit);
 
   // Power must include the warm-up migration traffic proportionally, so
-  // every cell uses real migration dynamics (no instant warm-up).
+  // every cell skips the warm-up and measures real migration dynamics
+  // from its first access.
   std::vector<runner::ExperimentSpec> grid;
   for (const WorkloadInfo& w : workloads) {
     const std::string wk = "fig16/" + w.name;
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
             wk, w,
             bench::migration_config(page, MigrationDesign::LiveMigration,
                                     interval),
-            n, /*warmup_fraction=*/0.0, /*instant_warmup=*/false));
+            n, /*warmup_fraction=*/0.0));
       }
     }
   }

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
               top_rate, static_cast<unsigned long long>(audits),
               static_cast<unsigned long long>(n));
 
-  // One config shape for every scheme (as in fault_resilience): the swap
-  // designs read .design, the cache schemes read the geometry + partition
+  // One config shape for every scheme (as in fault_resilience): the name
+  // picks the swap design, the cache schemes read the geometry + partition
   // knob. RAS is on in every cell; `scrub` toggles the patrol walk.
   const auto make_cfg = [&](const std::string& s, double rate, bool scrub,
                             const std::string& key) {

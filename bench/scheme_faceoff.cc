@@ -51,12 +51,8 @@ namespace {
 }
 
 [[nodiscard]] double cache_fraction(int argc, char** argv) {
-  if (const char* v = bench::option_value(argc, argv, "--cache-fraction")) {
-    const double f = std::strtod(v, nullptr);
-    if (f >= 0.0 && f <= 1.0) return f;
-    std::cerr << "--cache-fraction must be in [0, 1]\n";
-    std::exit(2);
-  }
+  if (const char* v = bench::option_value(argc, argv, "--cache-fraction"))
+    return bench::numeric_flag("--cache-fraction", v, 0.0, 1.0);
   return 0.5;
 }
 
@@ -89,9 +85,9 @@ int main(int argc, char** argv) {
   for (const WorkloadInfo& w : workloads) {
     const std::string wk = "faceoff/" + w.name;
     for (const std::string& s : names) {
-      // One config shape for everyone: the swap designs read .design (the
-      // registry forces it from the name), flat-HMA profiles for one
-      // swap_interval epoch, the cache schemes use geometry + the knob.
+      // One config shape for everyone: the name picks the swap design,
+      // flat-HMA profiles for one swap_interval epoch, the cache schemes
+      // use geometry + the knob.
       MemSimConfig cfg;
       cfg.controller.geom = bench::sec4_geometry(page);
       cfg.controller.swap_interval = interval;

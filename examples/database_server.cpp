@@ -24,7 +24,7 @@ RunResult run_config(std::uint64_t on_cap, std::uint64_t page,
   MemSimConfig cfg;
   cfg.controller.geom =
       Geometry{4 * GiB, on_cap, page, std::min<std::uint64_t>(4 * KiB, page)};
-  cfg.controller.design = MigrationDesign::LiveMigration;
+  cfg.scheme = "Live";
   cfg.controller.swap_interval = 1'000;
 
   MemSim sim(cfg);

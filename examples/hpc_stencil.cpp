@@ -28,7 +28,7 @@ struct Row {
 Row run_design(MigrationDesign d, std::uint64_t accesses) {
   MemSimConfig cfg;
   cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 1 * MiB, 4 * KiB};
-  cfg.controller.design = d;
+  cfg.scheme = to_string(d);
   cfg.controller.swap_interval = 1'000;
 
   MemSim sim(cfg);

@@ -19,7 +19,7 @@ RunResult run_once(bool migration, MigrationDesign design,
   MemSimConfig cfg;
   cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 64 * KiB, 4 * KiB};
   cfg.controller.migration_enabled = migration;
-  cfg.controller.design = design;
+  cfg.scheme = to_string(design);
   cfg.controller.swap_interval = 1'000;
 
   MemSim sim(cfg);

@@ -73,7 +73,7 @@ int cmd_replay(const std::string& path, std::uint64_t page) {
   cfg.controller.geom =
       Geometry{4 * GiB, 512 * MiB, page,
                std::min<std::uint64_t>(4 * KiB, page)};
-  cfg.controller.design = MigrationDesign::LiveMigration;
+  cfg.scheme = "Live";
   cfg.controller.swap_interval = 1'000;
   MemSim sim(cfg);
   while (auto r = in.next()) sim.step(*r);

@@ -35,12 +35,8 @@ MigrationEngine::MigrationEngine(TranslationTable& table,
                                  DramSystem& off_package,
                                  MigrationDesign design)
     : table_(table), on_(on_package), off_(off_package), design_(design) {
-  HMM_CHECK((design == MigrationDesign::N) ==
-                (table.mode() == TableMode::FunctionalN),
+  HMM_CHECK(table.mode() == table_mode(design),
             "migration design and table mode disagree");
-  HMM_CHECK((design == MigrationDesign::Nomad) ==
-                (table.mode() == TableMode::Shadow),
-            "nomad design requires the Shadow table mode");
 }
 
 std::uint64_t MigrationEngine::chunk_size() const noexcept {
@@ -493,7 +489,7 @@ void MigrationEngine::on_completion(const DramCompletion& c, Region from) {
     if (injector_->fires(FaultSite::MigrationChunkDelay, fc.chunk)) {
       // Transient: the chunk must be re-streamed, but costs no retry budget.
       ++stats_.chunks_delayed;
-      resubmit(fc, c.finish + injector_->plan().delay_cycles);
+      resubmit(fc, c.finish + kChunkDelayCycles);
       return;
     }
   }

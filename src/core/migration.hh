@@ -53,6 +53,19 @@ enum class MigrationDesign : std::uint8_t { N, NMinus1, LiveMigration, Nomad };
   return "?";
 }
 
+/// The translation-table mode a design's choreography runs on: N keeps
+/// the functional placement map, nomad the shadow transaction, and
+/// N-1/Live the hardware table with its empty slot and P/F bits.
+[[nodiscard]] constexpr TableMode table_mode(MigrationDesign d) noexcept {
+  switch (d) {
+    case MigrationDesign::N: return TableMode::FunctionalN;
+    case MigrationDesign::NMinus1:
+    case MigrationDesign::LiveMigration: return TableMode::HardwareNMinus1;
+    case MigrationDesign::Nomad: return TableMode::Shadow;
+  }
+  return TableMode::HardwareNMinus1;
+}
+
 /// One table mutation, applied when the owning copy step completes.
 struct TableMutation {
   enum class Kind : std::uint8_t {
@@ -96,6 +109,8 @@ class MigrationEngine {
   /// up to this many times (exponential backoff) before the swap gives up.
   static constexpr unsigned kMaxChunkRetries = 3;
   static constexpr Cycle kRetryBackoff = 256;  ///< first retry; doubles
+  /// Re-stream delay of a MigrationChunkDelay fault.
+  static constexpr Cycle kChunkDelayCycles = 400;
   /// After this many consecutive aborted swaps the engine freezes the
   /// table at its current (valid) mapping and stops migrating.
   static constexpr unsigned kDegradeAfterAborts = 3;

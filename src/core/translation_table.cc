@@ -447,7 +447,24 @@ void TranslationTable::save(snap::Writer& w) const {
   const_cast<TranslationTable*>(this)->io(w);
 }
 
-void TranslationTable::restore(snap::Reader& r) { io(r); }
+void TranslationTable::restore(snap::Reader& r) {
+  io(r);
+  // A CRC-valid section can still carry an index beyond the constructed
+  // shape; refuse it here, before translate() dereferences it.
+  const std::size_t sbs = geom_.sub_blocks_per_page();
+  const auto fits = [sbs](const std::vector<bool>& bits, bool active) {
+    return bits.size() == sbs || (!active && bits.empty());
+  };
+  if (!fits(fill_bitmap_, fill_active_) ||
+      !fits(shadow_filled_, shadow_active_) ||
+      !fits(shadow_dirty_, shadow_active_))
+    snap::snapshot_error(
+        "translation table: sub-block bitmap length disagrees with the "
+        "geometry");
+  if ((fill_active_ && fill_slot_ >= slots_) ||
+      (empty_cache_.has_value() && *empty_cache_ >= slots_))
+    snap::snapshot_error("translation table: slot index out of range");
+}
 
 template <class Ar>
 void TranslationTable::io(Ar& ar) {

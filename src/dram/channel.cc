@@ -264,10 +264,13 @@ void DramChannel::io(Ar& ar) {
       snap::u64(ar, q.req.arrival);
       snap::u64(ar, q.req.issued);
       snap::u64(ar, q.req.id);
-      snap::u32(ar, q.coord.channel);
-      snap::u32(ar, q.coord.bank);
-      snap::u64(ar, q.coord.row);
-      snap::u64(ar, q.coord.column);
+      // Derived from the address, so a restore re-derives and checks them
+      // rather than adopting a bank index banks_[] cannot hold.
+      q.coord = mapping_.decode(q.req.addr);
+      snap::expect<std::uint32_t>(ar, q.coord.channel, "DRAM queue channel");
+      snap::expect<std::uint32_t>(ar, q.coord.bank, "DRAM queue bank");
+      snap::expect<std::uint64_t>(ar, q.coord.row, "DRAM queue row");
+      snap::expect<std::uint64_t>(ar, q.coord.column, "DRAM queue column");
     });
     snap::u64(ar, demand_queued_);
     snap::seq(ar, bus_busy_, [&](auto& busy) {

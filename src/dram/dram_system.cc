@@ -40,7 +40,7 @@ RequestId DramSystem::submit(MachAddr addr, std::uint32_t bytes,
 RequestId DramSystem::submit(DramRequest req, int channel_hint) {
   if (injector_ != nullptr &&
       injector_->fires(fault::FaultSite::ChannelStall, req.addr))
-    req.arrival += injector_->plan().stall_cycles;
+    req.arrival += kFaultStallCycles;
   req.id = next_id_++;  // system-wide unique id
   DramChannel& c = channels_[channel_hint >= 0
                                  ? static_cast<unsigned>(channel_hint) %

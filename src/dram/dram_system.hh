@@ -45,9 +45,13 @@ class DramSystem {
 
   [[nodiscard]] Region region() const noexcept { return region_; }
 
+  /// Arrival push-back of a ChannelStall fault (a transient
+  /// bus/retraining stall).
+  static constexpr Cycle kFaultStallCycles = 500;
+
   /// Attach a fault injector (nullptr detaches). Not owned. Site
-  /// ChannelStall: a submitted request's arrival is pushed back by the
-  /// plan's stall_cycles (a transient bus/retraining stall).
+  /// ChannelStall: a submitted request's arrival is pushed back by
+  /// kFaultStallCycles.
   void set_fault_injector(fault::FaultInjector* inj) noexcept {
     injector_ = inj;
   }

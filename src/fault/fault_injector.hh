@@ -84,8 +84,6 @@ struct FaultRule {
 struct FaultPlan {
   std::vector<FaultRule> rules;
   std::uint64_t seed = 0x5eedfau;
-  Cycle stall_cycles = 500;  ///< ChannelStall: arrival push-back
-  Cycle delay_cycles = 400;  ///< MigrationChunkDelay: re-stream delay
 
   [[nodiscard]] bool empty() const noexcept { return rules.empty(); }
   FaultPlan& add(FaultSite site, double rate, std::uint64_t after = 0,

@@ -43,9 +43,9 @@ Cycle RasEngine::on_demand_access(PageId frame, Cycle now) {
   Cycle penalty = probe(frame, now, /*scrub=*/false);
   const auto it = health_.find(frame);
   if (it != health_.end() && it->second.last_scrub != 0 &&
-      it->second.last_scrub + cfg_.scrub_busy > now) {
+      it->second.last_scrub + kScrubBusy > now) {
     // The patrol scrubber holds this frame busy; the demand access waits.
-    penalty += it->second.last_scrub + cfg_.scrub_busy - now;
+    penalty += it->second.last_scrub + kScrubBusy - now;
     ++metrics_.scrub_collisions;
   }
   return penalty;
@@ -169,15 +169,15 @@ Cycle RasEngine::probe(PageId frame, Cycle now, bool scrub) {
   if (!due && !corrected && h.stuck > 0) corrected = true;
   if (corrected) {
     ++h.corrected;
-    penalty += cfg_.ce_penalty;
+    penalty += kCePenalty;
     ++(scrub ? metrics_.scrub_corrected : metrics_.demand_corrected);
   }
   if (due) {
-    penalty += cfg_.due_penalty;
+    penalty += kDuePenalty;
     ++(scrub ? metrics_.scrub_uncorrectable : metrics_.demand_uncorrectable);
     flag(frame, now);
   }
-  if (h.stuck >= cfg_.stuck_retire_threshold ||
+  if (h.stuck >= kStuckRetireThreshold ||
       h.corrected >= cfg_.ce_retire_threshold)
     flag(frame, now);
   if (scrub) h.last_scrub = now;

@@ -8,14 +8,18 @@
 //   * MediaTransient — a transient multi/single-bit upset on an access or
 //     scrub probe of a frame. A deterministic per-frame payload draw
 //     splits it SEC-DED style: with probability `due_fraction` it is a
-//     double-bit detected-uncorrectable error (DUE — flags the frame for
+//     double-bit detected-uncorrectable error (DUE — charged
+//     `RasEngine::kDuePenalty` cycles and flags the frame for
 //     retirement), otherwise a corrected single-bit error (CE — charged
-//     `ce_penalty` cycles).
+//     `RasEngine::kCePenalty` cycles).
 //   * MediaStuckAt — a cell in the frame fails permanently. One stuck
 //     cell is corrected by SEC on every subsequent read (a latent error
 //     until something *probes* the frame — exactly what the patrol
-//     scrubber exists to surface); reaching `stuck_retire_threshold`
-//     stuck cells risks uncorrectable combinations and flags the frame.
+//     scrubber exists to surface); reaching
+//     `RasEngine::kStuckRetireThreshold` stuck cells risks
+//     uncorrectable combinations and flags the frame. A demand access
+//     that collides with a patrol probe waits out the rest of its
+//     `RasEngine::kScrubBusy` cycles.
 //   Repeat offenders escalate: a frame accumulating `ce_retire_threshold`
 //   corrected errors is flagged even without a hard fault.
 //
@@ -60,14 +64,8 @@ struct RasConfig {
   double due_fraction = 0.05;
   /// Corrected-error count at which a frame is declared failing.
   std::uint64_t ce_retire_threshold = 16;
-  /// Stuck-at fault count at which a frame is declared failing.
-  std::uint64_t stuck_retire_threshold = 2;
   /// Cycles between patrol probes (one frame per probe); 0 disables.
   Cycle scrub_interval = 20'000;
-  /// Cycles a probed frame stays busy; a colliding demand access pays it.
-  Cycle scrub_busy = 200;
-  Cycle ce_penalty = 50;      ///< ECC correction latency on a demand hit
-  Cycle due_penalty = 2'000;  ///< detected-uncorrectable recovery cost
   /// Frames reserved data-free at boot, just below Ω. Their identity
   /// pages are invisible to the OS — workloads must not address them.
   unsigned spare_frames = 4;
@@ -82,7 +80,7 @@ struct RasMetrics {
   std::uint64_t scrub_probes = 0;
   std::uint64_t scrub_corrected = 0;
   std::uint64_t scrub_uncorrectable = 0;
-  std::uint64_t scrub_collisions = 0;  ///< demand paid scrub_busy
+  std::uint64_t scrub_collisions = 0;  ///< demand paid RasEngine::kScrubBusy
   std::uint64_t stuck_faults = 0;      ///< stuck cells that developed
   std::uint64_t frames_retired = 0;
   std::uint64_t frames_pinned = 0;
@@ -124,6 +122,13 @@ void retirement_io(Ar& ar, RetirementEvent& e) {
 class RasEngine final : public RasFrameView {
  public:
   static constexpr std::size_t kMaxRetirementLog = 64;
+  /// Stuck-at fault count at which a frame is declared failing.
+  static constexpr std::uint64_t kStuckRetireThreshold = 2;
+  /// Cycles a probed frame stays busy; a colliding demand access pays
+  /// the remainder.
+  static constexpr Cycle kScrubBusy = 200;
+  static constexpr Cycle kCePenalty = 50;  ///< ECC correction latency
+  static constexpr Cycle kDuePenalty = 2'000;  ///< DUE recovery cost
 
   RasEngine(const RasConfig& cfg, const Geometry& geom,
             fault::FaultInjector* injector);

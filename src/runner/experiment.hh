@@ -51,8 +51,9 @@ struct ExperimentSpec {
   WorkloadInfo workload;  ///< generator factory (ignored if `job` is set)
   MemSimConfig config;
   std::uint64_t accesses = 0;
+  /// Leading share of `accesses` replayed with instant migration, then
+  /// dropped from the statistics.
   double warmup_fraction = 0.5;
-  bool instant_warmup = true;
 
   /// Optional override replacing the standard replay body (tests, derived
   /// cells). Receives the cell's derived seed.

@@ -79,7 +79,7 @@ RunResult ExperimentRunner::replay(const ExperimentSpec& spec,
   const auto warm = static_cast<std::uint64_t>(
       static_cast<double>(spec.accesses) * spec.warmup_fraction);
   if (warm > 0) {
-    if (spec.instant_warmup) sim.set_instant_migration(true);
+    sim.set_instant_migration(true);
     sim.run(*gen, warm);
     sim.set_instant_migration(false);
     sim.reset_stats();
@@ -111,8 +111,7 @@ RunResult ExperimentRunner::durable_replay(const ExperimentSpec& spec,
   replayed = spec.accesses - meta.accesses_done;
   // Fresh run: arm the warm-up fast-forward replay() would arm. A restored
   // run gets the flag back from the engine snapshot instead.
-  if (!restored && warm > 0 && spec.instant_warmup)
-    sim.set_instant_migration(true);
+  if (!restored && warm > 0) sim.set_instant_migration(true);
 
   // The loop below replays exactly replay()'s sequence, in interruptible
   // chunks:   run(warm)         == chunks to `warm` + finish()

@@ -7,11 +7,11 @@
 
 namespace hmm::schemes {
 
-FlatHmaScheme::FlatHmaScheme(const SchemeConfig& cfg,
+FlatHmaScheme::FlatHmaScheme(const ControllerConfig& cfg,
                              DramSystem& on_package,
                              DramSystem& off_package)
-    : geom_(cfg.controller.geom),
-      interval_(cfg.controller.swap_interval),
+    : geom_(cfg.geom),
+      interval_(cfg.swap_interval),
       on_(on_package),
       off_(off_package) {}
 

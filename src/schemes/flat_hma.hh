@@ -22,7 +22,7 @@ namespace hmm::schemes {
 
 class FlatHmaScheme final : public MemoryScheme {
  public:
-  FlatHmaScheme(const SchemeConfig& cfg, DramSystem& on_package,
+  FlatHmaScheme(const ControllerConfig& cfg, DramSystem& on_package,
                 DramSystem& off_package);
 
   [[nodiscard]] const char* name() const noexcept override {

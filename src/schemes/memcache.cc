@@ -21,15 +21,16 @@ namespace {
 }
 }  // namespace
 
-MemCacheScheme::MemCacheScheme(std::string name, const SchemeConfig& cfg,
+MemCacheScheme::MemCacheScheme(std::string name, const ControllerConfig& cfg,
+                               double cache_fraction,
                                DramSystem& on_package,
                                DramSystem& off_package)
     : name_(std::move(name)),
-      geom_(cfg.controller.geom),
-      mem_bytes_(memory_bytes(cfg.controller.geom, cfg.cache_fraction)),
+      geom_(cfg.geom),
+      mem_bytes_(memory_bytes(cfg.geom, cache_fraction)),
       on_(on_package),
       off_(off_package),
-      cache_(cfg.controller.geom.on_package_bytes - mem_bytes_,
+      cache_(cfg.geom.on_package_bytes - mem_bytes_,
              params::kCacheLine) {}
 
 SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,

@@ -6,10 +6,10 @@
 // on-package at identity addresses (OS-visible capacity, no tags, no
 // copies). The remaining on-package bytes run as an Alloy-style
 // direct-mapped line cache over the rest of the address space, with its
-// sets offset past the memory fraction. `SchemeConfig::cache_fraction`
+// sets offset past the memory fraction. `MemSimConfig::cache_fraction`
 // is the runtime knob: 0.0 degenerates to pure static memory, 1.0 to a
-// pure Alloy cache. The registry's "Alloy" scheme is this class with
-// the knob forced to 1.0 (Qureshi & Loh, MICRO'12 flavour).
+// pure Alloy cache. The registry's "Alloy" scheme is this class built
+// with 1.0 (Qureshi & Loh, MICRO'12 flavour).
 //
 // The cache is a tag-with-data (TAD) cache: one line per set, tag and
 // data fetched in a single on-package access (no separate tag array, no
@@ -35,10 +35,11 @@ namespace hmm::schemes {
 class MemCacheScheme final : public MemoryScheme {
  public:
   /// `name` is the registry name the scheme reports ("MemCache", or
-  /// "Alloy" for the pure-cache preset). `cfg.cache_fraction` must lie
-  /// in [0, 1]; anything else (NaN included) throws SimError.
-  MemCacheScheme(std::string name, const SchemeConfig& cfg,
-                 DramSystem& on_package, DramSystem& off_package);
+  /// "Alloy" for the pure-cache preset). `cache_fraction` must lie in
+  /// [0, 1]; anything else (NaN included) throws SimError.
+  MemCacheScheme(std::string name, const ControllerConfig& cfg,
+                 double cache_fraction, DramSystem& on_package,
+                 DramSystem& off_package);
 
   [[nodiscard]] const char* name() const noexcept override {
     return name_.c_str();

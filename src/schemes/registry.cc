@@ -31,30 +31,22 @@ void validate_scheme_name(const std::string& name) {
 }
 
 std::unique_ptr<MemoryScheme> make_scheme(const std::string& name,
-                                          const SchemeConfig& cfg,
+                                          const ControllerConfig& cfg,
+                                          double cache_fraction,
                                           DramSystem& on_package,
                                           DramSystem& off_package) {
-  const auto swap = [&](MigrationDesign design) {
-    SchemeConfig c = cfg;
-    c.controller.design = design;
-    return std::make_unique<SwapScheme>(c, on_package, off_package);
-  };
-  if (name == "N") return swap(MigrationDesign::N);
-  if (name == "N-1") return swap(MigrationDesign::NMinus1);
-  if (name == "Live") return swap(MigrationDesign::LiveMigration);
-  if (name == "nomad") return swap(MigrationDesign::Nomad);
-  if (name == "Alloy") {
-    // A pure Alloy cache is MemCache with no memory fraction.
-    SchemeConfig c = cfg;
-    c.cache_fraction = 1.0;
-    return std::make_unique<MemCacheScheme>(name, c, on_package,
-                                            off_package);
-  }
+  for (const MigrationDesign d :
+       {MigrationDesign::N, MigrationDesign::NMinus1,
+        MigrationDesign::LiveMigration, MigrationDesign::Nomad})
+    if (name == to_string(d))
+      return std::make_unique<SwapScheme>(d, cfg, on_package, off_package);
+  // A pure Alloy cache is MemCache with no memory fraction.
+  if (name == "Alloy" || name == "MemCache")
+    return std::make_unique<MemCacheScheme>(
+        name, cfg, name == "Alloy" ? 1.0 : cache_fraction, on_package,
+        off_package);
   if (name == "flat-HMA")
     return std::make_unique<FlatHmaScheme>(cfg, on_package, off_package);
-  if (name == "MemCache")
-    return std::make_unique<MemCacheScheme>(name, cfg, on_package,
-                                            off_package);
   // analyze: allow(errors): unknown_scheme_error builds a SimError
   throw unknown_scheme_error(name);
 }

@@ -1,9 +1,10 @@
 // Name -> factory registry for the scheme zoo.
 //
 // One deterministic, ordered list of scheme names; a factory that builds
-// any of them from one SchemeConfig; and a structured error for unknown
-// names (a SimError that lists the valid schemes, so a CLI typo in a
-// bench grid fails with a usable message instead of an abort).
+// any of them from the name alone plus the controller config; and a
+// structured error for unknown names (a SimError that lists the valid
+// schemes, so a CLI typo in a bench grid fails with a usable message
+// instead of an abort). The name is the only design selector.
 #pragma once
 
 #include <memory>
@@ -27,13 +28,13 @@ namespace hmm::schemes {
 /// Throws unknown_scheme_error(name) unless `name` is registered.
 void validate_scheme_name(const std::string& name);
 
-/// Builds the named scheme. For the swap designs the controller design
-/// is forced to match the name, so `cfg.controller.design` never has to
-/// be kept in sync by callers; likewise "Alloy" is the MemCache scheme
-/// with `cache_fraction` forced to 1.0. Throws unknown_scheme_error() on
-/// a name that is not registered.
+/// Builds the named scheme. A swap name ("N", "N-1", "Live", "nomad")
+/// picks the MigrationDesign its SwapScheme runs; "MemCache" partitions
+/// on-package memory by `cache_fraction`, and "Alloy" is MemCache built
+/// with 1.0 whatever `cache_fraction` says. Throws unknown_scheme_error()
+/// on a name that is not registered.
 [[nodiscard]] std::unique_ptr<MemoryScheme> make_scheme(
-    const std::string& name, const SchemeConfig& cfg,
-    DramSystem& on_package, DramSystem& off_package);
+    const std::string& name, const ControllerConfig& cfg,
+    double cache_fraction, DramSystem& on_package, DramSystem& off_package);
 
 }  // namespace hmm::schemes

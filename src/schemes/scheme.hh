@@ -37,11 +37,11 @@ class RasEngine;
 namespace hmm {
 
 /// The paper's controller configuration. Every scheme reads the geometry
-/// (flat-HMA also the epoch length); the rest configures the swap designs.
+/// (flat-HMA also the epoch length); the rest configures the swap designs,
+/// whose design the registry derives from the scheme name.
 struct ControllerConfig {
   Geometry geom;
   bool migration_enabled = true;
-  MigrationDesign design = MigrationDesign::LiveMigration;
   /// Accesses per monitoring epoch ("swap interval" of Section IV).
   std::uint64_t swap_interval = 10'000;
   /// Perfect-knowledge hotness (ablation upper bound) instead of MQ.
@@ -57,14 +57,6 @@ struct ControllerConfig {
 }  // namespace hmm
 
 namespace hmm::schemes {
-
-struct SchemeConfig {
-  ControllerConfig controller;
-  /// MemCache knob: fraction of on-package bytes operated as a cache
-  /// (the rest is statically mapped memory), in [0, 1]. The registry
-  /// forces 1.0 for "Alloy"; the other schemes ignore it.
-  double cache_fraction = 0.5;
-};
 
 /// Routing decision for one demand access, the one every scheme returns.
 struct SchemeDecision {

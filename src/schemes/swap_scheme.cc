@@ -6,15 +6,11 @@
 
 namespace hmm::schemes {
 
-SwapScheme::SwapScheme(const SchemeConfig& cfg, DramSystem& on_package,
-                       DramSystem& off_package)
-    : cfg_(cfg.controller),
-      table_(cfg_.geom,
-             cfg_.design == MigrationDesign::N ? TableMode::FunctionalN
-             : cfg_.design == MigrationDesign::Nomad
-                 ? TableMode::Shadow
-                 : TableMode::HardwareNMinus1),
-      engine_(table_, on_package, off_package, cfg_.design),
+SwapScheme::SwapScheme(MigrationDesign design, const ControllerConfig& cfg,
+                       DramSystem& on_package, DramSystem& off_package)
+    : cfg_(cfg),
+      table_(cfg_.geom, table_mode(design)),
+      engine_(table_, on_package, off_package, design),
       slot_tracker_(cfg_.geom.slots()),
       mq_(params::kMultiQueueLevels, params::kMultiQueueEntriesPerLevel) {}
 
@@ -68,14 +64,14 @@ SchemeDecision SwapScheme::on_access(PhysAddr addr, AccessType type,
   if (cfg_.migration_enabled) {
     if (++since_epoch_ >= cfg_.swap_interval) {
       since_epoch_ = 0;
-      if (cfg_.design == MigrationDesign::Nomad)
+      if (engine_.design() == MigrationDesign::Nomad)
         consider_migration(now);
       else
         consider_swap(now);
     }
     // The basic N design halts execution during a swap (Section III-A);
     // the check runs after the trigger so a just-started swap also blocks.
-    if (cfg_.design == MigrationDesign::N && !engine_.idle())
+    if (engine_.design() == MigrationDesign::N && !engine_.idle())
       d.stall_until_idle = true;
     // OS-assisted bookkeeping stalls the CPU; charge it to the access that
     // crossed the epoch boundary.
@@ -144,7 +140,7 @@ void SwapScheme::ras_service(Cycle now) {
   }
   if (engine_.can_evacuate(f)) {
     PageId spare = kInvalidPage;
-    if (cfg_.design == MigrationDesign::N) {
+    if (engine_.design() == MigrationDesign::N) {
       spare = ras_->peek_spare();
       if (spare == kInvalidPage) {
         ras_->pin_frame(f);  // design N evacuates only onto a spare
@@ -208,7 +204,7 @@ void SwapScheme::consider_swap(Cycle now) {
     if (cold.found && hotter_than(hot, cold.epoch_count) &&
         engine_.start_swap(hot.page, hot.last_sub_block, cold.slot, now)) {
       forget(hot.page);
-      charge_os_updates(cfg_.design == MigrationDesign::N ? 1 : 5);
+      charge_os_updates(engine_.design() == MigrationDesign::N ? 1 : 5);
     } else {
       ++stats_.swaps_rejected;
       break;

@@ -41,12 +41,12 @@ class SwapScheme final : public MemoryScheme {
     std::uint64_t os_stall_cycles = 0;
   };
 
-  /// Builds the table and engine for `cfg.controller.design`.
-  SwapScheme(const SchemeConfig& cfg, DramSystem& on_package,
-             DramSystem& off_package);
+  /// Builds the table (in `table_mode(design)`) and engine for `design`.
+  SwapScheme(MigrationDesign design, const ControllerConfig& cfg,
+             DramSystem& on_package, DramSystem& off_package);
 
   [[nodiscard]] const char* name() const noexcept override {
-    return to_string(cfg_.design);
+    return to_string(engine_.design());
   }
   /// Translate + monitor one demand access; may trigger a swap.
   [[nodiscard]] SchemeDecision on_access(PhysAddr addr, AccessType type,

@@ -8,13 +8,10 @@ namespace hmm {
 
 MemSim::MemSim(const MemSimConfig& cfg)
     : cfg_(cfg),
-      on_(DramSystem::make(Region::OnPackage, cfg.policy)),
-      off_(DramSystem::make(Region::OffPackage, cfg.policy)),
-      scheme_(schemes::make_scheme(
-          cfg.scheme.empty() ? to_string(cfg.controller.design)
-                             : cfg.scheme,
-          schemes::SchemeConfig{cfg.controller, cfg.cache_fraction}, on_,
-          off_)),
+      on_(DramSystem::make(Region::OnPackage)),
+      off_(DramSystem::make(Region::OffPackage)),
+      scheme_(schemes::make_scheme(cfg.scheme, cfg.controller,
+                                   cfg.cache_fraction, on_, off_)),
       injector_(cfg.fault),
       auditor_(scheme_.get(), cfg.audit_interval),
       // analyze: allow(determinism): watchdog clock, never simulated state

@@ -31,15 +31,15 @@ namespace hmm {
 
 struct MemSimConfig {
   ControllerConfig controller;
-  /// Registry name of the memory scheme to simulate ("N", "N-1", "Live",
-  /// "nomad", "Alloy", "flat-HMA", "MemCache"); "" derives the swap
-  /// scheme from `controller.design` (the pre-zoo behaviour,
-  /// bit-identical).
-  std::string scheme;
+  /// Registry name of the memory scheme to simulate, and the only design
+  /// selector: "N", "N-1", "Live", "nomad", "Alloy", "flat-HMA" or
+  /// "MemCache". Any other name, "" included, throws SimError at
+  /// construction.
+  std::string scheme = "Live";
   /// MemCache knob: on-package fraction operated as a cache, in [0, 1]
-  /// (anything else throws SimError at construction).
+  /// (anything else throws SimError at construction). "Alloy" ignores
+  /// it and runs with 1.0.
   double cache_fraction = 0.5;
-  SchedulerPolicy policy = SchedulerPolicy::FrFcfs;
   std::size_t max_demand_backlog = 48;
   /// Reference modes for the Fig 11 guide lines.
   enum class Force : std::uint8_t { None, AllOffPackage, AllOnPackage };

@@ -8,17 +8,15 @@ ProbeResult GranularityTuner::probe(const WorkloadFactory& make,
                                     std::uint64_t page, std::uint64_t window,
                                     std::uint64_t seed) const {
   MemSimConfig cfg;
-  cfg.controller.geom = cfg_.base_geometry;
-  cfg.controller.geom.page_bytes = page;
-  cfg.controller.geom.sub_block_bytes =
-      std::min<std::uint64_t>(cfg_.base_geometry.sub_block_bytes, page);
-  cfg.controller.design = cfg_.design;
-  cfg.controller.swap_interval = cfg_.swap_interval;
+  Geometry& g = cfg.controller.geom;
+  g.page_bytes = page;
+  g.sub_block_bytes = std::min(g.sub_block_bytes, page);
+  cfg.controller.swap_interval = kSwapInterval;
 
   MemSim sim(cfg);
   auto w = make(seed);
   const auto warm = static_cast<std::uint64_t>(
-      static_cast<double>(window) * cfg_.warmup_fraction);
+      static_cast<double>(window) * kWarmupFraction);
   if (warm > 0) {
     sim.set_instant_migration(true);
     sim.run(*w, warm);

@@ -25,10 +25,6 @@ struct TunerConfig {
       4 * KiB, 16 * KiB, 64 * KiB, 256 * KiB, 1 * MiB, 4 * MiB};
   std::uint64_t probe_accesses = 60'000;  ///< first-round window
   unsigned rounds = 2;          ///< halvings (window doubles per round)
-  double warmup_fraction = 0.5; ///< instant-migration warm-up per probe
-  MigrationDesign design = MigrationDesign::LiveMigration;
-  std::uint64_t swap_interval = 1'000;
-  Geometry base_geometry{4 * GiB, 512 * MiB, 4 * MiB, 4 * KiB};
 };
 
 struct ProbeResult {
@@ -44,8 +40,14 @@ struct TunerOutcome {
   std::vector<ProbeResult> probes;
 };
 
+/// Each probe runs MemSimConfig's default scheme ("Live") on the default
+/// Geometry with the candidate page size (sub-blocks capped at the page).
 class GranularityTuner {
  public:
+  static constexpr std::uint64_t kSwapInterval = 1'000;
+  /// Share of each probe window spent in the instant-migration warm-up.
+  static constexpr double kWarmupFraction = 0.5;
+
   using WorkloadFactory =
       std::function<std::unique_ptr<SyntheticWorkload>(std::uint64_t seed)>;
 

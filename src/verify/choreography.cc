@@ -65,11 +65,7 @@ class Explorer {
  public:
   explicit Explorer(const CheckerConfig& cfg)
       : cfg_(cfg),
-        mode_(cfg.design == MigrationDesign::N ? TableMode::FunctionalN
-              : cfg.design == MigrationDesign::Nomad
-                  ? TableMode::Shadow
-                  : TableMode::HardwareNMinus1),
-        table_(cfg.geom, mode_),
+        table_(cfg.geom, table_mode(cfg.design)),
         on_(DramSystem::make(Region::OnPackage)),
         off_(DramSystem::make(Region::OffPackage)),
         engine_(table_, on_, off_, cfg.design) {
@@ -138,7 +134,7 @@ class Explorer {
     // A freshly constructed table *is* the boot state; ground truth
     // matches: identity placement, with the ghost page's data parked at Ω
     // by the boot-time driver in the N-1 designs.
-    TranslationTable boot(cfg_.geom, mode_);
+    TranslationTable boot(cfg_.geom, table_.mode());
     snap::Writer w;
     boot.save(w);
     State s;
@@ -148,7 +144,7 @@ class Explorer {
     for (PageId p = 0; p < cfg_.geom.total_pages(); ++p)
       for (std::uint32_t b = 0; b < sb; ++b)
         s.mem[p * sb + b] = static_cast<std::uint8_t>(p);
-    if (mode_ == TableMode::HardwareNMinus1) {
+    if (table_.mode() == TableMode::HardwareNMinus1) {
       const auto ghost = static_cast<PageId>(cfg_.geom.slots() - 1);
       for (std::uint32_t b = 0; b < sb; ++b)
         s.mem[cfg_.geom.omega() * sb + b] = static_cast<std::uint8_t>(ghost);
@@ -313,7 +309,7 @@ class Explorer {
       expand_quiescent_nomad(s);
       return;
     }
-    if (mode_ == TableMode::HardwareNMinus1 &&
+    if (table_.mode() == TableMode::HardwareNMinus1 &&
         !table_.empty_slot().has_value()) {
       // An abort after the hot page consumed the empty slot: the N-1
       // choreography cannot start again (MigrationEngine enters degraded
@@ -596,7 +592,6 @@ class Explorer {
   }
 
   CheckerConfig cfg_;
-  TableMode mode_;
   TranslationTable table_;  ///< scratch, overwritten per state
   DramSystem on_;           ///< engine constructor plumbing only
   DramSystem off_;

@@ -14,12 +14,13 @@ Geometry small_geom() {
 constexpr std::uint64_t kPage = 512 * KiB;
 
 struct Rig {
-  explicit Rig(ControllerConfig cfg)
+  explicit Rig(ControllerConfig cfg,
+               MigrationDesign design = MigrationDesign::NMinus1)
       : on(Region::OnPackage, DramTiming::on_package_sip(), 1,
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
             SchedulerPolicy::FrFcfs),
-        ctl(schemes::SchemeConfig{cfg}, on, off) {}
+        ctl(design, cfg, on, off) {}
 
   /// Feed an access and pump engine traffic to completion (so swaps
   /// finish between epochs in these unit tests).
@@ -49,7 +50,6 @@ ControllerConfig base_cfg() {
   ControllerConfig cfg;
   cfg.geom = small_geom();
   cfg.swap_interval = 100;
-  cfg.design = MigrationDesign::NMinus1;
   return cfg;
 }
 
@@ -137,9 +137,7 @@ TEST(Controller, OracleModeAlsoMigrates) {
 }
 
 TEST(Controller, DesignNStallsDuringSwap) {
-  ControllerConfig cfg = base_cfg();
-  cfg.design = MigrationDesign::N;
-  Rig rig(cfg);
+  Rig rig(base_cfg(), MigrationDesign::N);
   // Drive accesses WITHOUT pumping the engine, so a started swap stays
   // in flight and the next access must observe the stall flag.
   Cycle now = 0;
@@ -157,9 +155,7 @@ TEST(Controller, DesignNStallsDuringSwap) {
 TEST(Controller, FillForwardsCounted) {
   // Live migration: accesses served by a partially filled slot increment
   // the fill_forwards statistic.
-  ControllerConfig cfg = base_cfg();
-  cfg.design = MigrationDesign::LiveMigration;
-  Rig rig(cfg);
+  Rig rig(base_cfg(), MigrationDesign::LiveMigration);
   Cycle now = 0;
   // Trigger a swap of page 20 (pumped to completion by access()).
   for (int i = 0; i < 150; ++i) rig.access(20 * kPage, now += 20);

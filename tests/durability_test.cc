@@ -36,7 +36,7 @@ namespace {
   s.key = key;
   s.workload = WorkloadInfo{"pgbench", "", 0, make_pgbench};
   s.config.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
-  s.config.controller.design = MigrationDesign::LiveMigration;
+  s.config.scheme = "Live";
   s.config.controller.migration_enabled = true;
   s.config.controller.swap_interval = 500;
   s.accesses = 8000;
@@ -85,8 +85,7 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
     MemSim sim(spec.config);
     auto gen = spec.workload.make(seed);
     CheckpointMeta meta{fp, 0, false};
-    if (warm > 0 && spec.instant_warmup)
-      sim.set_instant_migration(true);
+    if (warm > 0) sim.set_instant_migration(true);
     while (meta.accesses_done < kill_at) {
       if (warm > 0 && !meta.stats_reset_done && meta.accesses_done >= warm) {
         sim.finish();
@@ -195,7 +194,7 @@ TEST(Checkpoint, DegradedModeRunResumesBitIdentically) {
 // finishes bit-identically to the uninterrupted run.
 TEST(Checkpoint, NomadMidTransactionKillResumesBitIdentically) {
   ExperimentSpec spec = sim_spec("durability/nomad");
-  spec.config.controller.design = MigrationDesign::Nomad;
+  spec.config.scheme = "nomad";
   const std::uint64_t seed = derive_seed(42, spec.key);
 
   const RunResult reference = ExperimentRunner::replay(spec, seed);

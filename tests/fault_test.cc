@@ -135,8 +135,7 @@ struct EngineRig {
   FaultInjector injector;
 
   EngineRig(MigrationDesign d, const FaultPlan& plan)
-      : table(g, d == MigrationDesign::N ? TableMode::FunctionalN
-                                         : TableMode::HardwareNMinus1),
+      : table(g, table_mode(d)),
         on(Region::OnPackage, DramTiming::on_package_sip(), 1,
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
@@ -361,15 +360,14 @@ TEST(InvariantAuditorTest, CorruptedTableRowNamesTheTableInItsError) {
 }
 
 TEST(InvariantAuditorTest, MultiQueueMismatchSurfacesThroughTheController) {
-  schemes::SchemeConfig cfg;
-  cfg.controller.geom = Geometry{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
-  cfg.controller.design = MigrationDesign::NMinus1;
-  cfg.controller.swap_interval = 1'000'000;  // monitor only; no swap
+  ControllerConfig cfg;
+  cfg.geom = Geometry{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
+  cfg.swap_interval = 1'000'000;  // monitor only; no swap
   DramSystem on(Region::OnPackage, DramTiming::on_package_sip(), 1,
                 SchedulerPolicy::FrFcfs);
   DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
                  SchedulerPolicy::FrFcfs);
-  schemes::SwapScheme ctl(cfg, on, off);
+  schemes::SwapScheme ctl(MigrationDesign::NMinus1, cfg, on, off);
   fault::InvariantAuditor auditor(&ctl, 1);
 
   // Touch a few off-package pages so the multi-queue tracker has entries.
@@ -421,7 +419,7 @@ TEST(InvariantAuditorTest, NonMonotonicFillBitmapRaisesAuditFailed) {
 MemSimConfig sim_cfg(MigrationDesign d, bool migration = true) {
   MemSimConfig cfg;
   cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
-  cfg.controller.design = d;
+  cfg.scheme = to_string(d);
   cfg.controller.migration_enabled = migration;
   cfg.controller.swap_interval = 1000;
   return cfg;

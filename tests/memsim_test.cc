@@ -15,7 +15,7 @@ MemSimConfig cfg_with(std::uint64_t page, MigrationDesign design,
                       MemSimConfig::Force force = MemSimConfig::Force::None) {
   MemSimConfig cfg;
   cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, page, 4 * KiB};
-  cfg.controller.design = design;
+  cfg.scheme = to_string(design);
   cfg.controller.migration_enabled = migration;
   cfg.controller.swap_interval = 1000;
   cfg.force = force;

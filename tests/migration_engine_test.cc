@@ -16,9 +16,7 @@ constexpr std::uint64_t kPage = 512 * KiB;
 
 struct Rig {
   explicit Rig(MigrationDesign design)
-      : table(small_geom(), design == MigrationDesign::N
-                                ? TableMode::FunctionalN
-                                : TableMode::HardwareNMinus1),
+      : table(small_geom(), table_mode(design)),
         on(Region::OnPackage, DramTiming::on_package_sip(), 1,
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,

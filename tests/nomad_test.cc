@@ -125,7 +125,7 @@ TEST(NomadTable, ValidateCatchesInjectedBitFlips) {
 [[nodiscard]] MemSimConfig nomad_cfg() {
   MemSimConfig cfg;
   cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
-  cfg.controller.design = MigrationDesign::Nomad;
+  cfg.scheme = "nomad";
   cfg.controller.migration_enabled = true;
   cfg.controller.swap_interval = 1000;
   cfg.audit_interval = 2048;  // periodic full validate() during the run

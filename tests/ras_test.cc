@@ -74,7 +74,7 @@ TEST(RasEngine, DueFlagsTheFrameAndChargesTheRecoveryPenalty) {
   FaultInjector inj(plan);
   ras::RasEngine eng(cfg, small_geom(), &inj);
   const Cycle penalty = eng.on_demand_access(7, 0);
-  EXPECT_GE(penalty, cfg.due_penalty);
+  EXPECT_GE(penalty, ras::RasEngine::kDuePenalty);
   EXPECT_EQ(eng.metrics().demand_uncorrectable, 1u);
   ASSERT_TRUE(eng.has_pending());
   EXPECT_EQ(eng.next_pending(), 7u);
@@ -91,10 +91,10 @@ TEST(RasEngine, RepeatedCorrectedErrorsEscalateToRetirement) {
   plan.add(FaultSite::MediaTransient, 1.0);
   FaultInjector inj(plan);
   ras::RasEngine eng(cfg, small_geom(), &inj);
-  EXPECT_EQ(eng.on_demand_access(5, 0), cfg.ce_penalty);
-  EXPECT_EQ(eng.on_demand_access(5, 1), cfg.ce_penalty);
+  EXPECT_EQ(eng.on_demand_access(5, 0), ras::RasEngine::kCePenalty);
+  EXPECT_EQ(eng.on_demand_access(5, 1), ras::RasEngine::kCePenalty);
   EXPECT_FALSE(eng.has_pending());
-  EXPECT_EQ(eng.on_demand_access(5, 2), cfg.ce_penalty);
+  EXPECT_EQ(eng.on_demand_access(5, 2), ras::RasEngine::kCePenalty);
   EXPECT_EQ(eng.metrics().demand_corrected, 3u);
   ASSERT_TRUE(eng.has_pending());
   EXPECT_EQ(eng.next_pending(), 5u);
@@ -149,7 +149,7 @@ TEST(RasEngine, ScrubSurfacesALatentStuckCellBeforeDemandTouchesIt) {
   // A demand read of frame 0 right after the scrub held it: SEC corrects
   // the stuck cell in-line and the access also pays the scrub collision.
   const Cycle p = eng.on_demand_access(0, cfg.scrub_interval + 1);
-  EXPECT_GE(p, cfg.ce_penalty);
+  EXPECT_GE(p, ras::RasEngine::kCePenalty);
   EXPECT_EQ(eng.metrics().demand_corrected, 1u);
   EXPECT_EQ(eng.metrics().scrub_collisions, 1u);
 }
@@ -269,12 +269,13 @@ TEST(RasEngine, StateRoundTripsThroughSnapshot) {
 // --- swap-scheme-driven evacuation ------------------------------------------
 
 struct Rig {
-  Rig(ControllerConfig cfg, const ras::RasConfig& rcfg)
+  Rig(MigrationDesign d, const ControllerConfig& cfg,
+      const ras::RasConfig& rcfg)
       : on(Region::OnPackage, DramTiming::on_package_sip(), 1,
            SchedulerPolicy::FrFcfs),
         off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
             SchedulerPolicy::FrFcfs),
-        ctl(schemes::SchemeConfig{cfg}, on, off),
+        ctl(d, cfg, on, off),
         ras(rcfg, cfg.geom, nullptr) {
     ctl.set_ras(&ras);
   }
@@ -302,11 +303,10 @@ struct Rig {
   ras::RasEngine ras;
 };
 
-ControllerConfig rig_cfg(MigrationDesign d) {
+ControllerConfig rig_cfg() {
   ControllerConfig cfg;
   cfg.geom = small_geom();
   cfg.swap_interval = 1'000'000;  // keep ordinary swaps out of the way
-  cfg.design = d;
   return cfg;
 }
 
@@ -320,7 +320,7 @@ TEST(RasController, OccupiedFrameIsEvacuatedThenBlacklisted) {
        {MigrationDesign::N, MigrationDesign::NMinus1,
         MigrationDesign::LiveMigration}) {
     const PageId victim = d == MigrationDesign::N ? 3 : 20;
-    Rig rig(rig_cfg(d), ras_on());
+    Rig rig(d, rig_cfg(), ras_on());
     Cycle now = 0;
     rig.access(victim * kPage, now++);
     rig.ras.flag_frame_for_test(victim);
@@ -341,7 +341,7 @@ TEST(RasController, InexpressibleEvacuationPinsInsteadOfRetiring) {
   // and stays routable.
   for (const MigrationDesign d :
        {MigrationDesign::NMinus1, MigrationDesign::LiveMigration}) {
-    Rig rig(rig_cfg(d), ras_on());
+    Rig rig(d, rig_cfg(), ras_on());
     Cycle now = 0;
     rig.access(3 * kPage, now++);  // frame 3 on-package, identity page
     rig.ras.flag_frame_for_test(3);
@@ -356,7 +356,7 @@ TEST(RasController, InexpressibleEvacuationPinsInsteadOfRetiring) {
 }
 
 TEST(RasController, NomadHoleRetirementRelocatesTheHoleOntoASpare) {
-  Rig rig(rig_cfg(MigrationDesign::Nomad), ras_on());
+  Rig rig(MigrationDesign::Nomad, rig_cfg(), ras_on());
   const PageId hole = rig.ctl.table().hole();
   ASSERT_EQ(hole, small_geom().omega());
   rig.ras.flag_frame_for_test(hole);
@@ -372,7 +372,7 @@ TEST(RasController, NomadHoleRetirementRelocatesTheHoleOntoASpare) {
 TEST(RasController, DryPoolPinsInsteadOfWedging) {
   ras::RasConfig rcfg = ras_on();
   rcfg.spare_frames = 0;
-  Rig rig(rig_cfg(MigrationDesign::N), rcfg);
+  Rig rig(MigrationDesign::N, rig_cfg(), rcfg);
   Cycle now = 0;
   rig.access(2 * kPage, now++);
   rig.ras.flag_frame_for_test(2);
@@ -393,9 +393,9 @@ TEST(RasController, FrameFailingMidSwapAbortsTheTransaction) {
   for (const MigrationDesign d :
        {MigrationDesign::NMinus1, MigrationDesign::LiveMigration,
         MigrationDesign::Nomad}) {
-    ControllerConfig cfg = rig_cfg(d);
+    ControllerConfig cfg = rig_cfg();
     cfg.swap_interval = 50;
-    Rig rig(cfg, ras_on());
+    Rig rig(d, cfg, ras_on());
     // Hammer one off-package page to make it the promotion candidate,
     // without pumping completions — the swap stays in flight.
     Cycle now = 0;

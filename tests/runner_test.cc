@@ -81,7 +81,7 @@ TEST(ThreadPool, SurvivesThrowingTask) {
       s.seed_key = "test/pgbench";
       s.workload = w;
       s.config.controller.geom = Geometry{4 * GiB, 512 * MiB, page, 4 * KiB};
-      s.config.controller.design = MigrationDesign::LiveMigration;
+      s.config.scheme = "Live";
       s.config.controller.migration_enabled = true;
       s.config.controller.swap_interval = interval;
       s.accesses = 6000;
@@ -279,7 +279,7 @@ TEST(ExperimentRunner, CellTimeoutOptionBoundsARealReplay) {
   s.key = "deadline";
   s.workload = WorkloadInfo{"pgbench", "", 0, make_pgbench};
   s.config.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
-  s.config.controller.design = MigrationDesign::LiveMigration;
+  s.config.scheme = "Live";
   s.config.controller.migration_enabled = true;
   s.config.controller.swap_interval = 1000;
   s.accesses = 40000;

@@ -262,15 +262,45 @@ TEST(SchemeRegistry, MemSimRejectsUnknownSchemeName) {
   EXPECT_THROW(MemSim sim(cfg), SimError);
 }
 
-TEST(SchemeRegistry, SwapNameOverridesControllerDesign) {
-  // The registry forces controller.design to match the scheme name, so a
-  // grid only has to set cfg.scheme.
-  MemSimConfig cfg = zoo_cfg("N-1");
-  cfg.controller.design = MigrationDesign::N;  // deliberately stale
-  MemSim sim(cfg);
-  EXPECT_STREQ(sim.scheme().name(), "N-1");
-  const auto& swap = dynamic_cast<const schemes::SwapScheme&>(sim.scheme());
-  EXPECT_EQ(swap.engine().design(), MigrationDesign::NMinus1);
+TEST(SchemeRegistry, DefaultConfigRunsLive) {
+  MemSim sim(MemSimConfig{});
+  EXPECT_STREQ(sim.scheme().name(), "Live");
+}
+
+// The scheme name is the only selector: "" names no scheme.
+TEST(SchemeRegistry, EmptySchemeNameIsAnUnknownName) {
+  try {
+    MemSim sim(zoo_cfg(""));
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::CheckFailed);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown memory scheme ''"), std::string::npos)
+        << msg;
+    for (const std::string& name : schemes::scheme_names())
+      EXPECT_NE(msg.find(name), std::string::npos) << msg;
+  }
+}
+
+TEST(SchemeRegistry, SwapNamesPickTheirDesignAndTableMode) {
+  const struct {
+    const char* name;
+    MigrationDesign design;
+  } cases[] = {
+      {"N", MigrationDesign::N},
+      {"N-1", MigrationDesign::NMinus1},
+      {"Live", MigrationDesign::LiveMigration},
+      {"nomad", MigrationDesign::Nomad},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    MemSim sim(zoo_cfg(c.name));
+    EXPECT_STREQ(sim.scheme().name(), c.name);
+    const auto& swap =
+        dynamic_cast<const schemes::SwapScheme&>(sim.scheme());
+    EXPECT_EQ(swap.engine().design(), c.design);
+    EXPECT_EQ(swap.table().mode(), table_mode(c.design));
+  }
 }
 
 // --- golden bit-identity ----------------------------------------------------
@@ -283,17 +313,6 @@ TEST(SchemeGolden, SwapSchemesMatchPreRefactorController) {
     EXPECT_EQ(runner::derive_seed(42, std::string("golden/") + x.name),
               x.seed);
     expect_matches_golden(golden_replay(golden_cfg(x.name), x.name), x);
-  }
-}
-
-// The pre-zoo configuration style (cfg.scheme empty, controller.design
-// set) must keep working and hit the same goldens.
-TEST(SchemeGolden, EmptySchemeNameDerivesFromControllerDesign) {
-  for (const Golden& x : kGoldens) {
-    SCOPED_TRACE(x.name);
-    MemSimConfig cfg = golden_cfg("");
-    cfg.controller.design = x.design;
-    expect_matches_golden(golden_replay(cfg, x.name), x);
   }
 }
 
@@ -586,7 +605,6 @@ TEST(AlloyScheme, GoldenRasRetirementCell) {
   const std::string key = "ras_availability/pgbench/noscrub-r0.001000/Alloy";
   MemSimConfig cfg;
   cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
-  cfg.controller.design = MigrationDesign::LiveMigration;
   cfg.controller.swap_interval = 1000;
   cfg.controller.migration_enabled = true;
   cfg.scheme = "Alloy";

@@ -226,7 +226,7 @@ TEST(SyntheticWorkload, RoundTripResumesTheRecordStreamExactly) {
 [[nodiscard]] MemSimConfig live_migration_config() {
   MemSimConfig cfg;
   cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
-  cfg.controller.design = MigrationDesign::LiveMigration;
+  cfg.scheme = "Live";
   cfg.controller.migration_enabled = true;
   cfg.controller.swap_interval = 500;  // frequent swaps: rich mid-flight state
   return cfg;
@@ -370,6 +370,96 @@ TEST(CraftedSnapshot, TableShapeMismatchIsASnapshotError) {
     snap::Reader r(bytes);
     large.restore(r);
   });
+}
+
+// Offset of the first occurrence of the little-endian `marker` in `bytes`,
+// so a test can find a field without restating the whole section layout.
+[[nodiscard]] std::size_t find_u64(const std::vector<std::uint8_t>& bytes,
+                                   std::uint64_t marker) {
+  std::uint8_t le[8];
+  for (int i = 0; i < 8; ++i)
+    le[i] = static_cast<std::uint8_t>(marker >> (8 * i));
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), std::begin(le), std::end(le));
+  EXPECT_NE(it, bytes.end());
+  return static_cast<std::size_t>(it - bytes.begin());
+}
+
+// A queued request's coordinates derive from its address. A crafted bank
+// index must not be adopted: the next drain would index past the
+// channel's 8 banks.
+TEST(CraftedSnapshot, QueuedBankBeyondTheChannelIsASnapshotError) {
+  DramSystem sys = DramSystem::make(Region::OffPackage);
+  constexpr Cycle kMarker = 0x1122334455667788ull;
+  (void)sys.submit(DramRequest{.addr = 0, .arrival = kMarker}, 0);
+  snap::Writer w;
+  sys.save(w);
+  std::vector<std::uint8_t> bytes = w.take();
+  // Channel 0's 'DCHN' follows 'DSYS'; in its queue entry the arrival is
+  // followed by issued (u64), id (u64), channel (u32), then the bank.
+  const std::size_t dchn = 12 + 1 + 8 + 8 + 4;
+  const std::size_t bank = find_u64(bytes, kMarker) + 8 + 8 + 8 + 4;
+  for (int i = 0; i < 4; ++i)
+    bytes[bank + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((1u << 30) >> (8 * i));
+  reseal(bytes, dchn);
+  DramSystem fresh = DramSystem::make(Region::OffPackage);
+  expect_snapshot_error([&] {
+    snap::Reader r(bytes);
+    fresh.restore(r);
+  });
+}
+
+// Two geometries with the same slot count and row count but 1 vs 8
+// sub-blocks per page: a table checkpointed on the first passes every
+// shape check of the second except its sub-block bitmaps.
+constexpr Geometry kOneSubBlock{64 * MiB, 16 * MiB, 1 * MiB, 1 * MiB};
+constexpr Geometry kEightSubBlocks{64 * MiB, 16 * MiB, 1 * MiB, 128 * KiB};
+
+TEST(CraftedSnapshot, ShortFillBitmapIsASnapshotError) {
+  TranslationTable one(kOneSubBlock, TableMode::HardwareNMinus1);
+  one.begin_fill(9, 41, kOneSubBlock.page_bytes * 41);
+  const std::vector<std::uint8_t> bytes = table_bytes(one);
+  TranslationTable eight(kEightSubBlocks, TableMode::HardwareNMinus1);
+  expect_snapshot_error([&] {
+    snap::Reader r(bytes);
+    eight.restore(r);
+  });
+}
+
+TEST(CraftedSnapshot, ShortShadowBitmapsAreASnapshotError) {
+  TranslationTable one(kOneSubBlock, TableMode::Shadow);
+  one.begin_shadow(2, one.hole());
+  const std::vector<std::uint8_t> bytes = table_bytes(one);
+  TranslationTable eight(kEightSubBlocks, TableMode::Shadow);
+  expect_snapshot_error([&] {
+    snap::Reader r(bytes);
+    eight.restore(r);
+  });
+}
+
+// The active fill's slot and the cached empty slot index the table's
+// rows; a crafted one past the last slot must not be adopted.
+TEST(CraftedSnapshot, SlotIndexBeyondTheTableIsASnapshotError) {
+  const Geometry g = kEightSubBlocks;
+  TranslationTable t(g, TableMode::HardwareNMinus1);
+  constexpr MachAddr kMarker = 0x1122334455667788ull;
+  t.begin_fill(9, 41, kMarker);  // the fill's old base, last before its bitmap
+  const std::vector<std::uint8_t> good = table_bytes(t);
+  // Before the old base: has_empty (b), empty (u64), fill_active (b),
+  // fill_slot (u64), fill_page (u64).
+  const std::size_t old_base = find_u64(good, kMarker);
+  for (const std::size_t at : {old_base - 16, old_base - 25}) {
+    SCOPED_TRACE(at == old_base - 16 ? "fill slot" : "empty slot");
+    std::vector<std::uint8_t> bad = good;
+    put_u64(bad, at, g.slots());
+    reseal(bad, 0);
+    TranslationTable fresh(g, TableMode::HardwareNMinus1);
+    expect_snapshot_error([&] {
+      snap::Reader r(bad);
+      fresh.restore(r);
+    });
+  }
 }
 
 }  // namespace

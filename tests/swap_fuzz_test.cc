@@ -29,9 +29,7 @@ TEST_P(SwapFuzz, RandomSwapSequencesPreserveAllInvariants) {
                    std::min<std::uint64_t>(fp.page, 64 * KiB)};
   ASSERT_TRUE(g.valid());
 
-  TranslationTable table(g, fp.design == MigrationDesign::N
-                                ? TableMode::FunctionalN
-                                : TableMode::HardwareNMinus1);
+  TranslationTable table(g, table_mode(fp.design));
   DramSystem on(Region::OnPackage, DramTiming::on_package_sip(), 1,
                 SchedulerPolicy::FrFcfs);
   DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
@@ -115,9 +113,7 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
                    std::min<std::uint64_t>(fp.page, 64 * KiB)};
   ASSERT_TRUE(g.valid());
 
-  TranslationTable table(g, fp.design == MigrationDesign::N
-                                ? TableMode::FunctionalN
-                                : TableMode::HardwareNMinus1);
+  TranslationTable table(g, table_mode(fp.design));
   DramSystem on(Region::OnPackage, DramTiming::on_package_sip(), 1,
                 SchedulerPolicy::FrFcfs);
   DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
