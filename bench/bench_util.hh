@@ -16,7 +16,8 @@
 //                          (resilience benches; 0 disables injection)
 //   --fault-sites a,b      comma list of site names (default: every site
 //                          the bench exercises)
-//   --audit-interval N     full invariant audit every N accesses
+//   --audit-interval N     invariant audit every N accesses (whole-state
+//                          checks roll over 16 audits; full at the end)
 //   HMM_CELL_TIMEOUT       per-cell wall-clock deadline in seconds
 //   --list-cells           print the deterministic "key seed" enumeration
 //                          of the sweep grid and exit
@@ -228,7 +229,7 @@ inline void report_artifact(const std::string& path) {
   return fallback;
 }
 
-/// `--audit-interval N`: accesses between full invariant audits.
+/// `--audit-interval N`: accesses between invariant audits.
 [[nodiscard]] inline std::uint64_t audit_interval(int argc, char** argv,
                                                   std::uint64_t fallback) {
   if (const char* v = option_value(argc, argv, "--audit-interval"))

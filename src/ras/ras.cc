@@ -17,11 +17,8 @@ RasEngine::RasEngine(const RasConfig& cfg, const Geometry& geom,
             "RAS capacity floor must be a fraction in [0, 1]");
   floor_frames_ = static_cast<std::uint64_t>(
       cfg_.capacity_floor * static_cast<double>(total));
-  // Spares sit just below the ghost page: omega-spare .. omega-1.
-  for (PageId f = geom_.omega() - cfg_.spare_frames; f < geom_.omega(); ++f) {
-    spare_set_.insert(f);
+  for (PageId f = geom_.omega() - cfg_.spare_frames; f < geom_.omega(); ++f)
     pool_.push_back(f);
-  }
   next_scrub_at_ = cfg_.scrub_interval;
 }
 
@@ -35,7 +32,7 @@ bool RasEngine::quarantined(PageId frame) const noexcept {
 }
 
 bool RasEngine::reserved_spare(PageId frame) const noexcept {
-  return spare_set_.count(frame) != 0;
+  return boot_spare(frame);
 }
 
 Cycle RasEngine::on_demand_access(PageId frame, Cycle now) {
@@ -248,7 +245,48 @@ void RasEngine::save(snap::Writer& w) const {
   const_cast<RasEngine*>(this)->io(w);
 }
 
-void RasEngine::restore(snap::Reader& r) { io(r); }
+void RasEngine::restore(snap::Reader& r) {
+  io(r);
+  // A CRC-valid section can still name a frame past the geometry, or a
+  // remap cycle resolve() would never leave: refuse them.
+  const PageId total = geom_.total_pages();
+  const auto refuse = [](PageId f, const char* what) {
+    snap::snapshot_error("RAS state: frame " + std::to_string(f) + " " +
+                         what);
+  };
+  const auto in_range = [&](const std::unordered_set<PageId>& set) {
+    // analyze: allow(determinism): order-independent range check
+    for (const PageId f : set)
+      if (f >= total) refuse(f, "is past the geometry");
+  };
+  in_range(pending_);
+  in_range(retired_);
+  in_range(pinned_);
+  // analyze: allow(determinism): order-independent range check
+  for (const auto& [f, h] : health_)
+    if (f >= total) refuse(f, "has a health record past the geometry");
+  for (const RetirementEvent& e : retire_log_)
+    if (e.frame >= total) refuse(e.frame, "is logged past the geometry");
+  for (const PageId f : pool_)
+    if (!boot_spare(f)) refuse(f, "in the pool is not a boot-reserved spare");
+  // analyze: allow(determinism): order-independent range check
+  for (const auto& [f, spare] : remap_) {
+    if (f >= total) refuse(f, "is remapped past the geometry");
+    if (!boot_spare(spare))
+      refuse(spare, "stands in for a frame but is not a boot-reserved spare");
+  }
+  // Every hop lands on a distinct spare, so a chain longer than the pool
+  // is a cycle.
+  // analyze: allow(determinism): order-independent cycle check
+  for (const auto& [start, spare] : remap_) {
+    PageId f = spare;
+    for (unsigned hops = 1; remap_.count(f) != 0; ++hops) {
+      if (hops >= cfg_.spare_frames)
+        refuse(start, "starts a remap chain longer than the spare pool");
+      f = remap_.at(f);
+    }
+  }
+}
 
 template <class Ar>
 void RasEngine::io(Ar& ar) {

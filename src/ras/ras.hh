@@ -35,6 +35,14 @@
 // capacity drops below `capacity_floor`, which raises a structured
 // SimError(CapacityExhausted) instead of wedging.
 //
+// Enforcement: MemSim hard-stops any demand access routed to a retired
+// frame, and its auditor route sweep translates, on every audit, a
+// rolling sixteenth of the OS pages plus the identity page of every
+// retired frame (all pages once more at finish()). A page left on a
+// retired frame is thus reported within 16 audits, at the next audit if
+// it is the frame's identity page, and by the end of the run at the
+// latest.
+//
 // Determinism: fire/no-fire decisions come from the injector's per-site
 // streams; ECC payload draws are a pure function of (plan seed, frame,
 // per-frame draw index), so outcomes are independent of the order in
@@ -218,12 +226,22 @@ class RasEngine final : public RasFrameView {
   // Serialized only when RAS is enabled (MemSim gates the call), so the
   // pre-RAS snapshot layout is unchanged. Sets and maps are written
   // sorted so the encoding is independent of hash iteration order.
+  // Restore refuses, as SimError(Snapshot), a frame id past the
+  // geometry, a pool entry or remap target that is not a boot-reserved
+  // spare, and a remap chain longer than the spare pool (a cycle
+  // resolve() would never leave).
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
  private:
   template <class Ar>
   void io(Ar& ar);
+
+  /// Spares sit just below the ghost page: omega-spare .. omega-1.
+  [[nodiscard]] bool boot_spare(PageId frame) const noexcept {
+    return frame < geom_.omega() &&
+           frame >= geom_.omega() - cfg_.spare_frames;
+  }
 
   /// Per-frame health record (sparse: only frames with history).
   struct FrameHealth {
@@ -258,8 +276,6 @@ class RasEngine final : public RasFrameView {
   std::unordered_set<PageId> pending_;  ///< flagged, awaiting evacuation
   std::unordered_set<PageId> retired_;  ///< evacuated and blacklisted
   std::unordered_set<PageId> pinned_;   ///< failing but inexpressible
-  // no-snapshot(derived from cfg_/geom_ in the ctor; pool_ tracks use)
-  std::unordered_set<PageId> spare_set_;  ///< every boot-reserved spare
   std::vector<PageId> pool_;  ///< unconsumed spares, ascending ids
   std::unordered_map<PageId, PageId> remap_;  ///< frame -> spare stand-in
   PageId scrub_cursor_ = 0;

@@ -192,7 +192,7 @@ SchemeMetrics FlatHmaScheme::metrics() const {
   return m;
 }
 
-std::string FlatHmaScheme::audit_check() const {
+std::string FlatHmaScheme::audit_check(const fault::AuditWindow&) const {
   // Placement bijectivity: every slot is used at most once and every
   // mapped page/slot is in range.
   std::vector<bool> used(geom_.slots(), false);

@@ -44,7 +44,10 @@ class FlatHmaScheme final : public MemoryScheme {
   [[nodiscard]] SchemeMetrics metrics() const override;
   void save(snap::Writer& w) const override;
   void restore(snap::Reader& r) override;
-  [[nodiscard]] std::string audit_check() const override;
+  /// Placement bijectivity and no page on a retired slot; runs in full on
+  /// every audit, whatever the window.
+  [[nodiscard]] std::string audit_check(
+      const fault::AuditWindow& window) const override;
 
   [[nodiscard]] bool placed() const noexcept { return !profiling_; }
 

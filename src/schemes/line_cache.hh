@@ -6,9 +6,12 @@
 //
 // Only tags are modelled (the simulator carries no data); entries are
 // packed as (tag << 2) | dirty << 1 | valid so the 8M sets of the paper
-// geometry (512MB / 64B) stay a single flat uint32 array. A redundant
-// valid-entry counter is maintained incrementally and recounted by
-// validate(), giving the invariant auditor a real cross-check.
+// geometry (512MB / 64B) stay a single flat uint32 array. Redundant
+// valid-entry counts are maintained incrementally — one for the whole
+// store and one per kBlockSets-set block — and cross-checked by
+// validate(): every audit checks that the block counts sum to the total
+// and recounts the tags of the blocks in its AuditWindow, so
+// AuditWindow::kWindows audits recount the whole store.
 #pragma once
 
 #include <algorithm>
@@ -18,12 +21,16 @@
 
 #include "common/snapshot.hh"
 #include "common/types.hh"
+#include "fault/auditor.hh"
 #include "fault/sim_error.hh"
 
 namespace hmm::schemes {
 
 class LineCache {
  public:
+  /// Sets per block of the per-block valid counts.
+  static constexpr std::uint64_t kBlockSets = 4096;
+
   /// Outcome of one access: on a miss, the victim (when valid) names the
   /// physical line that was evicted so the caller can write it back.
   struct Lookup {
@@ -38,7 +45,8 @@ class LineCache {
   LineCache(std::uint64_t capacity_bytes, std::uint64_t line_bytes)
       : line_bytes_(line_bytes),
         sets_(line_bytes > 0 ? capacity_bytes / line_bytes : 0),
-        tags_(sets_, 0) {}
+        tags_(sets_, 0),
+        block_valid_((sets_ + kBlockSets - 1) / kBlockSets, 0) {}
 
   [[nodiscard]] std::uint64_t sets() const noexcept { return sets_; }
   [[nodiscard]] std::uint64_t line_bytes() const noexcept {
@@ -82,6 +90,7 @@ class LineCache {
                        line_bytes_;
     } else {
       ++valid_count_;
+      ++block_valid_[lk.set / kBlockSets];
     }
     e = static_cast<std::uint32_t>(tag << 2) | (dirty ? 2u : 0u) | 1u;
     return lk;
@@ -106,6 +115,7 @@ class LineCache {
       p.addr = ((static_cast<std::uint64_t>(e >> 2) * sets_) + set) *
                line_bytes_;
       --valid_count_;
+      --block_valid_[set / kBlockSets];
       tags_[set] = 0;
     }
     return p;
@@ -124,7 +134,10 @@ class LineCache {
   /// Fault payload: drop one set (a benign eviction-like transient).
   void invalidate_set(std::uint64_t set) {
     if (set >= sets_) return;
-    if ((tags_[set] & 1u) != 0) --valid_count_;
+    if ((tags_[set] & 1u) != 0) {
+      --valid_count_;
+      --block_valid_[set / kBlockSets];
+    }
     tags_[set] = 0;
   }
 
@@ -132,20 +145,34 @@ class LineCache {
   /// prove the audit path surfaces tag-store corruption.
   void corrupt_valid_count_for_test() noexcept { ++valid_count_; }
 
-  /// Recounts valid entries against the incremental counter; returns an
-  /// error description or empty string.
-  [[nodiscard]] std::string validate() const {
-    std::uint64_t n = 0;
-    for (const std::uint32_t e : tags_)
-      if ((e & 1u) != 0) ++n;
-    if (n != valid_count_)
+  /// Test hook: flip one set's valid bit behind every counter, a
+  /// corruption only the recount of its block can see.
+  void flip_valid_bit_for_test(std::uint64_t set) { tags_.at(set) ^= 1u; }
+
+  /// Checks that the block counts sum to the valid-entry counter, then
+  /// recounts the tags of `window`'s blocks (by default all of them)
+  /// against their counts; returns an error description or empty string.
+  [[nodiscard]] std::string validate(
+      const fault::AuditWindow& window = fault::AuditWindow::all()) const {
+    std::uint64_t sum = 0;
+    for (const std::uint32_t n : block_valid_) sum += n;
+    if (sum != valid_count_)
       return "valid-entry counter " + std::to_string(valid_count_) +
-             " disagrees with tag recount " + std::to_string(n);
+             " disagrees with the block counts' sum " + std::to_string(sum);
+    const auto [first, end] = window.slice(block_valid_.size());
+    for (std::uint64_t b = first; b < end; ++b) {
+      const std::uint32_t n = recount(b);
+      if (n != block_valid_[b])
+        return "block " + std::to_string(b) + " valid count " +
+               std::to_string(block_valid_[b]) +
+               " disagrees with tag recount " + std::to_string(n);
+    }
     return {};
   }
 
-  // Sparse codec: only valid entries are written, so short runs over the
-  // 8M-set paper geometry keep checkpoints small.
+  // Sparse codec: only valid entries are written, in ascending set order,
+  // so short runs over the 8M-set paper geometry keep checkpoints small.
+  // The block counts are rebuilt on restore, never serialized.
   void save(snap::Writer& w) const {
     w.begin_section(snap::tag('L', 'N', 'C', 'H'));
     w.u64(valid_count_);
@@ -158,13 +185,21 @@ class LineCache {
   }
   void restore(snap::Reader& r) {
     r.begin_section(snap::tag('L', 'N', 'C', 'H'));
+    std::uint64_t prev = 0;
     tags_.assign(sets_, 0);
+    block_valid_.assign(block_valid_.size(), 0);
     valid_count_ = r.u64();
     for (std::uint64_t i = 0; i < valid_count_; ++i) {
       const std::uint64_t s = r.u64();
       if (s >= sets_)
         snap::snapshot_error("line-cache set index out of range");
+      if (i > 0 && s <= prev)
+        snap::snapshot_error("line-cache set indices not ascending");
+      prev = s;
       tags_[s] = r.u32();
+      if ((tags_[s] & 1u) == 0)
+        snap::snapshot_error("line-cache entry without its valid bit");
+      ++block_valid_[s / kBlockSets];
     }
     r.end_section();
   }
@@ -174,10 +209,27 @@ class LineCache {
     return addr / line_bytes_ / sets_;
   }
 
+  /// Valid entries among block `b`'s sets. A whole block is a
+  /// fixed-length loop, which the compiler vectorizes.
+  [[nodiscard]] std::uint32_t recount(std::uint64_t b) const noexcept {
+    const std::uint64_t first = b * kBlockSets;
+    const std::uint64_t len = std::min(kBlockSets, sets_ - first);
+    const std::uint32_t* t = tags_.data() + first;
+    std::uint32_t n = 0;
+    if (len == kBlockSets) {
+      for (std::uint64_t i = 0; i < kBlockSets; ++i) n += t[i] & 1u;
+    } else {
+      for (std::uint64_t i = 0; i < len; ++i) n += t[i] & 1u;
+    }
+    return n;
+  }
+
   std::uint64_t line_bytes_ = 0;  // no-snapshot(construction-time config)
   std::uint64_t sets_ = 0;  // no-snapshot(derived from construction config)
   std::vector<std::uint32_t> tags_;
   std::uint64_t valid_count_ = 0;
+  // no-snapshot(rebuilt from tags_ on restore)
+  std::vector<std::uint32_t> block_valid_;  ///< valid entries per block
 };
 
 }  // namespace hmm::schemes

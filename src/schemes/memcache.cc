@@ -183,11 +183,12 @@ SchemeMetrics MemCacheScheme::metrics() const {
   return m;
 }
 
-std::string MemCacheScheme::audit_check() const {
+std::string MemCacheScheme::audit_check(
+    const fault::AuditWindow& window) const {
   if (mem_bytes_ + cache_.sets() * cache_.line_bytes() >
       geom_.on_package_bytes)
     return name_ + " partition exceeds on-package capacity";
-  const std::string err = cache_.validate();
+  const std::string err = cache_.validate(window);
   if (!err.empty()) return name_ + " tag store: " + err;
   if (ras_ != nullptr && cache_.sets() != 0) {
     const std::uint64_t line = cache_.line_bytes();

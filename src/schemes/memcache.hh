@@ -60,7 +60,10 @@ class MemCacheScheme final : public MemoryScheme {
   [[nodiscard]] SchemeMetrics metrics() const override;
   void save(snap::Writer& w) const override;
   void restore(snap::Reader& r) override;
-  [[nodiscard]] std::string audit_check() const override;
+  /// Partition bound, tag-store counters (the recount rolls with
+  /// `window`), and no valid line in a retired cache frame.
+  [[nodiscard]] std::string audit_check(
+      const fault::AuditWindow& window) const override;
 
   [[nodiscard]] std::uint64_t memory_fraction_bytes() const noexcept {
     return mem_bytes_;

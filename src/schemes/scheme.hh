@@ -14,7 +14,8 @@
 //   * snapshot-complete: one io() codec names every evolving member at
 //     an explicit wire width, and save()/restore() are one-line wrappers
 //     over it;
-//   * audit-ready: audit_check() cross-checks redundant internal state;
+//   * audit-ready: audit_check() cross-checks redundant internal state,
+//     a whole-state recount covering only the audit's window;
 //   * fault-tolerant: injected faults at the sites it opts into must
 //     surface as structured errors or stay provably benign.
 #pragma once

@@ -271,7 +271,7 @@ SchemeMetrics SwapScheme::metrics() const {
   return m;
 }
 
-std::string SwapScheme::audit_check() const {
+std::string SwapScheme::audit_check(const fault::AuditWindow&) const {
   std::string err = mq_.validate();
   if (!err.empty()) return "multi-queue tracker: " + err;
   return {};

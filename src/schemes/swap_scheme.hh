@@ -90,8 +90,10 @@ class SwapScheme final : public MemoryScheme {
       const noexcept override {
     return &table_;
   }
-  /// Hotness-tracker self-check (the table has its own validate()).
-  [[nodiscard]] std::string audit_check() const override;
+  /// Hotness-tracker self-check (the table has its own validate()); runs
+  /// in full on every audit, whatever the window.
+  [[nodiscard]] std::string audit_check(
+      const fault::AuditWindow& window) const override;
 
   [[nodiscard]] const TranslationTable& table() const noexcept {
     return table_;

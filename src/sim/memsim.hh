@@ -50,7 +50,11 @@ struct MemSimConfig {
   /// RAS layer (media-error model, scrub, page retirement); disabled by
   /// default — every hook is absent and runs are bit-identical to pre-RAS.
   ras::RasConfig ras;
-  /// Full invariant audit every this many accesses (0 = disabled).
+  /// Invariant audit every this many accesses (0 = disabled). Each audit
+  /// runs the cheap checks in full and recounts a rolling sixteenth of
+  /// MemCache's tag store and of the RAS route sweep; finish() adds one
+  /// uncounted full sweep. A corruption is thus reported within
+  /// 16 × audit_interval accesses or by the end of the run.
   std::uint64_t audit_interval = 0;
   /// Wall-clock budget for this simulation, measured from construction;
   /// exceeded => SimError(Timeout). 0 = no deadline.
@@ -70,7 +74,9 @@ class MemSim {
   void run_chunk(SyntheticWorkload& workload, std::uint64_t n);
   /// Single-record entry point (tests / custom drivers).
   void step(const TraceRecord& r);
-  /// Completes all in-flight work; call before reading results.
+  /// Completes all in-flight work, then (when auditing is on) runs one
+  /// full audit that audits() does not count; call before reading
+  /// results.
   void finish();
 
   /// Clears measurement state (latency stats, traffic counters) while
@@ -136,8 +142,10 @@ class MemSim {
   /// Raises SimError(Watchdog) when simulated time can no longer advance:
   /// the engine holds an unfinished swap but nothing is in flight anywhere.
   void check_wedged() const;
-  /// Auditor deep sweep: no OS page may route to a retired frame.
-  [[nodiscard]] std::string ras_route_sweep() const;
+  /// Auditor route sweep: no OS page in `window`'s share, and no retired
+  /// frame's identity page, may route to a retired frame.
+  [[nodiscard]] std::string ras_route_sweep(
+      const fault::AuditWindow& window) const;
 
   MemSimConfig cfg_;  // no-snapshot(construction-time config)
   DramSystem on_;

@@ -283,7 +283,10 @@ class TableSubject final : public fault::Auditable {
       const noexcept override {
     return &table_;
   }
-  [[nodiscard]] std::string audit_check() const override { return {}; }
+  [[nodiscard]] std::string audit_check(
+      const fault::AuditWindow&) const override {
+    return {};
+  }
 
  private:
   const TranslationTable& table_;

@@ -331,7 +331,8 @@ TEST(RasController, OccupiedFrameIsEvacuatedThenBlacklisted) {
     const Route r = rig.ctl.table().translate(victim * kPage);
     EXPECT_NE(r.mach >> small_geom().page_shift(), victim) << to_string(d);
     EXPECT_TRUE(rig.ctl.table().validate().empty()) << to_string(d);
-    EXPECT_TRUE(rig.ctl.audit_check().empty()) << to_string(d);
+    EXPECT_TRUE(rig.ctl.audit_check(fault::AuditWindow::all()).empty())
+        << to_string(d);
   }
 }
 
@@ -351,7 +352,8 @@ TEST(RasController, InexpressibleEvacuationPinsInsteadOfRetiring) {
     EXPECT_FALSE(rig.ras.retired(3)) << to_string(d);
     const Route r = rig.ctl.table().translate(3 * kPage);
     EXPECT_EQ(r.mach >> small_geom().page_shift(), 3u) << to_string(d);
-    EXPECT_TRUE(rig.ctl.audit_check().empty()) << to_string(d);
+    EXPECT_TRUE(rig.ctl.audit_check(fault::AuditWindow::all()).empty())
+        << to_string(d);
   }
 }
 
@@ -419,7 +421,8 @@ TEST(RasController, FrameFailingMidSwapAbortsTheTransaction) {
     EXPECT_TRUE(rig.ras.retired(touched) || rig.ras.pinned_count() > 0)
         << to_string(d);
     EXPECT_TRUE(rig.ctl.table().validate().empty()) << to_string(d);
-    EXPECT_TRUE(rig.ctl.audit_check().empty()) << to_string(d);
+    EXPECT_TRUE(rig.ctl.audit_check(fault::AuditWindow::all()).empty())
+        << to_string(d);
   }
 }
 
@@ -431,7 +434,7 @@ MemSimConfig sim_cfg(const std::string& scheme) {
   cfg.controller.swap_interval = 1000;
   cfg.scheme = scheme;
   cfg.ras.enabled = true;
-  cfg.audit_interval = 4096;  // includes the RAS retired-route deep sweep
+  cfg.audit_interval = 4096;  // includes the RAS retired-route sweep
   return cfg;
 }
 
@@ -497,6 +500,93 @@ TEST(RasSim, RetirementUnderConcurrentMigrationNeverCorruptsState) {
       EXPECT_GT(sim.auditor().audits(), 0u);
     }
   }
+}
+
+// --- rolling route sweep ---------------------------------------------------
+
+// One demand read of `page`, driven outside the workloads.
+void read_page(MemSim& sim, const Geometry& g, PageId page, Cycle at) {
+  sim.step(TraceRecord{.addr = g.machine_base(page), .timestamp = at});
+}
+
+// Of sim_cfg's pages 16,379 are OS-visible, so audit window 12 sweeps
+// pages [12284, 13307). The few reads of the quiet page each test makes
+// cross no swap epoch and touch no retired frame.
+constexpr PageId kWindow12Page = 12'384;
+constexpr PageId kQuietPage = 9'000;
+
+// Each audit translates one window of the OS pages, so a migrated page
+// left on a retired frame is reported by the audit whose window covers
+// it: within AuditWindow::kWindows audits, and no earlier. N-1/Live
+// tables do not check retired frames themselves, so the sweep is the
+// only witness here.
+TEST(RasSim, RouteSweepReportsAMigratedPageAtItsWindowsRound) {
+  MemSimConfig cfg = sim_cfg("Live");
+  cfg.audit_interval = 1;  // one audit per access: rounds are countable
+  const Geometry& g = cfg.controller.geom;
+  MemSim sim(cfg);
+  Cycle now = 0;
+  sim.set_instant_migration(true);
+  for (std::uint64_t i = 0; i < cfg.controller.swap_interval; ++i)
+    read_page(sim, g, kWindow12Page, now += 100);
+  sim.set_instant_migration(false);
+  const auto home = [&](PageId p) {
+    return g.page_of(sim.scheme().translate(g.machine_base(p)).mach);
+  };
+  const PageId frame = home(kWindow12Page);
+  ASSERT_LT(frame, g.slots()) << "the hammered page was not promoted";
+  // The frame's identity page lives elsewhere: only the window sees it.
+  ASSERT_NE(home(frame), frame);
+
+  // Retire the frame without evacuating it: the planted corruption.
+  ras::RasEngine& ras = *sim.mutable_ras();
+  ras.flag_frame_for_test(frame);
+  ras.complete_retirement(frame, now);
+  const std::uint64_t next =
+      sim.auditor().audits() % fault::AuditWindow::kWindows;
+  ASSERT_LT(next, 12u);
+  for (std::uint64_t round = next; round < 12; ++round)
+    EXPECT_NO_THROW(read_page(sim, g, kQuietPage, now += 100)) << round;
+  try {
+    read_page(sim, g, kQuietPage, now += 100);
+    ADD_FAILURE() << "round 12 did not report the page";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::AuditFailed);
+    EXPECT_NE(std::string(e.what()).find(
+                  "page " + std::to_string(kWindow12Page) +
+                  " routes to retired frame " + std::to_string(frame)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The page a retired frame most likely still serves is its identity
+// page, so every audit checks those in full: one still routed to its
+// frame is reported by the very next audit, 12 rounds before the window
+// covering it.
+TEST(RasSim, RouteSweepReportsARetiredFramesIdentityPageAtTheNextAudit) {
+  MemSimConfig cfg = sim_cfg("Live");
+  cfg.audit_interval = 1;
+  const Geometry& g = cfg.controller.geom;
+  MemSim sim(cfg);
+  const PageId frame = kWindow12Page;
+  ASSERT_EQ(g.page_of(sim.scheme().translate(g.machine_base(frame)).mach),
+            frame);
+  ras::RasEngine& ras = *sim.mutable_ras();
+  ras.flag_frame_for_test(frame);
+  ras.complete_retirement(frame, 0);
+  try {
+    read_page(sim, g, kQuietPage, 100);
+    ADD_FAILURE() << "the first audit did not report the identity page";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::AuditFailed);
+    EXPECT_NE(std::string(e.what()).find(
+                  "page " + std::to_string(frame) +
+                  " routes to retired frame " + std::to_string(frame)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim.auditor().audits(), 1u);
 }
 
 TEST(RasSim, RasEnabledRunsAreDeterministic) {

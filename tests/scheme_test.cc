@@ -826,6 +826,71 @@ TEST(SchemeAudit, AuditorCatchesCorruptedFlatHmaPlacement) {
   }
 }
 
+// Each periodic audit recounts one window of tag blocks, and a valid bit
+// flipped behind the counters is invisible to the block counts' sum. So
+// each flip is reported at exactly the round whose window covers its
+// block, and at no other round of the rotation: a window that never
+// advances misses the later flips, and a full recount reports them early.
+TEST(SchemeAudit, TagRecountReportsEachFlipAtItsBlocksRound) {
+  constexpr std::uint64_t kWindows = fault::AuditWindow::kWindows;
+  constexpr std::uint64_t kBlockSets = schemes::LineCache::kBlockSets;
+  MemSim sim(zoo_cfg("Alloy"));
+  auto& mc = dynamic_cast<schemes::MemCacheScheme&>(sim.scheme());
+  schemes::LineCache& cache = mc.cache_for_test();
+  const std::uint64_t blocks = cache.sets() / kBlockSets;
+  ASSERT_EQ(blocks % kWindows, 0u);  // windows of whole blocks
+  // First, middle and last block: rounds 0, 8 and 15.
+  const std::uint64_t planted[] = {0, blocks / 2, blocks - 1};
+  for (const std::uint64_t block : planted)
+    cache.flip_valid_bit_for_test(block * kBlockSets + 7);
+
+  fault::InvariantAuditor auditor(&sim.scheme(), /*interval=*/0);
+  for (std::uint64_t round = 0; round < kWindows; ++round) {
+    SCOPED_TRACE(round);
+    std::string due;
+    for (const std::uint64_t block : planted)
+      if (block * kWindows / blocks == round)
+        due = "block " + std::to_string(block) + " ";
+    try {
+      auditor.audit();
+      EXPECT_TRUE(due.empty()) << due << "was not reported";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::AuditFailed);
+      EXPECT_FALSE(due.empty()) << "reported early: " << e.what();
+      if (!due.empty()) {
+        EXPECT_NE(std::string(e.what()).find(due), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(auditor.audits(), kWindows);
+}
+
+// The rolling audits can leave a corruption unseen for up to kWindows
+// audits; finish() closes that gap with one full audit it does not
+// count, so a passing run's audit count is unchanged.
+TEST(SchemeAudit, FinishReportsAFlipPlantedAfterTheLastAudit) {
+  MemSimConfig cfg = zoo_cfg("Alloy");
+  cfg.audit_interval = 100;
+  MemSim sim(cfg);
+  auto w = make_pgbench(5);
+  sim.run(*w, 1000);  // clean audits, and a clean finish()
+  const std::uint64_t audits = sim.auditor().audits();
+  ASSERT_EQ(audits, 10u);
+  auto& mc = dynamic_cast<schemes::MemCacheScheme&>(sim.scheme());
+  mc.cache_for_test().flip_valid_bit_for_test(mc.cache_for_test().sets() - 1);
+  try {
+    sim.finish();
+    ADD_FAILURE() << "expected SimError(AuditFailed)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::AuditFailed);
+    EXPECT_NE(std::string(e.what()).find("Alloy tag store"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim.auditor().audits(), audits);
+}
+
 // --- fault tolerance --------------------------------------------------------
 
 // HotnessCorrupt must stay benign in every scheme (wrong heat accounting

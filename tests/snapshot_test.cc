@@ -24,7 +24,9 @@
 #include "core/translation_table.hh"
 #include "dram/dram_system.hh"
 #include "fault/sim_error.hh"
+#include "ras/ras.hh"
 #include "runner/journal.hh"
+#include "schemes/line_cache.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -459,6 +461,99 @@ TEST(CraftedSnapshot, SlotIndexBeyondTheTableIsASnapshotError) {
       snap::Reader r(bad);
       fresh.restore(r);
     });
+  }
+}
+
+// RAS state is indexed by frame id (one flag byte per frame), and
+// resolve() follows the remap table until it reaches an unremapped frame.
+// 16,384 frames; the four boot-reserved spares are 16379..16382.
+constexpr Geometry kRasGeom{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
+
+[[nodiscard]] std::vector<std::uint8_t> ras_bytes(const ras::RasEngine& e) {
+  snap::Writer w;
+  e.save(w);
+  return w.take();
+}
+
+/// Patches the first occurrence of the u64 `from` in `good` to `to` and
+/// expects a fresh engine to refuse the result.
+void expect_ras_refused(const std::vector<std::uint8_t>& good,
+                        std::uint64_t from, std::uint64_t to) {
+  std::vector<std::uint8_t> bad = good;
+  put_u64(bad, find_u64(good, from), to);
+  reseal(bad, 0);
+  ras::RasEngine fresh(ras::RasConfig{.enabled = true}, kRasGeom, nullptr);
+  expect_snapshot_error([&] {
+    snap::Reader r(bad);
+    fresh.restore(r);
+  });
+}
+
+// Frame 3000 retired onto spare 16379: the retired set holds the first
+// 3000 of the section, the pool starts at 16380, and the remap table's
+// target is the first 16379.
+TEST(CraftedSnapshot, RasFramesOutsideTheirRolesAreASnapshotError) {
+  ras::RasEngine eng(ras::RasConfig{.enabled = true}, kRasGeom, nullptr);
+  eng.flag_frame_for_test(3000);
+  ASSERT_EQ(eng.remap_frame(3000, 0), PageId{16379});
+  const std::vector<std::uint8_t> good = ras_bytes(eng);
+  {
+    SCOPED_TRACE("retired frame past the geometry");
+    expect_ras_refused(good, 3000, kRasGeom.total_pages());
+  }
+  {
+    SCOPED_TRACE("pool entry that is not a boot-reserved spare");
+    expect_ras_refused(good, 16380, 5);
+  }
+  {
+    SCOPED_TRACE("remap 3000 -> 3000: resolve(3000) would never return");
+    expect_ras_refused(good, 16379, 3000);
+  }
+}
+
+// A remap cycle among spares passes every per-entry check; only the
+// chain length gives it away. Restore alone must refuse it (resolve()
+// is never called, so an accepting restore fails the test, not hangs it).
+TEST(CraftedSnapshot, RasRemapCycleIsASnapshotError) {
+  ras::RasEngine eng(ras::RasConfig{.enabled = true}, kRasGeom, nullptr);
+  eng.flag_frame_for_test(3000);
+  ASSERT_EQ(eng.remap_frame(3000, 0), PageId{16379});
+  eng.flag_frame_for_test(16379);  // the stand-in fails too
+  ASSERT_EQ(eng.remap_frame(16379, 0), PageId{16380});
+  // 16380 first appears as 16379's remap target (the pool moved on to
+  // 16381): point it back at 16379.
+  expect_ras_refused(ras_bytes(eng), 16380, 16379);
+}
+
+// The sparse line-cache codec writes only valid entries, in ascending set
+// order, and restore rebuilds the per-block counts from them.
+TEST(CraftedSnapshot, LineCacheEntryNotValidOrNotAscendingIsASnapshotError) {
+  schemes::LineCache cache(1 * MiB, 64);  // 16,384 sets
+  (void)cache.access(1000 * 64, false);   // set 1000
+  (void)cache.access(2000 * 64, false);   // set 2000
+  snap::Writer w;
+  cache.save(w);
+  const std::vector<std::uint8_t> good = w.take();
+  const auto refused = [&](const std::vector<std::uint8_t>& bad) {
+    schemes::LineCache fresh(1 * MiB, 64);
+    expect_snapshot_error([&] {
+      snap::Reader r(bad);
+      fresh.restore(r);
+    });
+  };
+  {
+    SCOPED_TRACE("entry without its valid bit");
+    std::vector<std::uint8_t> bad = good;
+    bad[find_u64(good, 1000) + 8] &= 0xFE;  // low byte of set 1000's tag
+    reseal(bad, 0);
+    refused(bad);
+  }
+  for (const std::uint64_t set : {1000ull, 500ull}) {
+    SCOPED_TRACE("second set index " + std::to_string(set));
+    std::vector<std::uint8_t> bad = good;
+    put_u64(bad, find_u64(good, 2000), set);
+    reseal(bad, 0);
+    refused(bad);
   }
 }
 
