@@ -5,8 +5,9 @@
 // "Scaling note"). Knobs:
 //   HMM_BENCH_SCALE   multiply every trace length (default 1.0; use 4-10
 //                     for closer-to-steady-state numbers, 0.2 for smoke)
-//   --jobs N / HMM_JOBS    worker threads for the sweep runner (default:
-//                          hardware concurrency; 1 = the old serial loop)
+//   --jobs N / HMM_JOBS    sweep cells run at once (default: hardware
+//                          concurrency); 1 = inline, the old serial loop;
+//                          more = one fork()ed child per cell
 //   --smoke / HMM_SMOKE    shrink the grid to one workload / one or two
 //                          configs (the bench_smoke ctest path)
 //   HMM_RESULTS_DIR        where sweep JSON artifacts land (default
@@ -19,22 +20,21 @@
 //   --audit-interval N     invariant audit every N accesses (whole-state
 //                          checks roll over 16 audits; full at the end)
 //   HMM_CELL_TIMEOUT       per-cell wall-clock deadline in seconds
+//                          (default 0 = none)
 //   --list-cells           print the deterministic "key seed" enumeration
 //                          of the sweep grid and exit
 //   --list-schemes         print the scheme registry (one name per line)
 //                          and exit (schemes-aware benches)
 //   --resume               skip cells recorded in the sweep journal (after
 //                          an interrupted/killed run); recorded metrics
-//                          replay bit-identically
-//   --no-isolate / HMM_ISOLATE=0   run cells in-process (threads) instead
-//                          of fork()ed child processes (process isolation
-//                          is the default with --jobs > 1: a crashing cell
-//                          becomes a "crashed" row, not a dead sweep)
+//                          replay bit-identically. Without it a sweep
+//                          starts fresh and drops the old journal.
 //   HMM_CKPT_INTERVAL      seconds between mid-cell auto-checkpoints
 //                          (default 30; 0 = checkpoint only on SIGINT/
 //                          SIGTERM)
-// A numeric flag (or HMM_JOBS) that does not parse whole, or lies out of
-// range, exits 2 with a message naming it.
+// A numeric flag or variable (HMM_BENCH_SCALE, HMM_JOBS, HMM_CELL_TIMEOUT,
+// HMM_CKPT_INTERVAL) that does not parse whole, or lies out of range,
+// exits 2 with a message naming it.
 #pragma once
 
 #include <charconv>
@@ -59,31 +59,46 @@
 
 namespace hmm::bench {
 
+/// The value `text` of the numeric flag `flag`: all of it must parse as
+/// a T in [lo, hi], or in (lo, hi] when `lo_open`. Anything else
+/// (trailing characters, NaN, out of range) prints a message naming the
+/// flag and exits 2. A floating `hi` at the type's maximum prints as inf.
+template <class T>
+[[nodiscard]] T numeric_flag(const char* flag, const char* text, T lo, T hi,
+                             bool lo_open = false) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec == std::errc{} && stop == end && (lo_open ? v > lo : v >= lo) &&
+      v <= hi)
+    return v;
+  std::cerr << flag << " takes a number in " << (lo_open ? "(" : "[") << lo;
+  if (std::numeric_limits<T>::has_infinity &&
+      hi == std::numeric_limits<T>::max())
+    std::cerr << ", inf)";
+  else
+    std::cerr << ", " << hi << "]";
+  std::cerr << ", not '" << text << "'\n";
+  std::exit(2);
+}
+
+/// The numeric environment variable `name` by numeric_flag's rules, or
+/// `fallback` when it is unset or empty.
+template <class T>
+[[nodiscard]] T numeric_env(const char* name, T fallback, T lo, T hi,
+                            bool lo_open = false) {
+  const char* e = std::getenv(name);
+  if (e == nullptr || *e == '\0') return fallback;
+  return numeric_flag(name, e, lo, hi, lo_open);
+}
+
 [[nodiscard]] inline double scale() {
-  if (const char* e = std::getenv("HMM_BENCH_SCALE")) {
-    const double v = std::strtod(e, nullptr);
-    if (v > 0) return v;
-  }
-  return 1.0;
+  return numeric_env("HMM_BENCH_SCALE", 1.0, 0.0,
+                     std::numeric_limits<double>::max(), /*lo_open=*/true);
 }
 
 [[nodiscard]] inline std::uint64_t scaled(std::uint64_t n) {
   return static_cast<std::uint64_t>(static_cast<double>(n) * scale());
-}
-
-/// The value `text` of the numeric flag `flag`: all of it must parse as
-/// a T in [lo, hi]. Anything else (trailing characters, NaN, out of
-/// range) prints a message naming the flag and exits 2.
-template <class T>
-[[nodiscard]] T numeric_flag(const char* flag, const char* text, T lo,
-                             T hi) {
-  T v{};
-  const char* end = text + std::strlen(text);
-  const auto [stop, ec] = std::from_chars(text, end, v);
-  if (ec == std::errc{} && stop == end && v >= lo && v <= hi) return v;
-  std::cerr << flag << " takes a number in [" << lo << ", " << hi
-            << "], not '" << text << "'\n";
-  std::exit(2);
 }
 
 /// `--jobs N` / `--jobs=N` / `-j N` from argv, else HMM_JOBS, else 0
@@ -98,9 +113,7 @@ template <class T>
         i + 1 < argc)
       return numeric_flag(a, argv[i + 1], 1u, kMax);
   }
-  if (const char* e = std::getenv("HMM_JOBS"); e != nullptr && *e != '\0')
-    return numeric_flag("HMM_JOBS", e, 1u, kMax);
-  return 0;
+  return numeric_env("HMM_JOBS", 0u, 1u, kMax);
 }
 
 /// `--smoke` / HMM_SMOKE=1: one tiny cell per axis so ctest can exercise
@@ -114,18 +127,6 @@ template <class T>
   return false;
 }
 
-/// Runner options for a bench binary: --jobs/HMM_JOBS, base seed 42 (the
-/// historical bench seed), progress lines on stderr (stdout stays tables).
-[[nodiscard]] inline runner::RunnerOptions runner_options(int argc,
-                                                          char** argv) {
-  static runner::ConsoleProgress progress(std::cerr);
-  runner::RunnerOptions o;
-  o.jobs = jobs(argc, argv);
-  o.base_seed = 42;
-  o.observer = &progress;
-  return o;
-}
-
 /// `--resume`: continue an interrupted sweep from its journal.
 [[nodiscard]] inline bool resume_requested(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -134,26 +135,24 @@ template <class T>
   return false;
 }
 
-/// `--no-isolate` / HMM_ISOLATE=0: keep cells in-process (PR 1 threads).
-[[nodiscard]] inline bool isolation_disabled(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-isolate") == 0) return true;
-  }
-  if (const char* e = std::getenv("HMM_ISOLATE"))
-    return e[0] == '0' && e[1] == '\0';
-  return false;
-}
-
-/// Durable runner options: everything the 2-arg overload sets, plus the
-/// bench-keyed journal + checkpoint directory (living next to the JSON
-/// artifact), --resume, SIGINT/SIGTERM handling, and fork()-based crash
-/// isolation by default. HMM_RESULTS_DIR="" disables the durable files.
+/// Runner options for a bench binary: --jobs/HMM_JOBS, base seed 42 (the
+/// historical bench seed), progress lines on stderr (stdout stays tables),
+/// HMM_CELL_TIMEOUT, HMM_CKPT_INTERVAL, --resume, SIGINT/SIGTERM handling,
+/// and the bench-keyed journal + checkpoint directory next to the JSON
+/// artifact (HMM_RESULTS_DIR="" disables the durable files).
 [[nodiscard]] inline runner::RunnerOptions runner_options(
     int argc, char** argv, const std::string& bench_id) {
-  runner::RunnerOptions o = runner_options(argc, argv);
+  static runner::ConsoleProgress progress(std::cerr);
+  constexpr double kMax = std::numeric_limits<double>::max();
+  runner::RunnerOptions o;
+  o.jobs = jobs(argc, argv);
+  o.base_seed = 42;
+  o.observer = &progress;
+  o.cell_timeout_seconds =
+      numeric_env("HMM_CELL_TIMEOUT", o.cell_timeout_seconds, 0.0, kMax);
+  o.checkpoint_interval_seconds = numeric_env(
+      "HMM_CKPT_INTERVAL", o.checkpoint_interval_seconds, 0.0, kMax);
   runner::install_interrupt_handlers();
-  if (!isolation_disabled(argc, argv))
-    o.isolation = runner::Isolation::Process;
   const std::string dir = runner::ResultSink::results_dir();
   if (!dir.empty()) {
     o.journal_path = dir + "/" + bench_id + ".journal";

@@ -9,7 +9,7 @@
 // (4KB) the three converge.
 //
 // The full workload x interval x page x design grid (plus guides) runs as
-// one parallel sweep; pass --jobs N to use N worker threads.
+// one parallel sweep; pass --jobs N to run N cells at once.
 #include <cstdio>
 #include <iostream>
 #include <vector>

@@ -2,12 +2,12 @@
 //
 // A bench declares its sweep as a flat vector of ExperimentSpec cells
 // (workload x controller config x trace length); the ExperimentRunner
-// executes each cell as an isolated job on a thread pool and returns
-// CellResults in grid order, independent of scheduling.
+// executes each cell as an isolated job, inline or in a fork()ed child,
+// and returns CellResults in grid order, independent of scheduling.
 //
 // Determinism contract: every cell's RNG seed is derived as
-// hash(base_seed, seed_key), never from thread identity or submission
-// time, so a sweep is bit-identical whether it runs on 1 or 64 threads.
+// hash(base_seed, seed_key), never from process identity or launch
+// time, so a sweep is bit-identical whether it runs 1 or 64 cells at once.
 // Cells that must share a reference stream for paired comparison (e.g.
 // the with/without-migration runs of one workload) set the same
 // `seed_key`; by default the cell's unique `key` is used.

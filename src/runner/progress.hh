@@ -11,9 +11,9 @@
 
 namespace hmm::runner {
 
-/// Observes sweep execution. Callbacks may arrive from worker threads
-/// (never concurrently for on_start/on_finish; on_cell_done is serialized
-/// by the runner's completion lock).
+/// Observes sweep execution. Every callback arrives on the thread that
+/// called ExperimentRunner::run(), never from a cell's child process:
+/// on_start, one on_cell_done per cell in completion order, on_finish.
 class ProgressObserver {
  public:
   virtual ~ProgressObserver() = default;
@@ -36,8 +36,9 @@ class ProgressObserver {
 };
 
 /// Prints throttled progress lines ("[12/108] fig13/FT/64KB 0.31s ETA 8s")
-/// and a closing per-job timing summary. Thread-safe; reusable across
-/// sweeps within one binary.
+/// and a closing per-job timing summary. Thread-safe, so one instance may
+/// serve sweeps run from several threads; reusable across sweeps within
+/// one binary.
 class ConsoleProgress final : public ProgressObserver {
  public:
   /// `os` is typically std::cerr so result tables on stdout stay clean.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -13,7 +11,6 @@
 #include "fault/sim_error.hh"
 #include "runner/journal.hh"
 #include "runner/supervisor.hh"
-#include "runner/thread_pool.hh"
 #include "sim/checkpoint.hh"
 
 namespace hmm::runner {
@@ -29,22 +26,6 @@ struct InterruptedRun {};
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
-}
-
-[[nodiscard]] double resolve_cell_timeout(double requested) {
-  if (requested >= 0) return requested;
-  const char* env = std::getenv("HMM_CELL_TIMEOUT");
-  if (env == nullptr || *env == '\0') return 0;
-  const double v = std::atof(env);
-  return v > 0 ? v : 0;
-}
-
-[[nodiscard]] double resolve_checkpoint_interval(double requested) {
-  if (requested >= 0) return requested;
-  const char* env = std::getenv("HMM_CKPT_INTERVAL");
-  if (env == nullptr || *env == '\0') return 30;
-  const double v = std::atof(env);
-  return v > 0 ? v : 0;
 }
 
 [[nodiscard]] CellResult unstarted_interrupted(const ExperimentSpec& spec) {
@@ -63,14 +44,11 @@ ExperimentRunner::ExperimentRunner(RunnerOptions opts)
     : jobs_(resolve_jobs(opts.jobs)),
       base_seed_(opts.base_seed),
       observer_(opts.observer),
-      cell_timeout_(resolve_cell_timeout(opts.cell_timeout_seconds)),
-      retry_failed_(opts.retry_failed),
-      isolation_(opts.isolation),
+      cell_timeout_(opts.cell_timeout_seconds),
       journal_path_(std::move(opts.journal_path)),
       resume_(opts.resume),
       checkpoint_dir_(std::move(opts.checkpoint_dir)),
-      checkpoint_interval_(
-          resolve_checkpoint_interval(opts.checkpoint_interval_seconds)) {}
+      checkpoint_interval_(opts.checkpoint_interval_seconds) {}
 
 RunResult ExperimentRunner::replay(const ExperimentSpec& spec,
                                    std::uint64_t seed) {
@@ -214,7 +192,7 @@ CellResult ExperimentRunner::execute(const ExperimentSpec& spec) const {
   const std::string ckpt = checkpoint_path(spec);
   CellResult cell = attempt(spec, seed, ckpt);
   cell.attempts = 1;
-  if (!cell.ok && cell.status != "interrupted" && retry_failed_) {
+  if (!cell.ok && cell.status != "interrupted") {
     // One more try with the identical seed: a transient host effect (e.g.
     // a timeout on a loaded machine) clears, a deterministic failure
     // reproduces — either way the outcome is informative.
@@ -242,9 +220,18 @@ std::vector<CellResult> ExperimentRunner::run(
     const auto parent = std::filesystem::path(journal_path_).parent_path();
     if (!parent.empty()) std::filesystem::create_directories(parent, ec);
   }
-  Journal journal(journal_path_);
   if (!checkpoint_dir_.empty())
     std::filesystem::create_directories(checkpoint_dir_, ec);
+  // A fresh sweep inherits nothing: an earlier sweep's journal lines would
+  // ride along into this one's appends, and a leftover checkpoint of one
+  // of this grid's cells would be restored.
+  if (!resume_) {
+    if (!journal_path_.empty()) std::filesystem::remove(journal_path_, ec);
+    for (const ExperimentSpec& spec : grid)
+      if (const std::string ckpt = checkpoint_path(spec); !ckpt.empty())
+        remove_checkpoint(ckpt);
+  }
+  Journal journal(journal_path_);
 
   // Resume: cells already journaled come back verbatim (bit-identical
   // metrics), everything else lands on the todo list.
@@ -265,9 +252,7 @@ std::vector<CellResult> ExperimentRunner::run(
     }
   }
 
-  // Completion bookkeeping, shared by every execution path. Single-threaded
-  // everywhere except the thread-pool path, which serializes through a
-  // mutex before calling in.
+  // Completion bookkeeping, on this thread for both execution paths.
   const auto complete = [&](std::size_t i, CellResult cell) {
     if (cell.status != "interrupted") journal.append(cell);
     wall.add(cell.wall_seconds);
@@ -276,35 +261,21 @@ std::vector<CellResult> ExperimentRunner::run(
     if (observer_) observer_->on_cell_done(results[i], done, grid.size());
   };
 
-  const bool use_process = isolation_ == Isolation::Process &&
-                           process_isolation_available() && jobs_ > 1;
-  if (use_process) {
-    // The parent runs no worker threads in this mode, so every fork()
-    // happens from a single-threaded process.
-    Supervisor sup({jobs_, cell_timeout_});
-    sup.run(
-        grid, todo, [this, &grid](std::size_t i) { return execute(grid[i]); },
-        complete);
-  } else if (jobs_ <= 1 || todo.size() <= 1) {
-    // Inline serial path: the exact pre-runner bench loop.
-    for (const std::size_t i : todo) {
-      complete(i, interrupt_requested() ? unstarted_interrupted(grid[i])
-                                        : execute(grid[i]));
-    }
+  // Both paths start cells in todo order and stop starting them once the
+  // interrupt flag rises; `started` counts the cells they started.
+  std::size_t started = 0;
+  if (jobs_ > 1) {
+    // The runner starts no threads, so every fork() happens from a
+    // single-threaded process.
+    const auto fn = [this, &grid](std::size_t i) { return execute(grid[i]); };
+    started = Supervisor({jobs_, cell_timeout_}).run(grid, todo, fn, complete);
   } else {
-    ThreadPool pool(jobs_);
-    std::mutex done_mu;  // serializes completion bookkeeping + callbacks
-    for (const std::size_t i : todo) {
-      pool.submit([this, &grid, &complete, &done_mu, i] {
-        CellResult cell = interrupt_requested()
-                              ? unstarted_interrupted(grid[i])
-                              : execute(grid[i]);
-        const std::lock_guard<std::mutex> lock(done_mu);
-        complete(i, std::move(cell));
-      });
-    }
-    pool.wait_idle();
+    // Inline serial path: the exact pre-runner bench loop.
+    for (; started < todo.size() && !interrupt_requested(); ++started)
+      complete(todo[started], execute(grid[todo[started]]));
   }
+  for (std::size_t k = started; k < todo.size(); ++k)
+    complete(todo[k], unstarted_interrupted(grid[todo[k]]));
 
   // The journal has served its purpose once every cell is terminal; keep
   // it only when something was interrupted (that is what --resume reads).

@@ -1,4 +1,5 @@
-// ExperimentRunner: executes a declarative sweep grid on a thread pool.
+// ExperimentRunner: executes a declarative sweep grid, inline or one
+// fork()ed child process per cell.
 //
 // Usage:
 //   std::vector<ExperimentSpec> grid = ...;         // cells in print order
@@ -11,7 +12,10 @@
 //    jobs=N produce bit-identical RunResults (wall times aside);
 //  * a throwing job becomes a failed CellResult; the sweep completes;
 //  * jobs=1 runs every cell inline on the calling thread — exactly the
-//    serial loop the benches used before this subsystem existed.
+//    serial loop the benches used before this subsystem existed;
+//  * jobs>1 runs each cell in its own fork()ed child, at most `jobs` at
+//    once (supervisor.hh), so a crashing cell becomes one "crashed" or
+//    "error" row instead of a dead sweep.
 #pragma once
 
 #include <cstdint>
@@ -22,43 +26,30 @@
 
 namespace hmm::runner {
 
-/// How cells are executed relative to the supervising process.
-enum class Isolation {
-  InProcess,  ///< thread pool (or inline) in this process — PR 1 behaviour
-  /// fork() one child per cell: a SIGSEGV/abort/OOM in a cell becomes a
-  /// "crashed"/"error" row instead of killing the sweep. Requires POSIX
-  /// and jobs > 1; otherwise falls back to InProcess.
-  Process,
-};
-
 struct RunnerOptions {
-  unsigned jobs = 0;  ///< worker threads; 0 = hardware concurrency, 1 = inline
+  /// Cells run at once; 0 = hardware concurrency, 1 = inline, more = one
+  /// fork()ed child per cell.
+  unsigned jobs = 0;
   std::uint64_t base_seed = 42;          ///< mixed into every cell seed
-  ProgressObserver* observer = nullptr;  ///< optional; callbacks serialized
+  ProgressObserver* observer = nullptr;  ///< optional; see progress.hh
   /// Per-cell wall-clock deadline in seconds; a cell exceeding it fails
-  /// with status "timeout". < 0 = read the HMM_CELL_TIMEOUT environment
-  /// variable (unset or 0 = no deadline).
-  double cell_timeout_seconds = -1;
-  /// Run a failed cell once more with the identical seed (transient host
-  /// effects — e.g. a timeout on a loaded machine — get a second chance;
-  /// a deterministic failure reproduces exactly).
-  bool retry_failed = true;
+  /// with status "timeout". 0 = no deadline.
+  double cell_timeout_seconds = 0;
   // --- durability (fields appended; callers use designated initializers) ---
-  /// Crash isolation mode; Process needs POSIX fork() and jobs > 1.
-  Isolation isolation = Isolation::InProcess;
   /// JSONL journal of completed cells; empty = journaling disabled. With a
   /// journal, an interrupted/killed sweep rerun with `resume = true` skips
   /// every journaled cell and replays its recorded metrics bit-identically.
   std::string journal_path = {};
-  /// Skip cells already recorded in `journal_path` (marked `resumed`).
+  /// Skip cells already recorded in `journal_path` (marked `resumed`) and
+  /// restore their checkpoints. Without it a sweep starts fresh: an
+  /// earlier sweep's journal and this grid's checkpoint files are dropped.
   bool resume = false;
   /// Directory for per-cell checkpoint files (<dir>/<key>.ckpt); empty =
   /// checkpointing disabled. A checkpoint is written on SIGINT/SIGTERM and
   /// every `checkpoint_interval_seconds`, and deleted when the cell ends.
   std::string checkpoint_dir = {};
-  /// Periodic auto-checkpoint cadence in seconds; 0 = only on interrupt,
-  /// < 0 = read HMM_CKPT_INTERVAL (unset -> 30 s).
-  double checkpoint_interval_seconds = -1;
+  /// Periodic auto-checkpoint cadence in seconds; 0 = only on interrupt.
+  double checkpoint_interval_seconds = 30;
 };
 
 class ExperimentRunner {
@@ -75,7 +66,7 @@ class ExperimentRunner {
   [[nodiscard]] static RunResult replay(const ExperimentSpec& spec,
                                         std::uint64_t seed);
 
-  /// Resolved worker count (after the jobs=0 default).
+  /// Resolved cell concurrency (after the jobs=0 default).
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
  private:
@@ -99,8 +90,6 @@ class ExperimentRunner {
   std::uint64_t base_seed_;
   ProgressObserver* observer_;
   double cell_timeout_;
-  bool retry_failed_;
-  Isolation isolation_;
   std::string journal_path_;
   bool resume_;
   std::string checkpoint_dir_;

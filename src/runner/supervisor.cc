@@ -1,21 +1,15 @@
 #include "runner/supervisor.hh"
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
-#include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define HMM_HAVE_FORK 1
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <ctime>
-#else
-#define HMM_HAVE_FORK 0
-#endif
+#include <string>
 
 #include "runner/journal.hh"
 
@@ -48,37 +42,13 @@ void clear_interrupt() noexcept {
 
 void install_interrupt_handlers() {
   if (g_handlers_installed.exchange(true)) return;
-#if HMM_HAVE_FORK
   struct sigaction sa = {};
   sa.sa_handler = hmm_on_interrupt_signal;
   sigemptyset(&sa.sa_mask);
   sa.sa_flags = SA_RESTART;
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-#else
-  std::signal(SIGINT, hmm_on_interrupt_signal);
-  std::signal(SIGTERM, hmm_on_interrupt_signal);
-#endif
 }
-
-bool process_isolation_available() noexcept { return HMM_HAVE_FORK != 0; }
-
-namespace {
-
-[[nodiscard]] CellResult make_unstarted_interrupted(
-    const ExperimentSpec& spec) {
-  CellResult cell;
-  cell.key = spec.key;
-  cell.ok = false;
-  cell.status = "interrupted";
-  cell.error = "sweep interrupted before this cell started";
-  cell.attempts = 0;
-  return cell;
-}
-
-}  // namespace
-
-#if HMM_HAVE_FORK
 
 namespace {
 
@@ -157,9 +127,9 @@ void drain_pipe(Child& c) {
 
 }  // namespace
 
-void Supervisor::run(const std::vector<ExperimentSpec>& grid,
-                     const std::vector<std::size_t>& todo, const CellFn& fn,
-                     const DoneFn& done) {
+std::size_t Supervisor::run(const std::vector<ExperimentSpec>& grid,
+                            const std::vector<std::size_t>& todo,
+                            const CellFn& fn, const DoneFn& done) {
   const unsigned jobs = opts_.jobs > 0 ? opts_.jobs : 1;
   // Kill a child only well past its own internal deadline: the child
   // classifies its own timeout cleanly; SIGKILL is the backstop for a
@@ -224,12 +194,8 @@ void Supervisor::run(const std::vector<ExperimentSpec>& grid,
       spawn(todo[next++]);
 
     if (stopping) {
-      // Unstarted cells are reported interrupted; running children get
-      // SIGTERM once and are then reaped normally (they checkpoint and
-      // exit kInterruptedExit on their own).
-      while (next < todo.size())
-        done(todo[next], make_unstarted_interrupted(grid[todo[next]])),
-            ++next;
+      // Running children get SIGTERM once and are then reaped normally
+      // (they checkpoint and exit kInterruptedExit on their own).
       for (Child& c : active) {
         if (!c.term_forwarded) {
           ::kill(c.pid, SIGTERM);
@@ -275,23 +241,7 @@ void Supervisor::run(const std::vector<ExperimentSpec>& grid,
       ::nanosleep(&ts, nullptr);
     }
   }
+  return next;
 }
-
-#else  // !HMM_HAVE_FORK
-
-void Supervisor::run(const std::vector<ExperimentSpec>& grid,
-                     const std::vector<std::size_t>& todo, const CellFn& fn,
-                     const DoneFn& done) {
-  // No fork(): run the cells inline, still honouring the interrupt flag.
-  for (const std::size_t index : todo) {
-    if (interrupt_requested()) {
-      done(index, make_unstarted_interrupted(grid[index]));
-      continue;
-    }
-    done(index, fn(index));
-  }
-}
-
-#endif  // HMM_HAVE_FORK
 
 }  // namespace hmm::runner

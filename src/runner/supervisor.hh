@@ -1,9 +1,9 @@
 // Process-level crash isolation for sweep cells, plus the sweep-wide
 // interrupt flag.
 //
-// In Isolation::Process mode each cell runs in a fork()ed child: the cell
-// body executes there, serializes its CellResult onto a pipe, and exits.
-// The parent — which runs no worker threads in this mode, so the fork is
+// With RunnerOptions::jobs > 1 each cell runs in a fork()ed child: the
+// cell body executes there, serializes its CellResult onto a pipe, and
+// exits. The parent — which runs no other threads, so the fork is
 // async-signal-safe — reaps children, reads their blobs, and classifies
 // every outcome:
 //   exit 0               -> the child's own classification (ok/failed/...)
@@ -13,8 +13,7 @@
 //   killed by a signal   -> "crashed" (SIGSEGV and friends)
 //   parent deadline hit  -> "timeout" (SIGKILL after 2x the cell budget)
 // A SIGSEGV in one cell therefore becomes one "crashed" row in the
-// results JSON while every sibling completes — the isolation PR 1's
-// thread pool could not give.
+// results JSON while every sibling completes.
 //
 // The interrupt flag is process-global: install_interrupt_handlers() maps
 // SIGINT/SIGTERM onto it, children inherit the handler, and the durable
@@ -43,9 +42,6 @@ void clear_interrupt() noexcept;
 /// Installs SIGINT/SIGTERM handlers that raise the flag. Idempotent.
 void install_interrupt_handlers();
 
-/// True when fork()-based isolation works on this platform.
-[[nodiscard]] bool process_isolation_available() noexcept;
-
 class Supervisor {
  public:
   struct Options {
@@ -60,14 +56,15 @@ class Supervisor {
 
   explicit Supervisor(Options opts) : opts_(opts) {}
 
-  /// Executes the cells named by `todo` (indices into the caller's grid).
-  /// Blocks until every scheduled child is reaped. When the interrupt
-  /// flag rises, stops launching, forwards SIGTERM to running children,
-  /// and reports unstarted cells as "interrupted" (not checkpointed —
-  /// they never ran). Never throws past a fork.
-  void run(const std::vector<ExperimentSpec>& grid,
-           const std::vector<std::size_t>& todo, const CellFn& fn,
-           const DoneFn& done);
+  /// Executes the cells named by `todo` (indices into the caller's grid),
+  /// launching them in order. Blocks until every launched child is
+  /// reaped. When the interrupt flag rises, stops launching and forwards
+  /// SIGTERM to running children. Returns how many cells it launched: the
+  /// caller reports the rest of `todo`, which never ran. Never throws
+  /// past a fork.
+  [[nodiscard]] std::size_t run(const std::vector<ExperimentSpec>& grid,
+                                const std::vector<std::size_t>& todo,
+                                const CellFn& fn, const DoneFn& done);
 
  private:
   Options opts_;

@@ -1,17 +1,23 @@
 // Durability layer tests: checkpoint/restore bit-identity against an
 // uninterrupted run, checkpoint file integrity, the sweep journal
-// (append / recover / torn tail), --resume semantics, crash-isolated
-// cells, and the atomic results artifact.
+// (append / recover / torn tail), --resume and fresh-sweep semantics,
+// a real SIGTERM under fork isolation, crash-isolated cells, and the
+// atomic results artifact.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/units.hh"
@@ -418,8 +424,183 @@ TEST(RunnerDurability, InterruptStopsTheSweepAndResumeFinishesIt) {
   EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
+// A sweep run without --resume starts from an empty journal. Otherwise
+// sweep 1's row for a cell would ride along into sweep 2's journal, and
+// resuming sweep 2 would replay it in place of sweep 2's own cell.
+TEST(RunnerDurability, FreshSweepDoesNotInheritAStaleJournal) {
+  clear_interrupt();
+  const std::string journal = temp_path("fresh.journal");
+  std::remove(journal.c_str());
+  const auto cell = [](const std::string& key, std::uint64_t accesses,
+                       bool interrupt_after) {
+    ExperimentSpec s;
+    s.key = key;
+    s.job = [accesses, interrupt_after](std::uint64_t) {
+      if (interrupt_after) request_interrupt();
+      RunResult r;
+      r.accesses = accesses;
+      return r;
+    };
+    return s;
+  };
+
+  // Sweep 1 records A, then stops before B.
+  const std::vector<CellResult> first =
+      ExperimentRunner({.jobs = 1, .journal_path = journal})
+          .run({cell("a", 1, true), cell("b", 2, false)});
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_TRUE(first[0].ok);
+  ASSERT_EQ(first[1].status, "interrupted");
+
+  // Sweep 2 runs fresh on changed cells: it finishes B and stops before A.
+  clear_interrupt();
+  const std::vector<ExperimentSpec> changed{cell("b", 20, true),
+                                            cell("a", 10, false)};
+  const std::vector<CellResult> second =
+      ExperimentRunner({.jobs = 1, .journal_path = journal}).run(changed);
+  ASSERT_EQ(second.size(), 2u);
+  ASSERT_TRUE(second[0].ok);
+  ASSERT_EQ(second[1].status, "interrupted");
+
+  // Resuming sweep 2 replays its own B and runs its own A.
+  clear_interrupt();
+  const std::vector<CellResult> resumed =
+      ExperimentRunner({.jobs = 1, .journal_path = journal, .resume = true})
+          .run(changed);
+  ASSERT_EQ(resumed.size(), 2u);
+  EXPECT_TRUE(resumed[0].resumed);
+  EXPECT_EQ(resumed[0].result.accesses, 20u);
+  EXPECT_FALSE(resumed[1].resumed) << "sweep 1's row for A was replayed";
+  EXPECT_EQ(resumed[1].result.accesses, 10u);
+  EXPECT_FALSE(std::filesystem::exists(journal));
+}
+
+// Nor does a fresh sweep restore a checkpoint an earlier sweep left for
+// one of its cells (here the same key at half the trace length, so the
+// fingerprint no longer matches). Files of no cell in the grid stay.
+TEST(RunnerDurability, FreshSweepDropsItsCellsStaleCheckpoints) {
+  clear_interrupt();
+  const std::string dir = temp_path("fresh_ckpt");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const ExperimentSpec spec = sim_spec("fresh/ckpt");
+  const std::uint64_t seed = derive_seed(42, spec.key);
+  const std::string own = dir + "/" + sanitize_key(spec.key) + ".ckpt";
+  const std::string foreign = dir + "/other.ckpt";
+  {
+    MemSim sim(spec.config);
+    auto gen = spec.workload.make(seed);
+    sim.run_chunk(*gen, 512);
+    const std::uint64_t fp =
+        checkpoint_fingerprint(spec.key, seed, spec.accesses / 2);
+    save_checkpoint(own, CheckpointMeta{fp, 512, false}, *gen, sim);
+  }
+  std::filesystem::copy_file(own, foreign);
+
+  const std::vector<CellResult> out =
+      ExperimentRunner({.jobs = 1, .checkpoint_dir = dir}).run({spec});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].ok) << out[0].error;
+  EXPECT_EQ(out[0].attempts, 1u);
+  expect_same_result(out[0].result, ExperimentRunner::replay(spec, seed));
+  EXPECT_FALSE(std::filesystem::exists(own));
+  EXPECT_TRUE(std::filesystem::exists(foreign));
+  std::filesystem::remove_all(dir);
+}
+
+// A real SIGTERM under fork isolation. Cell A (a replay) signals the
+// sweep's process from its workload factory; the supervisor forwards
+// SIGTERM to both running children, so A checkpoints and stops, B (a job)
+// finishes, and C and D never start. --resume then finishes all four.
+// Signals and a pipe order the steps, not timing: B writes a byte once
+// its job runs, and A signals only after reading it, so both slots are
+// busy and B's child was forked before the flag rose.
+TEST(RunnerDurability, SigtermUnderIsolationCheckpointsAndResumes) {
+  clear_interrupt();
+  install_interrupt_handlers();
+  const std::string dir = temp_path("sigterm");
+  std::filesystem::remove_all(dir);
+  const RunnerOptions opts{.jobs = 2,
+                           .journal_path = dir + "/sweep.journal",
+                           .checkpoint_dir = dir + "/ckpt"};
+  int b_running[2];
+  ASSERT_EQ(::pipe(b_running), 0);
+  const int read_fd = b_running[0];
+  const int write_fd = b_running[1];
+  const auto await_interrupt = [] {
+    for (int ms = 0; ms < 20'000 && !interrupt_requested(); ++ms)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  const pid_t sweep_pid = ::getpid();
+  auto signal_sweep = std::make_shared<bool>(true);
+
+  std::vector<ExperimentSpec> grid;
+  for (const char* key : {"sigterm/a", "sigterm/b", "sigterm/c", "sigterm/d"})
+    grid.push_back(sim_spec(key));
+  grid[0].workload.make = [signal_sweep, sweep_pid, read_fd,
+                           await_interrupt](std::uint64_t seed) {
+    if (*signal_sweep) {
+      pollfd ready{read_fd, POLLIN, 0};
+      char byte = 0;
+      if (::poll(&ready, 1, 20'000) == 1 && ::read(read_fd, &byte, 1) == 1)
+        ::kill(sweep_pid, SIGTERM);
+      await_interrupt();
+    }
+    return make_pgbench(seed);
+  };
+  grid[1].job = [write_fd, await_interrupt](std::uint64_t) {
+    if (::write(write_fd, "b", 1) == 1) await_interrupt();
+    RunResult r;
+    r.accesses = 7;
+    return r;
+  };
+  for (const std::uint64_t i : {2u, 3u}) {
+    grid[i].job = [i](std::uint64_t) {
+      RunResult r;
+      r.accesses = 100 + i;
+      return r;
+    };
+  }
+
+  const std::vector<CellResult> first = ExperimentRunner(opts).run(grid);
+  ASSERT_EQ(first.size(), 4u);
+  EXPECT_EQ(first[0].status, "interrupted");
+  EXPECT_NE(first[0].error.find("checkpoint saved"), std::string::npos)
+      << first[0].error;
+  EXPECT_EQ(first[1].status, "ok") << first[1].error;
+  for (const std::size_t i : {2u, 3u}) {
+    EXPECT_EQ(first[i].status, "interrupted") << grid[i].key;
+    EXPECT_EQ(first[i].attempts, 0u) << grid[i].key;
+  }
+  const std::string ckpt_a =
+      opts.checkpoint_dir + "/" + sanitize_key(grid[0].key) + ".ckpt";
+  EXPECT_TRUE(std::filesystem::exists(ckpt_a));
+  EXPECT_TRUE(std::filesystem::exists(opts.journal_path));
+
+  // Resume: A no longer signals, and B must come from the journal.
+  clear_interrupt();
+  *signal_sweep = false;
+  grid[1].job = [](std::uint64_t) -> RunResult {
+    throw std::runtime_error("resumed cell was re-executed");
+  };
+  RunnerOptions resuming = opts;
+  resuming.resume = true;
+  const std::vector<CellResult> second = ExperimentRunner(resuming).run(grid);
+  ASSERT_EQ(second.size(), 4u);
+  for (const CellResult& c : second)
+    EXPECT_TRUE(c.ok) << c.key << ": " << c.error;
+  EXPECT_TRUE(second[1].resumed);
+  EXPECT_EQ(second[1].result.accesses, 7u);
+  expect_same_result(second[0].result,
+                     ExperimentRunner::replay(grid[0], second[0].seed));
+  EXPECT_FALSE(std::filesystem::exists(opts.journal_path));
+  EXPECT_TRUE(std::filesystem::is_empty(opts.checkpoint_dir));
+  ::close(read_fd);
+  ::close(write_fd);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RunnerDurability, CrashingCellIsIsolatedAndSiblingsComplete) {
-  if (!process_isolation_available()) GTEST_SKIP() << "no fork()";
   clear_interrupt();
 
   std::vector<ExperimentSpec> grid(3);
@@ -437,9 +618,7 @@ TEST(RunnerDurability, CrashingCellIsIsolatedAndSiblingsComplete) {
       return r;
     };
   }
-  const std::vector<CellResult> out =
-      ExperimentRunner({.jobs = 2, .isolation = Isolation::Process})
-          .run(grid);
+  const std::vector<CellResult> out = ExperimentRunner({.jobs = 2}).run(grid);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_TRUE(out[0].ok);
   EXPECT_EQ(out[0].result.accesses, 100u);
@@ -450,8 +629,9 @@ TEST(RunnerDurability, CrashingCellIsIsolatedAndSiblingsComplete) {
   EXPECT_EQ(out[2].result.accesses, 102u);
 }
 
+// --jobs 1 runs the cells inline in this process, --jobs 2 each in a
+// fork()ed child; the metrics must not tell them apart.
 TEST(RunnerDurability, ProcessIsolationMatchesInProcessResults) {
-  if (!process_isolation_available()) GTEST_SKIP() << "no fork()";
   clear_interrupt();
 
   std::vector<ExperimentSpec> grid;
@@ -460,10 +640,9 @@ TEST(RunnerDurability, ProcessIsolationMatchesInProcessResults) {
   for (ExperimentSpec& s : grid) s.accesses = 3000;
 
   const std::vector<CellResult> in_process =
-      ExperimentRunner({.jobs = 2}).run(grid);
+      ExperimentRunner({.jobs = 1}).run(grid);
   const std::vector<CellResult> isolated =
-      ExperimentRunner({.jobs = 2, .isolation = Isolation::Process})
-          .run(grid);
+      ExperimentRunner({.jobs = 2}).run(grid);
   ASSERT_EQ(isolated.size(), in_process.size());
   for (std::size_t i = 0; i < isolated.size(); ++i) {
     SCOPED_TRACE(grid[i].key);

@@ -1,10 +1,9 @@
 // Runner subsystem tests: the determinism contract (jobs=1 == jobs=8,
 // bit-identical), failure isolation (a throwing job becomes a failed cell,
-// the pool survives), seed derivation, the thread pool, and the JSON
-// writer's output format.
+// the sweep completes), seed derivation, and the JSON writer's output
+// format.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -18,7 +17,6 @@
 #include "runner/json.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
-#include "runner/thread_pool.hh"
 #include "trace/workloads.hh"
 
 namespace hmm::runner {
@@ -31,40 +29,6 @@ TEST(DeriveSeed, DependsOnlyOnBaseSeedAndKey) {
   EXPECT_NE(derive_seed(42, "fig13/FT/64KB"), derive_seed(42, "fig13/FT/4KB"));
   EXPECT_NE(derive_seed(42, "fig13/FT/64KB"), derive_seed(43, "fig13/FT/64KB"));
   EXPECT_NE(derive_seed(0, ""), derive_seed(1, ""));
-}
-
-// --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.wait_idle();  // idle pool: returns immediately
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, SurvivesThrowingTask) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("escaped"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
 }
 
 // --- runner determinism -----------------------------------------------------
@@ -236,24 +200,6 @@ TEST(ExperimentRunner, FailedCellRetriesOnceWithTheIdenticalSeed) {
   EXPECT_EQ((*seeds)[0], (*seeds)[1]);  // the retry replays, not reseeds
 }
 
-TEST(ExperimentRunner, RetryCanBeDisabled) {
-  std::vector<ExperimentSpec> grid(1);
-  grid[0].key = "doomed";
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  grid[0].job = [calls](std::uint64_t) -> RunResult {
-    ++*calls;
-    throw std::runtime_error("always");
-  };
-  const std::vector<CellResult> out =
-      ExperimentRunner({.jobs = 1, .retry_failed = false}).run(grid);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_FALSE(out[0].ok);
-  EXPECT_EQ(out[0].status, "failed");
-  EXPECT_EQ(out[0].attempts, 1u);
-  EXPECT_EQ(out[0].error, "always");
-  EXPECT_EQ(calls->load(), 1);
-}
-
 TEST(ExperimentRunner, SimErrorTimeoutIsClassifiedAsTimeout) {
   std::vector<ExperimentSpec> grid(2);
   grid[0].key = "slow";
@@ -284,12 +230,11 @@ TEST(ExperimentRunner, CellTimeoutOptionBoundsARealReplay) {
   s.config.controller.swap_interval = 1000;
   s.accesses = 40000;
   const std::vector<CellResult> out =
-      ExperimentRunner(
-          {.jobs = 1, .cell_timeout_seconds = 1e-9, .retry_failed = false})
-          .run({s});
+      ExperimentRunner({.jobs = 1, .cell_timeout_seconds = 1e-9}).run({s});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].ok);
   EXPECT_EQ(out[0].status, "timeout");
+  EXPECT_EQ(out[0].attempts, 2u);  // the retry hits the same deadline
   EXPECT_NE(out[0].error.find("[timeout]"), std::string::npos);
 }
 
