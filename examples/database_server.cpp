@@ -13,6 +13,7 @@
 
 #include "common/table.hh"
 #include "sim/memsim.hh"
+#include "sim/replay.hh"
 #include "trace/workloads.hh"
 
 using namespace hmm;
@@ -29,12 +30,9 @@ RunResult run_config(std::uint64_t on_cap, std::uint64_t page,
 
   MemSim sim(cfg);
   auto w = make_pgbench(7);
-  sim.set_instant_migration(true);
-  sim.run(*w, accesses / 2);
-  sim.set_instant_migration(false);
-  sim.reset_stats();
-  sim.run(*w, accesses / 2);
-  sim.finish();
+  // Half the accesses warm placement up, the other half are measured.
+  const std::uint64_t half = accesses / 2;
+  replay(sim, *w, half, 2 * half);
   return sim.result();
 }
 

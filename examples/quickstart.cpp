@@ -8,6 +8,7 @@
 #include <string>
 
 #include "sim/memsim.hh"
+#include "sim/replay.hh"
 #include "trace/workloads.hh"
 
 using namespace hmm;
@@ -24,14 +25,11 @@ RunResult run_once(bool migration, MigrationDesign design,
 
   MemSim sim(cfg);
   auto workload = make_pgbench(/*seed=*/42);
-  // Fast-forward placement to steady state, then measure with real
-  // migration dynamics (see EXPERIMENTS.md, "warm-up methodology").
-  sim.set_instant_migration(true);
-  sim.run(*workload, accesses / 2);
-  sim.set_instant_migration(false);
-  sim.reset_stats();
-  sim.run(*workload, accesses / 2);
-  sim.finish();
+  // Fast-forward placement to steady state over the first half, then
+  // measure the second with real migration dynamics (see EXPERIMENTS.md,
+  // "warm-up methodology").
+  const std::uint64_t half = accesses / 2;
+  replay(sim, *workload, half, 2 * half);
   return sim.result();
 }
 

@@ -157,7 +157,13 @@ class Reader {
   [[nodiscard]] std::uint16_t u16() { return get<std::uint16_t>(); }
   [[nodiscard]] std::uint32_t u32() { return get<std::uint32_t>(); }
   [[nodiscard]] std::uint64_t u64() { return get<std::uint64_t>(); }
-  [[nodiscard]] bool b() { return u8() != 0; }
+  /// A bool byte; anything but 0 or 1 is not a byte Writer::b() writes.
+  [[nodiscard]] bool b() {
+    const std::uint8_t v = u8();
+    if (v > 1)
+      snapshot_error("bool byte " + std::to_string(v) + " is neither 0 nor 1");
+    return v != 0;
+  }
   [[nodiscard]] double f64() {
     const std::uint64_t bits = u64();
     double v;
@@ -260,13 +266,21 @@ class Reader {
 template <class Ar>
 inline constexpr bool kSaving = std::is_same_v<Ar, Writer>;
 
-/// One integer, bool or enum field at wire width W.
+/// One integer, bool or enum field at wire width W. On restore, a wire
+/// value the field's type cannot hold (a bool byte of 2, a u64 past a
+/// 32-bit SlotId) is refused: adopting it would change the value and
+/// re-save different bytes.
 template <class W, class Ar, class T>
 void fixed(Ar& ar, T& v) {
-  if constexpr (kSaving<Ar>)
+  if constexpr (kSaving<Ar>) {
     ar.put(static_cast<W>(v));
-  else
-    v = static_cast<T>(ar.template get<W>());
+  } else {
+    const W x = ar.template get<W>();
+    v = static_cast<T>(x);
+    if (static_cast<W>(v) != x)
+      snapshot_error("field value " + std::to_string(x) +
+                     " does not fit the field's type");
+  }
 }
 
 template <class Ar, class T>

@@ -1,6 +1,7 @@
 #include "core/migration.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "fault/sim_error.hh"
 
@@ -696,7 +697,58 @@ void MigrationEngine::save(snap::Writer& w) const {
   const_cast<MigrationEngine*>(this)->io(w);
 }
 
-void MigrationEngine::restore(snap::Reader& r) { io(r); }
+void MigrationEngine::restore(snap::Reader& r) {
+  io(r);
+  // A CRC-valid section can still carry a row, page or chunk index the
+  // table and the copy cannot hold; refuse it before a step applies it.
+  const Geometry& g = table_.geometry();
+  const auto refuse = [](const std::string& what) {
+    snap::snapshot_error("migration engine: " + what);
+  };
+  for (const CopyStep& st : steps_) {
+    if (st.live_fill && (st.fill_slot >= g.slots() ||
+                         st.start_sub_block >= g.sub_blocks_per_page()))
+      refuse("live-fill slot or start sub-block out of range");
+    for (const TableMutation& m : st.after) {
+      using Kind = TableMutation::Kind;
+      if (m.kind > Kind::RasPark)
+        refuse("unknown table mutation kind " +
+               std::to_string(static_cast<unsigned>(m.kind)));
+      bool row = true;
+      bool page = true;
+      bool machine = false;
+      switch (m.kind) {
+        case Kind::SetRow: break;
+        case Kind::SetRowEmpty:
+        case Kind::SetPending:
+        case Kind::ClearPending:
+        case Kind::RasPark: page = false; break;
+        // Design N's evacuation empties a slot with kInvalidPage.
+        case Kind::SetOccupant: page = m.page != kInvalidPage; break;
+        case Kind::NoteData:
+        case Kind::BeginShadow: row = false; machine = true; break;
+        case Kind::CommitShadow:
+        case Kind::AbortShadow: row = page = false; break;
+      }
+      if ((row && m.row >= g.slots()) ||
+          (page && m.page >= g.total_pages()) ||
+          (machine && m.machine >= g.total_pages()))
+        refuse("table mutation row or page out of range");
+    }
+  }
+  if (next_chunk_ > chunks_total_ || chunks_completed_ > next_chunk_)
+    refuse("chunk cursors out of order");
+  // chunk_offset() takes the rotation modulo chunks_total_.
+  if (!steps_.empty() &&
+      (chunks_total_ == 0 || first_chunk_ >= chunks_total_))
+    refuse("active copy without a chunk rotation");
+  if (!pass_offsets_.empty() && pass_offsets_.size() != chunks_total_)
+    refuse("copy pass length disagrees with its chunk count");
+  // analyze: allow(determinism): any out-of-range chunk refuses alike
+  for (const auto& entry : inflight_)
+    if (entry.second.chunk >= chunks_total_)
+      refuse("in-flight chunk out of range");
+}
 
 template <class Ar>
 void MigrationEngine::io(Ar& ar) {

@@ -79,6 +79,7 @@ struct TableMutation {
     CommitShadow,  ///< atomically re-point the page at the hole
     AbortShadow,   ///< discard the transaction (pre-begin table state)
     RasPark,       ///< N-1 retirement: row = `row` pends forever (RAS)
+    // RasPark stays last: restore refuses any later value.
   };
   Kind kind;
   SlotId row = 0;

@@ -1,6 +1,5 @@
 #include "runner/runner.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <filesystem>
@@ -12,6 +11,7 @@
 #include "runner/journal.hh"
 #include "runner/supervisor.hh"
 #include "sim/checkpoint.hh"
+#include "sim/replay.hh"
 
 namespace hmm::runner {
 
@@ -26,6 +26,12 @@ struct InterruptedRun {};
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+/// The references of `spec` replayed as the instant-migration warm-up.
+[[nodiscard]] std::uint64_t warm_accesses(const ExperimentSpec& spec) {
+  return static_cast<std::uint64_t>(static_cast<double>(spec.accesses) *
+                                    spec.warmup_fraction);
 }
 
 [[nodiscard]] CellResult unstarted_interrupted(const ExperimentSpec& spec) {
@@ -54,16 +60,7 @@ RunResult ExperimentRunner::replay(const ExperimentSpec& spec,
                                    std::uint64_t seed) {
   MemSim sim(spec.config);
   auto gen = spec.workload.make(seed);
-  const auto warm = static_cast<std::uint64_t>(
-      static_cast<double>(spec.accesses) * spec.warmup_fraction);
-  if (warm > 0) {
-    sim.set_instant_migration(true);
-    sim.run(*gen, warm);
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-  }
-  sim.run(*gen, spec.accesses - warm);
-  sim.finish();
+  hmm::replay(sim, *gen, warm_accesses(spec), spec.accesses);
   return sim.result();
 }
 
@@ -73,61 +70,35 @@ RunResult ExperimentRunner::durable_replay(const ExperimentSpec& spec,
                                            std::uint64_t& replayed) const {
   MemSim sim(spec.config);
   auto gen = spec.workload.make(seed);
-  const auto warm = static_cast<std::uint64_t>(
-      static_cast<double>(spec.accesses) * spec.warmup_fraction);
-
-  const std::uint64_t fp =
-      checkpoint_fingerprint(spec.key, seed, spec.accesses);
-  CheckpointMeta meta{fp, 0, false};
-  bool restored = false;
+  CheckpointMeta at{checkpoint_fingerprint(spec.key, seed, spec.accesses), 0,
+                    false};
   if (!ckpt_path.empty()) {
-    if (const auto m = load_checkpoint(ckpt_path, fp, *gen, sim)) {
-      meta = *m;
-      restored = true;
-    }
+    if (const auto m = load_checkpoint(ckpt_path, at.fingerprint, *gen, sim))
+      at = *m;
   }
-  replayed = spec.accesses - meta.accesses_done;
-  // Fresh run: arm the warm-up fast-forward replay() would arm. A restored
-  // run gets the flag back from the engine snapshot instead.
-  if (!restored && warm > 0) sim.set_instant_migration(true);
+  replayed = spec.accesses - at.accesses_done;
 
-  // The loop below replays exactly replay()'s sequence, in interruptible
-  // chunks:   run(warm)         == chunks to `warm` + finish()
-  //           reset boundary    == set_instant(false) + reset_stats()
-  //           run(total - warm) == chunks to `accesses` + finish()
-  //           finish()          == the final explicit drain
-  constexpr std::uint64_t kChunk = 1024;
   auto last_ckpt = std::chrono::steady_clock::now();
-  while (meta.accesses_done < spec.accesses ||
-         (warm > 0 && !meta.stats_reset_done)) {
+  const auto between = [&](const CheckpointMeta& progress) {
     if (interrupt_requested()) {
-      if (!ckpt_path.empty()) save_checkpoint(ckpt_path, meta, *gen, sim);
-      // analyze: allow(errors): internal control flow, classified in attempt()
-      throw InterruptedRun{};
+      if (!ckpt_path.empty()) save_checkpoint(ckpt_path, progress, *gen, sim);
+      return false;
     }
-    if (warm > 0 && !meta.stats_reset_done && meta.accesses_done >= warm) {
-      sim.finish();
-      sim.set_instant_migration(false);
-      sim.reset_stats();
-      meta.stats_reset_done = true;
-      continue;
-    }
-    const std::uint64_t target =
-        (warm > 0 && !meta.stats_reset_done) ? warm : spec.accesses;
-    const std::uint64_t n = std::min(kChunk, target - meta.accesses_done);
-    sim.run_chunk(*gen, n);
-    meta.accesses_done += n;
     if (!ckpt_path.empty() && checkpoint_interval_ > 0) {
       const auto now = std::chrono::steady_clock::now();
       if (std::chrono::duration<double>(now - last_ckpt).count() >=
           checkpoint_interval_) {
-        save_checkpoint(ckpt_path, meta, *gen, sim);
+        save_checkpoint(ckpt_path, progress, *gen, sim);
         last_ckpt = now;
       }
     }
+    return true;
+  };
+  if (!hmm::replay(sim, *gen, warm_accesses(spec), spec.accesses, at,
+                   between)) {
+    // analyze: allow(errors): internal control flow, classified in attempt()
+    throw InterruptedRun{};
   }
-  sim.finish();
-  sim.finish();
   return sim.result();
 }
 

@@ -60,9 +60,9 @@ class ExperimentRunner {
   [[nodiscard]] std::vector<CellResult> run(
       const std::vector<ExperimentSpec>& grid);
 
-  /// The standard cell body: build the workload at `seed`, warm up (instant
-  /// migration fast-forward), measure, return the RunResult. Public so
-  /// custom jobs can wrap it.
+  /// The standard cell body: build the workload at `seed`, run the replay
+  /// sequence (sim/replay.hh) with `warmup_fraction` of the accesses as
+  /// its warm-up, return the RunResult. Public so custom jobs can wrap it.
   [[nodiscard]] static RunResult replay(const ExperimentSpec& spec,
                                         std::uint64_t seed);
 
@@ -74,10 +74,11 @@ class ExperimentRunner {
   [[nodiscard]] CellResult attempt(const ExperimentSpec& spec,
                                    std::uint64_t seed,
                                    const std::string& ckpt_path) const;
-  /// replay() with durability: chunked access loop that polls the sweep
-  /// interrupt flag, restores `ckpt_path` when present, and checkpoints
-  /// periodically and on interrupt. Bit-identical to replay() when it
-  /// runs to completion (interrupted or not, across any restore).
+  /// replay() with durability: restores `ckpt_path` when present, then
+  /// runs the same replay loop with a hook that checkpoints every
+  /// `checkpoint_interval_seconds`, and checkpoints and stops the cell
+  /// when the sweep interrupt flag rises. One loop, so a run that
+  /// completes, interrupted and resumed or not, is replay()'s run.
   /// `replayed` counts the references this call replayed (all of them,
   /// less whatever a restored checkpoint had already done).
   [[nodiscard]] RunResult durable_replay(const ExperimentSpec& spec,

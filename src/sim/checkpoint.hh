@@ -28,10 +28,11 @@
 
 namespace hmm {
 
-/// Progress record stored in (and recovered from) a checkpoint file.
+/// Progress record stored in (and recovered from) a checkpoint file: the
+/// replay loop's cursor (sim/replay.hh).
 struct CheckpointMeta {
   std::uint64_t fingerprint = 0;
-  std::uint64_t accesses_done = 0;   ///< measured-phase accesses replayed
+  std::uint64_t accesses_done = 0;   ///< references replayed, warm-up included
   bool stats_reset_done = false;     ///< warm-up finished, stats cleared
 };
 

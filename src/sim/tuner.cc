@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/replay.hh"
+
 namespace hmm {
 
 ProbeResult GranularityTuner::probe(const WorkloadFactory& make,
@@ -15,17 +17,10 @@ ProbeResult GranularityTuner::probe(const WorkloadFactory& make,
 
   MemSim sim(cfg);
   auto w = make(seed);
-  const auto warm = static_cast<std::uint64_t>(
-      static_cast<double>(window) * kWarmupFraction);
-  if (warm > 0) {
-    sim.set_instant_migration(true);
-    sim.run(*w, warm);
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-  }
-  sim.run(*w, window - warm);
-  sim.finish();
-
+  replay(sim, *w,
+         static_cast<std::uint64_t>(static_cast<double>(window) *
+                                    kWarmupFraction),
+         window);
   const RunResult r = sim.result();
   return ProbeResult{page, r.avg_latency, r.on_package_fraction};
 }

@@ -7,13 +7,13 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -28,6 +28,7 @@
 #include "runner/runner.hh"
 #include "runner/supervisor.hh"
 #include "sim/checkpoint.hh"
+#include "sim/replay.hh"
 #include "trace/workloads.hh"
 
 namespace hmm::runner {
@@ -71,68 +72,45 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.energy_off_only_pj, b.energy_off_only_pj);
 }
 
-// Replays `spec` the way the runner's durable path does — chunked, with
-// the replay()-equivalent warm-up boundary — but force-"crashes" at access
-// `kill_at`, saving a checkpoint. A second, freshly constructed sim+
-// workload pair then restores the checkpoint and finishes the run. The
-// result must be bit-identical to the one-shot ExperimentRunner::replay().
-[[nodiscard]] RunResult run_killed_and_resumed(const ExperimentSpec& spec,
-                                               std::uint64_t seed,
-                                               std::uint64_t kill_at,
-                                               const std::string& path) {
+// Replays `spec` through the runner's replay loop, but force-"crashes"
+// at the chunk boundary `kill_at`: the hook there saves a checkpoint as
+// the runner's hook does, hands the sim to `at_kill`, and stops the run. A
+// second, freshly constructed sim+workload pair then restores the
+// checkpoint and finishes the run. The result must be bit-identical to
+// the one-shot ExperimentRunner::replay().
+[[nodiscard]] RunResult run_killed_and_resumed(
+    const ExperimentSpec& spec, std::uint64_t seed, std::uint64_t kill_at,
+    const std::string& path,
+    const std::function<void(const MemSim&)>& at_kill = {}) {
   const auto warm = static_cast<std::uint64_t>(
       static_cast<double>(spec.accesses) * spec.warmup_fraction);
   const std::uint64_t fp =
       checkpoint_fingerprint(spec.key, seed, spec.accesses);
-  constexpr std::uint64_t kChunk = 1024;
 
   // First life: run until kill_at, checkpoint, "die".
   {
     MemSim sim(spec.config);
     auto gen = spec.workload.make(seed);
-    CheckpointMeta meta{fp, 0, false};
-    if (warm > 0) sim.set_instant_migration(true);
-    while (meta.accesses_done < kill_at) {
-      if (warm > 0 && !meta.stats_reset_done && meta.accesses_done >= warm) {
-        sim.finish();
-        sim.set_instant_migration(false);
-        sim.reset_stats();
-        meta.stats_reset_done = true;
-        continue;
-      }
-      const std::uint64_t target =
-          (warm > 0 && !meta.stats_reset_done) ? warm : spec.accesses;
-      const std::uint64_t n =
-          std::min({kChunk, target - meta.accesses_done,
-                    kill_at - meta.accesses_done});
-      sim.run_chunk(*gen, n);
-      meta.accesses_done += n;
-    }
-    save_checkpoint(path, meta, *gen, sim);
+    const bool completed = replay(
+        sim, *gen, warm, spec.accesses, CheckpointMeta{fp, 0, false},
+        [&](const CheckpointMeta& at) {
+          if (at.accesses_done < kill_at) return true;
+          EXPECT_EQ(at.accesses_done, kill_at)
+              << "the kill point is not a chunk boundary";
+          save_checkpoint(path, at, *gen, sim);
+          if (at_kill) at_kill(sim);
+          return false;
+        });
+    EXPECT_FALSE(completed) << "the run ended before the kill point";
   }
 
   // Second life: fresh objects, restore, finish.
   MemSim sim(spec.config);
   auto gen = spec.workload.make(seed);
-  const auto meta_opt = load_checkpoint(path, fp, *gen, sim);
-  EXPECT_TRUE(meta_opt.has_value());
-  CheckpointMeta meta = *meta_opt;
-  while (meta.accesses_done < spec.accesses ||
-         (warm > 0 && !meta.stats_reset_done)) {
-    if (warm > 0 && !meta.stats_reset_done && meta.accesses_done >= warm) {
-      sim.finish();
-      sim.set_instant_migration(false);
-      sim.reset_stats();
-      meta.stats_reset_done = true;
-      continue;
-    }
-    const std::uint64_t target =
-        (warm > 0 && !meta.stats_reset_done) ? warm : spec.accesses;
-    sim.run_chunk(*gen, std::min(kChunk, target - meta.accesses_done));
-    meta.accesses_done = std::min(target, meta.accesses_done + kChunk);
-  }
-  sim.finish();
-  sim.finish();
+  const auto at = load_checkpoint(path, fp, *gen, sim);
+  EXPECT_TRUE(at.has_value());
+  EXPECT_TRUE(replay(sim, *gen, warm, spec.accesses,
+                     at.value_or(CheckpointMeta{})));
   remove_checkpoint(path);
   return sim.result();
 }
@@ -143,9 +121,10 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   const RunResult reference = ExperimentRunner::replay(spec, seed);
   const std::string path = temp_path("bit_identity.ckpt");
 
-  // Kill points: mid-warm-up, exactly at the reset boundary, and twice in
-  // the measured phase (mid-swap activity at interval 500).
-  for (const std::uint64_t kill_at : {1024ull, 4000ull, 5120ull, 7000ull}) {
+  // Kill points: mid-warm-up, at the warm-up boundary (just after the
+  // reset), and twice in the measured phase (mid-swap activity at
+  // interval 500).
+  for (const std::uint64_t kill_at : {1024ull, 4000ull, 5024ull, 7072ull}) {
     SCOPED_TRACE(kill_at);
     const RunResult resumed =
         run_killed_and_resumed(spec, seed, kill_at, path);
@@ -169,26 +148,14 @@ TEST(Checkpoint, DegradedModeRunResumesBitIdentically) {
       << "every swap aborted but the engine never degraded";
   ASSERT_GT(reference.swap_aborts, 0u);
 
-  // Prove the late kill points land in degraded mode: a partial run to
-  // the earliest one already has the table frozen.
-  {
-    MemSim sim(spec.config);
-    auto gen = spec.workload.make(seed);
-    sim.set_instant_migration(true);
-    sim.run(*gen, 4000);  // warm-up boundary of sim_spec()
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-    sim.run(*gen, 2000);
-    sim.finish();
-    ASSERT_TRUE(sim.result().degraded)
-        << "kill points below would checkpoint a non-degraded sim";
-  }
-
   const std::string path = temp_path("degraded.ckpt");
-  for (const std::uint64_t kill_at : {6000ull, 7000ull}) {
+  for (const std::uint64_t kill_at : {6048ull, 7072ull}) {
     SCOPED_TRACE(kill_at);
-    const RunResult resumed =
-        run_killed_and_resumed(spec, seed, kill_at, path);
+    const RunResult resumed = run_killed_and_resumed(
+        spec, seed, kill_at, path, [](const MemSim& sim) {
+          EXPECT_TRUE(sim.result().degraded)
+              << "the kill point checkpoints a non-degraded sim";
+        });
     expect_same_result(resumed, reference);
     EXPECT_TRUE(resumed.degraded);
   }
@@ -208,12 +175,15 @@ TEST(Checkpoint, NomadMidTransactionKillResumesBitIdentically) {
       << "no migrations: the kill points cannot land mid-transaction";
 
   const std::string path = temp_path("nomad.ckpt");
-  // Kill points spread over the measured phase (migration interval 500,
-  // multi-thousand-cycle copies): several land inside a transaction.
-  for (const std::uint64_t kill_at : {4100ull, 4608ull, 5500ull, 7000ull}) {
+  // Kill points in the measured phase (migration interval 500,
+  // multi-thousand-cycle copies), each inside a transaction.
+  for (const std::uint64_t kill_at : {5024ull, 6048ull, 7072ull}) {
     SCOPED_TRACE(kill_at);
-    const RunResult resumed =
-        run_killed_and_resumed(spec, seed, kill_at, path);
+    const RunResult resumed = run_killed_and_resumed(
+        spec, seed, kill_at, path, [](const MemSim& sim) {
+          EXPECT_FALSE(sim.scheme().background_idle())
+              << "no transaction in flight at the kill point";
+        });
     expect_same_result(resumed, reference);
   }
 }

@@ -1,9 +1,17 @@
 // End-to-end MemSim tests: migration improves skewed workloads, the
-// reference modes bracket the hybrid system, warm-up/reset semantics, and
-// post-run invariants across the design/granularity matrix.
+// reference modes bracket the hybrid system, warm-up/reset semantics, the
+// chunked replay loop against the unchunked sequence, and post-run
+// invariants across the design/granularity matrix.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/snapshot.hh"
+#include "runner/journal.hh"
+#include "schemes/registry.hh"
 #include "sim/memsim.hh"
+#include "sim/replay.hh"
 #include "trace/workloads.hh"
 
 namespace hmm {
@@ -22,18 +30,14 @@ MemSimConfig cfg_with(std::uint64_t page, MigrationDesign design,
   return cfg;
 }
 
+/// `n` measured references of pgbench, after `n / 2` of instant warm-up
+/// unless `instant_warmup` is false.
 RunResult replay(const MemSimConfig& cfg, std::uint64_t n,
                  std::uint64_t seed = 21, bool instant_warmup = true) {
   MemSim sim(cfg);
   auto w = make_pgbench(seed);
-  if (instant_warmup) {
-    sim.set_instant_migration(true);
-    sim.run(*w, n / 2);
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-  }
-  sim.run(*w, n);
-  sim.finish();
+  const std::uint64_t warm = instant_warmup ? n / 2 : 0;
+  hmm::replay(sim, *w, warm, warm + n);
   return sim.result();
 }
 
@@ -111,6 +115,57 @@ TEST(MemSim, ResetStatsKeepsArchitecturalState) {
   EXPECT_EQ(r.demand_bytes_on + r.demand_bytes_off, 0u);
   // Migration/table state persists (swap counter is engine state).
   EXPECT_EQ(r.swaps, swaps_before);
+}
+
+// bench/throughput replays with its own copy of the replay sequence,
+// unchunked. The shared loop must leave every scheme in the same state,
+// and report the same results, with RAS, media faults and audits on or
+// off; 3,001 measured references end mid-chunk.
+TEST(MemSim, ReplayLoopMatchesTheUnchunkedSequence) {
+  constexpr std::uint64_t kWarm = 3000;
+  constexpr std::uint64_t kTotal = kWarm + 3001;
+  static_assert((kTotal - kWarm) % kReplayChunk != 0);
+  const auto state = [](const MemSim& sim) {
+    snap::Writer w;
+    sim.save(w);
+    runner::CellResult cell;
+    cell.result = sim.result();
+    runner::encode_cell(w, cell);
+    return w.take();
+  };
+  for (const std::string& name : schemes::scheme_names()) {
+    for (const bool ras : {false, true}) {
+      SCOPED_TRACE(name + (ras ? " with RAS" : ""));
+      MemSimConfig cfg;
+      cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
+      cfg.scheme = name;
+      cfg.controller.migration_enabled = true;
+      cfg.controller.swap_interval = 1000;
+      if (ras) {
+        cfg.audit_interval = 1024;
+        cfg.fault.seed = 7;
+        cfg.fault.add(fault::FaultSite::MediaTransient, 1e-3)
+            .add(fault::FaultSite::MediaStuckAt, 1e-3 / 4);
+        cfg.ras.enabled = true;
+        cfg.ras.scrub_interval = 5000;
+      }
+      MemSim unchunked(cfg);
+      auto w = make_pgbench(21);
+      unchunked.set_instant_migration(true);
+      unchunked.run(*w, kWarm);
+      unchunked.set_instant_migration(false);
+      unchunked.reset_stats();
+      unchunked.run(*w, kTotal - kWarm);
+      unchunked.finish();
+
+      MemSim looped(cfg);
+      auto lw = make_pgbench(21);
+      EXPECT_TRUE(replay(looped, *lw, kWarm, kTotal));
+      EXPECT_EQ(looped.result().accesses, kTotal - kWarm);
+      EXPECT_TRUE(state(looped) == state(unchunked))
+          << "the loop's state or results differ from the unchunked run's";
+    }
+  }
 }
 
 struct MatrixParam {

@@ -14,6 +14,7 @@
 #include "fault/fault_injector.hh"
 #include "runner/runner.hh"
 #include "sim/memsim.hh"
+#include "sim/replay.hh"
 #include "trace/workloads.hh"
 
 namespace hmm {
@@ -132,19 +133,15 @@ TEST(NomadTable, ValidateCatchesInjectedBitFlips) {
   return cfg;
 }
 
+/// `n` measured references of pgbench, after `n / 2` of instant warm-up
+/// unless `instant_warmup` is false.
 [[nodiscard]] RunResult replay(const MemSimConfig& cfg, std::uint64_t n,
                                std::uint64_t seed = 21,
                                bool instant_warmup = true) {
   MemSim sim(cfg);
   auto w = make_pgbench(seed);
-  if (instant_warmup) {
-    sim.set_instant_migration(true);
-    sim.run(*w, n / 2);
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-  }
-  sim.run(*w, n);
-  sim.finish();
+  const std::uint64_t warm = instant_warmup ? n / 2 : 0;
+  hmm::replay(sim, *w, warm, warm + n);
   return sim.result();
 }
 

@@ -22,6 +22,7 @@
 #include "schemes/swap_scheme.hh"
 #include "sim/checkpoint.hh"
 #include "sim/memsim.hh"
+#include "sim/replay.hh"
 #include "trace/workloads.hh"
 
 namespace hmm {
@@ -72,12 +73,7 @@ GoldenRun golden_replay(MemSimConfig cfg, const std::string& seed_name) {
       runner::derive_seed(42, "golden/" + seed_name);
   MemSim sim(cfg);
   auto gen = section4_workloads()[0].make(seed);  // FT
-  sim.set_instant_migration(true);
-  sim.run(*gen, 6000);
-  sim.set_instant_migration(false);
-  sim.reset_stats();
-  sim.run(*gen, 6000);
-  sim.finish();
+  replay(sim, *gen, 6000, 12000);
   GoldenRun g;
   g.result = sim.result();
   snap::Writer w;
@@ -316,6 +312,14 @@ TEST(SchemeGolden, SwapSchemesMatchPreRefactorController) {
   }
 }
 
+// The golden warm-up and 2100 measured references, stopped by the replay
+// hook before the final drain: a mid-run state to snapshot.
+void replay_to_8100(MemSim& sim, SyntheticWorkload& gen) {
+  EXPECT_FALSE(replay(sim, gen, 6000, 8100, {}, [](const CheckpointMeta& at) {
+    return at.accesses_done < 8100;
+  }));
+}
+
 // Content digest of the whole-simulator checkpoint, MemSim::save(),
 // taken with a swap in flight: the golden warm-up, 2100 measured
 // references, then references fed straight to the scheme until one
@@ -327,11 +331,7 @@ std::uint64_t midswap_snapshot_digest(const std::string& name) {
   MemSim sim(golden_cfg(name));
   auto gen = section4_workloads()[0].make(
       runner::derive_seed(42, "golden/" + name));  // FT
-  sim.set_instant_migration(true);
-  sim.run(*gen, 6000);
-  sim.set_instant_migration(false);
-  sim.reset_stats();
-  sim.run_chunk(*gen, 2100);
+  replay_to_8100(sim, *gen);
   for (int i = 0; i < 10000 && sim.scheme().background_idle(); ++i) {
     const TraceRecord r = gen->next();
     (void)sim.scheme().on_access(r.addr, r.type, r.timestamp);
@@ -435,11 +435,7 @@ TEST(SchemeGolden, CheckpointFilesArePinned) {
   for (FileCell& c : checkpoint_file_cells()) {
     SCOPED_TRACE(c.label);
     MemSim sim(c.cfg);
-    sim.set_instant_migration(true);
-    sim.run(*c.gen, 6000);
-    sim.set_instant_migration(false);
-    sim.reset_stats();
-    sim.run_chunk(*c.gen, 2100);
+    replay_to_8100(sim, *c.gen);
     if (c.cfg.ras.enabled) {
       // A media rate low enough to keep the run short rarely fails a
       // whole frame, so flag an on-package one that holds data.
@@ -616,12 +612,7 @@ TEST(AlloyScheme, GoldenRasRetirementCell) {
   cfg.ras.scrub_interval = 0;
   MemSim sim(cfg);
   auto w = make_pgbench(runner::derive_seed(42, "ras_availability/pgbench"));
-  sim.set_instant_migration(true);
-  sim.run(*w, 15000);
-  sim.set_instant_migration(false);
-  sim.reset_stats();
-  sim.run(*w, 15000);
-  sim.finish();
+  replay(sim, *w, 15000, 30000);
   EXPECT_EQ(describe(sim.result()), kAlloyRasGolden);
   EXPECT_EQ(tag_store_digest(sim), 0x454e4e5e4d6943fcull);
 }

@@ -1,8 +1,8 @@
 // Snapshot layer tests: the CRC-framed binary format itself (round-trip,
 // corruption detection, framing discipline), save/restore round-trips
 // of every stateful component, and crafted inputs whose CRCs are valid
-// but whose counts or shapes are not. The canonical property is byte
-// equality:
+// but whose counts, shapes, indices or field values are not. The
+// canonical property is byte equality:
 //   save(x) == save(restore_into_fresh(save(x)))
 // which holds only if restore() reconstructs *all* serialized state.
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "ras/ras.hh"
 #include "runner/journal.hh"
 #include "schemes/line_cache.hh"
+#include "sim/checkpoint.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
 
@@ -554,6 +555,151 @@ TEST(CraftedSnapshot, LineCacheEntryNotValidOrNotAscendingIsASnapshotError) {
     put_u64(bad, find_u64(good, 2000), set);
     reseal(bad, 0);
     refused(bad);
+  }
+}
+
+/// Offset of the header of the first section tagged `t` in a stream of
+/// sections.
+[[nodiscard]] std::size_t find_section(const std::vector<std::uint8_t>& bytes,
+                                       std::uint32_t t) {
+  std::size_t at = 0;
+  while (at + 12 <= bytes.size()) {
+    std::uint32_t tag = 0;
+    std::uint64_t size = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      tag |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    for (std::size_t i = 0; i < 8; ++i)
+      size |= static_cast<std::uint64_t>(bytes[at + 4 + i]) << (8 * i);
+    if (tag == t) return at;
+    at += 12 + static_cast<std::size_t>(size) + 4;
+  }
+  ADD_FAILURE() << "no '" << snap::tag_name(t) << "' section";
+  return 0;
+}
+
+/// `scheme` under live_migration_config() with audits, 7,919 references
+/// of pgbench in, with a swap in flight: its MemSim::save() bytes, and
+/// the offset of its engine section, whose first step has a mutation.
+struct MidSwap {
+  MemSimConfig cfg;
+  std::vector<std::uint8_t> bytes;
+  std::size_t meng = 0;
+};
+
+[[nodiscard]] MidSwap mid_swap(const std::string& scheme) {
+  MidSwap m;
+  m.cfg = live_migration_config();
+  m.cfg.scheme = scheme;
+  m.cfg.audit_interval = 1024;
+  MemSim sim(m.cfg);
+  auto gen = make_pgbench(4242);
+  sim.run_chunk(*gen, 7919);
+  snap::Writer w;
+  sim.save(w);
+  m.bytes = w.take();
+  m.meng = find_section(m.bytes, snap::tag('M', 'E', 'N', 'G'));
+  // The payload opens with the step count; the first step's mutation
+  // count sits 61 bytes in.
+  EXPECT_GT(m.bytes[m.meng + 12], 0) << "no swap in flight";
+  EXPECT_GT(m.bytes[m.meng + 12 + 61], 0) << "the first step has no mutation";
+  return m;
+}
+
+/// The first mutation of the engine's first step: its kind byte, then its
+/// row as a u64.
+constexpr std::size_t kFirstMutationKind = 12 + 69;
+constexpr std::size_t kFirstMutationRow = 12 + 70;
+
+void expect_sim_refused(const MidSwap& good, std::vector<std::uint8_t> bad) {
+  reseal(bad, good.meng);
+  MemSim fresh(good.cfg);
+  expect_snapshot_error([&] {
+    snap::Reader r(bad);
+    fresh.restore(r);
+  });
+}
+
+// Each field reads back only values its type holds, and a bool only 0 or
+// 1: otherwise restore would adopt a different value than the bytes say,
+// and a re-save would write other bytes.
+TEST(CraftedSnapshot, NonCanonicalFieldIsASnapshotError) {
+  {
+    SCOPED_TRACE("checkpoint META stats_reset_done of 2");
+    const std::string path =
+        ::testing::TempDir() + "hmm_snapshot_noncanonical.ckpt";
+    const MemSimConfig cfg = live_migration_config();
+    MemSim sim(cfg);
+    auto gen = make_pgbench(4242);
+    sim.run_chunk(*gen, 512);
+    save_checkpoint(path, CheckpointMeta{7, 512, true}, *gen, sim);
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream is(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(is),
+                   std::istreambuf_iterator<char>());
+    }
+    // After the 16-byte file header, 'META' holds accesses_done (u64) and
+    // then stats_reset_done.
+    constexpr std::size_t kMeta = 16;
+    ASSERT_EQ(bytes.at(kMeta + 12 + 8), 1);
+    bytes[kMeta + 12 + 8] = 2;
+    reseal(bytes, kMeta);
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    }
+    MemSim fresh(cfg);
+    auto fresh_gen = make_pgbench(4242);
+    expect_snapshot_error(
+        [&] { (void)load_checkpoint(path, 7, *fresh_gen, fresh); });
+    std::remove(path.c_str());
+  }
+  {
+    SCOPED_TRACE("'DCHN' bank open byte of 2");
+    DramSystem sys = DramSystem::make(Region::OffPackage);
+    snap::Writer w;
+    sys.save(w);
+    std::vector<std::uint8_t> bytes = w.take();
+    // Channel 0's 'DCHN' follows 'DSYS'; after the bank count comes the
+    // first bank's open flag.
+    const std::size_t dchn = 12 + 1 + 8 + 8 + 4;
+    bytes[dchn + 12 + 8] = 2;
+    reseal(bytes, dchn);
+    DramSystem fresh = DramSystem::make(Region::OffPackage);
+    expect_snapshot_error([&] {
+      snap::Reader r(bytes);
+      fresh.restore(r);
+    });
+  }
+  {
+    SCOPED_TRACE("'MENG' mutation row of 2^40 in a 32-bit SlotId");
+    const MidSwap good = mid_swap("Live");
+    std::vector<std::uint8_t> bad = good.bytes;
+    put_u64(bad, good.meng + kFirstMutationRow, 1ull << 40);
+    expect_sim_refused(good, bad);
+  }
+}
+
+// A step's mutations index the table's rows and pages. A crafted row
+// past the slots crashed the next swap step's table write, and an
+// unknown kind surfaced only as a later audit failure.
+TEST(CraftedSnapshot, MigrationStepBeyondTheTableIsASnapshotError) {
+  for (const char* scheme : {"Live", "N-1"}) {
+    SCOPED_TRACE(scheme);
+    const MidSwap good = mid_swap(scheme);
+    {
+      SCOPED_TRACE("row 2^24");
+      std::vector<std::uint8_t> bad = good.bytes;
+      put_u64(bad, good.meng + kFirstMutationRow, 1ull << 24);
+      expect_sim_refused(good, bad);
+    }
+    {
+      SCOPED_TRACE("kind 200");
+      std::vector<std::uint8_t> bad = good.bytes;
+      bad[good.meng + kFirstMutationKind] = 200;
+      expect_sim_refused(good, bad);
+    }
   }
 }
 
