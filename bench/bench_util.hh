@@ -2,17 +2,19 @@
 //
 // Every binary prints the paper's rows/series at a scaled-down trace
 // length (the paper replays trillions of references; see DESIGN.md §4
-// "Scaling note"). Knobs:
+// "Scaling note"). The runner benches read their command line through
+// bench::Sweep: a value flag takes `--flag V` or `--flag=V`, and any flag
+// a bench does not know exits 2 naming it. Knobs:
 //   HMM_BENCH_SCALE   multiply every trace length (default 1.0; use 4-10
 //                     for closer-to-steady-state numbers, 0.2 for smoke)
-//   --jobs N / HMM_JOBS    sweep cells run at once (default: hardware
-//                          concurrency); 1 = inline, the old serial loop;
-//                          more = one fork()ed child per cell
-//   --smoke / HMM_SMOKE    shrink the grid to one workload / one or two
+//   --jobs N / -j N / HMM_JOBS   sweep cells run at once (default:
+//                          hardware concurrency); 1 = inline, the old
+//                          serial loop; more = one fork()ed child per cell
+//   --smoke                shrink the grid to one workload / one or two
 //                          configs (the bench_smoke ctest path)
 //   HMM_RESULTS_DIR        where sweep JSON artifacts land (default
 //                          ./results; "" disables them)
-//   --keep-going / HMM_KEEP_GOING   exit 0 even when sweep cells failed
+//   --keep-going           exit 0 even when sweep cells failed
 //   --fault-rate R         per-opportunity fault probability in [0, 1]
 //                          (resilience benches; 0 disables injection)
 //   --fault-sites a,b      comma list of site names (default: every site
@@ -24,7 +26,7 @@
 //   --list-cells           print the deterministic "key seed" enumeration
 //                          of the sweep grid and exit
 //   --list-schemes         print the scheme registry (one name per line)
-//                          and exit (schemes-aware benches)
+//                          and exit
 //   --resume               skip cells recorded in the sweep journal (after
 //                          an interrupted/killed run); recorded metrics
 //                          replay bit-identically. Without it a sweep
@@ -37,14 +39,19 @@
 // exits 2 with a message naming it.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <limits>
-#include <memory>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -101,200 +108,183 @@ template <class T>
   return static_cast<std::uint64_t>(static_cast<double>(n) * scale());
 }
 
-/// `--jobs N` / `--jobs=N` / `-j N` from argv, else HMM_JOBS, else 0
-/// (which the runner resolves to hardware concurrency).
-[[nodiscard]] inline unsigned jobs(int argc, char** argv) {
-  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--jobs=", 7) == 0)
-      return numeric_flag("--jobs", a + 7, 1u, kMax);
-    if ((std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) &&
-        i + 1 < argc)
-      return numeric_flag(a, argv[i + 1], 1u, kMax);
-  }
-  return numeric_env("HMM_JOBS", 0u, 1u, kMax);
-}
-
-/// `--smoke` / HMM_SMOKE=1: one tiny cell per axis so ctest can exercise
-/// every converted bench in milliseconds.
-[[nodiscard]] inline bool smoke(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  if (const char* e = std::getenv("HMM_SMOKE"))
-    return e[0] != '\0' && e[0] != '0';
-  return false;
-}
-
-/// `--resume`: continue an interrupted sweep from its journal.
-[[nodiscard]] inline bool resume_requested(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--resume") == 0) return true;
-  }
-  return false;
-}
-
-/// Runner options for a bench binary: --jobs/HMM_JOBS, base seed 42 (the
-/// historical bench seed), progress lines on stderr (stdout stays tables),
-/// HMM_CELL_TIMEOUT, HMM_CKPT_INTERVAL, --resume, SIGINT/SIGTERM handling,
-/// and the bench-keyed journal + checkpoint directory next to the JSON
-/// artifact (HMM_RESULTS_DIR="" disables the durable files).
-[[nodiscard]] inline runner::RunnerOptions runner_options(
-    int argc, char** argv, const std::string& bench_id) {
-  static runner::ConsoleProgress progress(std::cerr);
-  constexpr double kMax = std::numeric_limits<double>::max();
-  runner::RunnerOptions o;
-  o.jobs = jobs(argc, argv);
-  o.base_seed = 42;
-  o.observer = &progress;
-  o.cell_timeout_seconds =
-      numeric_env("HMM_CELL_TIMEOUT", o.cell_timeout_seconds, 0.0, kMax);
-  o.checkpoint_interval_seconds = numeric_env(
-      "HMM_CKPT_INTERVAL", o.checkpoint_interval_seconds, 0.0, kMax);
-  runner::install_interrupt_handlers();
-  const std::string dir = runner::ResultSink::results_dir();
-  if (!dir.empty()) {
-    o.journal_path = dir + "/" + bench_id + ".journal";
-    o.checkpoint_dir = dir + "/" + bench_id + ".ckpt";
-  }
-  o.resume = resume_requested(argc, argv);
-  return o;
-}
-
-/// `--list-cells`: print the grid's deterministic "key seed" enumeration
-/// (exactly the seeds the sweep will derive) and exit 0. Lets scripts
-/// pre-compute a sweep's contents without running it.
-inline void maybe_list_cells(const std::vector<runner::ExperimentSpec>& grid,
-                             const runner::RunnerOptions& opts, int argc,
-                             char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--list-cells") != 0) continue;
-    for (const runner::ExperimentSpec& s : grid) {
-      const std::uint64_t seed = runner::derive_seed(
-          opts.base_seed, s.seed_key.empty() ? s.key : s.seed_key);
-      std::cout << s.key << " " << seed << "\n";
-    }
-    std::exit(0);
-  }
-}
-
-/// `--list-schemes`: print the scheme registry (the exact names the
-/// bench's grid and --schemes accept), one per line, and exit 0.
-inline void maybe_list_schemes(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--list-schemes") != 0) continue;
-    for (const std::string& s : schemes::scheme_names())
-      std::cout << s << "\n";
-    std::exit(0);
-  }
-}
-
-/// Announce where a sweep's JSON artifact landed (path is "" when the
-/// sink is disabled or the write failed).
-inline void report_artifact(const std::string& path) {
-  if (!path.empty()) std::cerr << "[runner] wrote " << path << "\n";
-}
-
-/// Generic `--name VALUE` / `--name=VALUE` lookup.
-[[nodiscard]] inline const char* option_value(int argc, char** argv,
-                                              const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, name, len) != 0) continue;
-    if (a[len] == '=') return a + len + 1;
-    if (a[len] == '\0' && i + 1 < argc) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-/// `--keep-going` / HMM_KEEP_GOING: report failed cells but exit 0.
-[[nodiscard]] inline bool keep_going(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--keep-going") == 0) return true;
-  }
-  if (const char* e = std::getenv("HMM_KEEP_GOING"))
-    return e[0] != '\0' && e[0] != '0';
-  return false;
-}
-
-/// `--fault-rate R`: per-opportunity fault probability in [0, 1]
-/// (default `fallback`).
-[[nodiscard]] inline double fault_rate(int argc, char** argv,
-                                       double fallback = 0.0) {
-  if (const char* v = option_value(argc, argv, "--fault-rate"))
-    return numeric_flag("--fault-rate", v, 0.0, 1.0);
-  return fallback;
-}
-
-/// `--audit-interval N`: accesses between invariant audits.
-[[nodiscard]] inline std::uint64_t audit_interval(int argc, char** argv,
-                                                  std::uint64_t fallback) {
-  if (const char* v = option_value(argc, argv, "--audit-interval"))
-    return numeric_flag<std::uint64_t>(
-        "--audit-interval", v, 0, std::numeric_limits<std::uint64_t>::max());
-  return fallback;
-}
-
-/// `--fault-sites a,b,c`: subset of injection sites (names as printed by
-/// fault::to_string). Unknown names abort with a usage message; no flag
-/// returns `fallback`.
-[[nodiscard]] inline std::vector<fault::FaultSite> fault_sites(
-    int argc, char** argv, std::vector<fault::FaultSite> fallback) {
-  const char* v = option_value(argc, argv, "--fault-sites");
-  if (v == nullptr) return fallback;
-  std::vector<fault::FaultSite> sites;
-  std::string list(v);
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string name = list.substr(start, comma - start);
-    if (!name.empty()) {
-      fault::FaultSite s;
-      if (!fault::site_from_name(name, s)) {
-        std::cerr << "unknown fault site '" << name
-                  << "' (see --help in README: chunk-drop, chunk-delay, "
-                     "swap-abort, channel-stall, table-bit-flip, "
-                     "hotness-corrupt, media-transient, media-stuck-at)\n";
-        std::exit(2);
+/// One runner bench's command line, sweep and exit status. The
+/// constructor parses argv once: the shared flags (--jobs N / -j N,
+/// --smoke, --keep-going, --resume, --list-cells, --list-schemes) and the
+/// bench's own value flags `own`. Any other argument exits 2 naming it;
+/// --list-schemes prints the scheme registry and exits 0. `name` keys the
+/// sweep journal, the checkpoint directory and the JSON artifact
+/// `<HMM_RESULTS_DIR>/<name>.json`.
+class Sweep {
+ public:
+  Sweep(int argc, char** argv, std::string name,
+        std::vector<std::string> own = {})
+      : name_(std::move(name)), sink_(name_) {
+    bool list_schemes = false;
+    const std::map<std::string_view, bool*> toggles = {
+        {"--smoke", &smoke_},
+        {"--keep-going", &keep_going_},
+        {"--resume", &resume_},
+        {"--list-cells", &list_cells_},
+        {"--list-schemes", &list_schemes},
+    };
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (const auto t = toggles.find(arg); t != toggles.end()) {
+        *t->second = true;
+        continue;
       }
-      sites.push_back(s);
+      const std::size_t eq =
+          arg.rfind("--", 0) == 0 ? arg.find('=') : std::string::npos;
+      const std::string flag = arg == "-j" ? "--jobs" : arg.substr(0, eq);
+      if (flag != "--jobs" &&
+          std::find(own.begin(), own.end(), flag) == own.end())
+        refuse("unknown flag '" + arg + "'", own);
+      if (eq == std::string::npos && i + 1 == argc)
+        refuse(arg + " needs a value", own);
+      values_.emplace(flag, eq == std::string::npos ? argv[++i]
+                                                    : arg.substr(eq + 1));
     }
-    start = comma + 1;
+    if (list_schemes) {
+      for (const std::string& s : schemes::scheme_names())
+        std::cout << s << "\n";
+      std::exit(0);
+    }
   }
-  return sites;
-}
 
-/// Standard sweep epilogue: reports every failed cell on stderr (the JSON
-/// artifact already carries status/error per cell) and returns the bench's
-/// exit code — non-zero when any cell failed, unless --keep-going.
-[[nodiscard]] inline int finish(const std::vector<runner::CellResult>& cells,
-                                int argc, char** argv) {
-  std::uint64_t failed = 0;
-  std::uint64_t interrupted = 0;
-  for (const auto& c : cells) {
-    if (c.ok) continue;
-    if (c.status == "interrupted") {
-      ++interrupted;
-      continue;
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] bool smoke() const noexcept { return smoke_; }
+
+  /// The Section IV workloads a grid sweeps: all six, or the first under
+  /// --smoke.
+  [[nodiscard]] std::vector<WorkloadInfo> workloads() const {
+    std::vector<WorkloadInfo> w = section4_workloads();
+    if (smoke_) w.resize(1);
+    return w;
+  }
+
+  /// The number an own flag carries, by numeric_flag's rules, or
+  /// `fallback` when the flag is absent.
+  template <class T>
+  [[nodiscard]] T number(const char* flag, T fallback, T lo, T hi) const {
+    const auto it = values_.find(flag);
+    return it == values_.end() ? fallback
+                               : numeric_flag(flag, it->second.c_str(), lo, hi);
+  }
+
+  /// The comma list an own flag carries, empty items dropped, or nullopt
+  /// when the flag is absent.
+  [[nodiscard]] std::optional<std::vector<std::string>> list(
+      const char* flag) const {
+    const auto it = values_.find(flag);
+    if (it == values_.end()) return std::nullopt;
+    std::vector<std::string> items;
+    std::istringstream in(it->second);
+    for (std::string item; std::getline(in, item, ',');)
+      if (!item.empty()) items.push_back(item);
+    return items;
+  }
+
+  /// The artifact's params and derived per-cell metrics.
+  [[nodiscard]] runner::ResultSink& sink() noexcept { return sink_; }
+
+  /// Runs `grid` and returns its cells in grid order: --jobs/HMM_JOBS,
+  /// progress lines on stderr (stdout stays tables), HMM_CELL_TIMEOUT,
+  /// HMM_CKPT_INTERVAL, --resume, SIGINT/SIGTERM handling, and the journal
+  /// and checkpoint directory next to the artifact (HMM_RESULTS_DIR=""
+  /// disables them). --list-cells instead prints the grid's "key seed"
+  /// lines, the seeds the sweep would derive, and exits 0.
+  const std::vector<runner::CellResult>& run(
+      const std::vector<runner::ExperimentSpec>& grid) {
+    constexpr unsigned kMaxJobs = std::numeric_limits<unsigned>::max();
+    constexpr double kMax = std::numeric_limits<double>::max();
+    runner::RunnerOptions o;
+    o.jobs = values_.count("--jobs") != 0
+                 ? number("--jobs", 0u, 1u, kMaxJobs)
+                 : numeric_env("HMM_JOBS", 0u, 1u, kMaxJobs);
+    o.observer = &progress_;
+    o.cell_timeout_seconds =
+        numeric_env("HMM_CELL_TIMEOUT", o.cell_timeout_seconds, 0.0, kMax);
+    o.checkpoint_interval_seconds = numeric_env(
+        "HMM_CKPT_INTERVAL", o.checkpoint_interval_seconds, 0.0, kMax);
+    if (list_cells_) {
+      for (const runner::ExperimentSpec& s : grid) {
+        const std::string& seed_key = s.seed_key.empty() ? s.key : s.seed_key;
+        std::cout << s.key << " " << runner::derive_seed(o.base_seed, seed_key)
+                  << "\n";
+      }
+      std::exit(0);
     }
-    ++failed;
-    std::cerr << "[runner] FAILED " << c.key << " (" << c.status
-              << "): " << c.error << "\n";
+    runner::install_interrupt_handlers();
+    if (const std::string dir = runner::ResultSink::results_dir();
+        !dir.empty()) {
+      o.journal_path = dir + "/" + name_ + ".journal";
+      o.checkpoint_dir = dir + "/" + name_ + ".ckpt";
+    }
+    o.resume = resume_;
+    cells_ = runner::ExperimentRunner(o).run(grid);
+    return cells_;
   }
-  if (interrupted > 0) {
-    std::cerr << "[runner] interrupted: " << interrupted << "/"
-              << cells.size()
-              << " cells unfinished — rerun with --resume to continue\n";
-    return 130;  // the conventional 128 + SIGINT exit
+
+  /// Writes the artifact and returns the exit status. A failed self-check
+  /// (`broken` says what broke) exits 1. Otherwise every failed cell is
+  /// reported on stderr (the artifact carries each cell's status and
+  /// error), and the status is 130 when cells were interrupted, 1 when any
+  /// failed unless --keep-going, else 0. `judged` keys a cell whose
+  /// failure the self-check expects, so it is not counted again.
+  [[nodiscard]] int finish(std::string_view broken = {},
+                           std::string_view judged = {}) const {
+    if (const std::string path = sink_.write_json(cells_); !path.empty())
+      std::cerr << "[runner] wrote " << path << "\n";
+    if (!broken.empty()) {
+      std::cerr << "[" << name_ << "] self-check failed: " << broken << "\n";
+      return 1;
+    }
+    std::uint64_t counted = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t interrupted = 0;
+    for (const runner::CellResult& c : cells_) {
+      if (c.key == judged) continue;
+      ++counted;
+      if (c.ok) continue;
+      if (c.status == "interrupted") {
+        ++interrupted;
+        continue;
+      }
+      ++failed;
+      std::cerr << "[runner] FAILED " << c.key << " (" << c.status
+                << "): " << c.error << "\n";
+    }
+    if (interrupted > 0) {
+      std::cerr << "[runner] interrupted: " << interrupted << "/" << counted
+                << " cells unfinished — rerun with --resume to continue\n";
+      return 130;  // the conventional 128 + SIGINT exit
+    }
+    if (failed == 0) return 0;
+    std::cerr << "[runner] " << failed << "/" << counted << " cells failed\n";
+    return keep_going_ ? 0 : 1;
   }
-  if (failed == 0) return 0;
-  std::cerr << "[runner] " << failed << "/" << cells.size()
-            << " cells failed\n";
-  return keep_going(argc, argv) ? 0 : 1;
-}
+
+ private:
+  [[noreturn]] void refuse(const std::string& what,
+                           const std::vector<std::string>& own) const {
+    std::cerr << name_ << ": " << what << " (flags: --jobs N, -j N, --smoke, "
+              << "--keep-going, --resume, --list-cells, --list-schemes";
+    for (const std::string& f : own) std::cerr << ", " << f << " V";
+    std::cerr << ")\n";
+    std::exit(2);
+  }
+
+  std::string name_;
+  runner::ResultSink sink_;
+  runner::ConsoleProgress progress_{std::cerr};
+  std::map<std::string, std::string, std::less<>> values_;
+  bool smoke_ = false;
+  bool keep_going_ = false;
+  bool resume_ = false;
+  bool list_cells_ = false;
+  std::vector<runner::CellResult> cells_;
+};
 
 /// Section IV geometry with the given macro-page size and on-package size.
 [[nodiscard]] inline Geometry sec4_geometry(
@@ -329,6 +319,17 @@ inline void report_artifact(const std::string& path) {
   cfg.controller.geom = sec4_geometry(page_bytes, on_package);
   cfg.controller.migration_enabled = false;
   return cfg;
+}
+
+/// The Section IV workload called `name`.
+[[nodiscard]] inline const WorkloadInfo& section4_workload(
+    std::string_view name) {
+  const std::vector<WorkloadInfo>& all = section4_workloads();
+  const auto it =
+      std::find_if(all.begin(), all.end(),
+                   [&](const WorkloadInfo& w) { return w.name == name; });
+  HMM_CHECK(it != all.end(), "no Section IV workload " + std::string(name));
+  return *it;
 }
 
 /// Build one sweep cell. `key` must be unique within the grid; `seed_key`

@@ -37,6 +37,7 @@
 // --keep-going, HMM_CELL_TIMEOUT.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,28 +67,35 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::maybe_list_schemes(argc, argv);
-
+  bench::Sweep sweep(argc, argv, "BENCH_fault_resilience",
+                     {"--fault-rate", "--fault-sites", "--audit-interval"});
   const std::uint64_t n = bench::scaled(300'000);
   std::vector<double> rates = {0.0, 1e-4, 1e-3, 1e-2};
   const std::vector<std::string>& names = schemes::scheme_names();
   const std::uint64_t page = 256 * KiB;
   const std::uint64_t interval = 1'000;
-  const std::uint64_t audits = bench::audit_interval(argc, argv, 4'096);
-  const std::vector<fault::FaultSite> sites = bench::fault_sites(
-      argc, argv,
-      {fault::FaultSite::MigrationChunkDrop,
-       fault::FaultSite::MigrationChunkDelay,
-       fault::FaultSite::ChannelStall, fault::FaultSite::SwapAbort,
-       fault::FaultSite::HotnessCorrupt});
-  if (const double r = bench::fault_rate(argc, argv, -1); r >= 0)
+  const std::uint64_t audits = sweep.number<std::uint64_t>(
+      "--audit-interval", 4'096, 0, std::numeric_limits<std::uint64_t>::max());
+  std::vector<std::string> site_names = {"chunk-drop", "chunk-delay",
+                                         "channel-stall", "swap-abort",
+                                         "hotness-corrupt"};
+  if (auto listed = sweep.list("--fault-sites")) site_names = *listed;
+  std::vector<fault::FaultSite> sites;
+  for (const std::string& name : site_names) {
+    fault::FaultSite s{};
+    if (!fault::site_from_name(name, s)) {
+      std::cerr << "unknown fault site '" << name
+                << "' (see --help in README: chunk-drop, chunk-delay, "
+                   "swap-abort, channel-stall, table-bit-flip, "
+                   "hotness-corrupt, media-transient, media-stuck-at)\n";
+      return 2;
+    }
+    sites.push_back(s);
+  }
+  if (const double r = sweep.number("--fault-rate", -1.0, 0.0, 1.0); r >= 0)
     rates = {0.0, r};
-  if (bench::smoke(argc, argv)) rates = {0.0, 1e-3};
-
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  WorkloadInfo w = workloads.front();
-  for (const WorkloadInfo& cand : workloads)
-    if (cand.name == "pgbench") w = cand;
+  if (sweep.smoke()) rates = {0.0, 1e-3};
+  const WorkloadInfo& w = bench::section4_workload("pgbench");
 
   std::printf("Fault resilience: %s, %zu schemes, %s pages, %llu-access "
               "epochs, audit every %llu accesses (%llu accesses/cfg)\n\n",
@@ -125,14 +133,9 @@ int main(int argc, char** argv) {
     cfg.fault.add(fault::FaultSite::MigrationChunkDrop, 1.0);
     grid.push_back(bench::cell(wedge_key, wk, w, cfg, n));
   }
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
-  const runner::RunnerOptions opts =
-      bench::runner_options(argc, argv, "BENCH_fault_resilience");
-  bench::maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
-
-  runner::ResultSink sink("BENCH_fault_resilience");
+  runner::ResultSink& sink = sweep.sink();
   sink.set_param("workload", w.name);
   sink.set_param("page", format_size(page));
   sink.set_param("interval", interval);
@@ -177,19 +180,14 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  // The wedge demo must have failed, and failed on the watchdog.
+  // The wedge demo must have failed, and failed on the watchdog; that
+  // failure is the self-check's, so it does not gate the exit code.
   const runner::CellResult& wedge = cells.back();
   std::printf("\nwedge demo (design N, chunk drop rate 1.0): %s\n",
               wedge.ok ? "COMPLETED (unexpected!)" : wedge.error.c_str());
-  bench::report_artifact(sink.write_json(cells));
-
-  if (wedge.ok || wedge.error.find("[watchdog]") == std::string::npos) {
-    std::cerr << "[fault_resilience] self-check failed: the wedged design-N "
-                 "swap was not detected by the watchdog\n";
-    return 1;
-  }
-  // The wedge cell is *expected* to fail; only the sweep cells gate the
-  // exit code.
-  const std::vector<runner::CellResult> sweep(cells.begin(), cells.end() - 1);
-  return bench::finish(sweep, argc, argv);
+  const bool caught =
+      !wedge.ok && wedge.error.find("[watchdog]") != std::string::npos;
+  return sweep.finish(
+      caught ? "" : "the wedged design-N swap was not detected by the watchdog",
+      wedge_key);
 }

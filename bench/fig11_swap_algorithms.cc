@@ -19,15 +19,8 @@
 
 using namespace hmm;
 
-namespace {
-
-[[nodiscard]] const char* design_name(MigrationDesign d) {
-  return to_string(d);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  bench::Sweep sweep(argc, argv, "fig11_swap_algorithms");
   const std::uint64_t n = bench::scaled(240'000);
   std::vector<std::uint64_t> pages = {4 * KiB,   16 * KiB, 64 * KiB,
                                       256 * KiB, 1 * MiB,  4 * MiB};
@@ -35,12 +28,11 @@ int main(int argc, char** argv) {
   const std::vector<MigrationDesign> designs = {
       MigrationDesign::N, MigrationDesign::NMinus1,
       MigrationDesign::LiveMigration};
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  if (bench::smoke(argc, argv)) {
+  if (sweep.smoke()) {
     pages = {256 * KiB};
     intervals = {10'000};
-    workloads.resize(1);
   }
+  const std::vector<WorkloadInfo> workloads = sweep.workloads();
 
   std::printf("Fig 11: avg memory latency, designs x granularity x swap "
               "interval (%llu accesses/cfg)\n\n",
@@ -65,18 +57,13 @@ int main(int argc, char** argv) {
         for (const MigrationDesign d : designs) {
           grid.push_back(bench::cell(
               wk + "/i" + std::to_string(interval) + "/" + format_size(page) +
-                  "/" + design_name(d),
+                  "/" + to_string(d),
               wk, w, bench::migration_config(page, d, interval), n));
         }
       }
     }
   }
-
-  const runner::RunnerOptions opts =
-      bench::runner_options(argc, argv, "fig11_swap_algorithms");
-  bench::maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
   auto latency = [](const runner::CellResult& c) {
     return c.ok ? TextTable::num(c.result.avg_latency) : std::string("FAILED");
@@ -116,8 +103,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  runner::ResultSink sink("fig11_swap_algorithms");
-  sink.set_param("accesses", n);
-  bench::report_artifact(sink.write_json(cells));
-  return bench::finish(cells, argc, argv);
+  sweep.sink().set_param("accesses", n);
+  return sweep.finish();
 }

@@ -14,15 +14,13 @@
 using namespace hmm;
 
 int main(int argc, char** argv) {
+  bench::Sweep sweep(argc, argv, "fig15_capacity_sensitivity");
   const std::uint64_t n = bench::scaled(400'000);
   std::vector<std::uint64_t> capacities = {128 * MiB, 256 * MiB, 512 * MiB};
   const std::uint64_t page = 256 * KiB;
   const std::uint64_t interval = 1'000;
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  if (bench::smoke(argc, argv)) {
-    capacities = {256 * MiB};
-    workloads.resize(1);
-  }
+  if (sweep.smoke()) capacities = {256 * MiB};
+  const std::vector<WorkloadInfo> workloads = sweep.workloads();
 
   std::printf("Fig 15: latency vs on-package capacity (live migration, "
               "%s pages, %llu-access epochs, %llu accesses/cfg)\n\n",
@@ -50,14 +48,9 @@ int main(int argc, char** argv) {
                       n / 2));
     }
   }
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
-  const runner::RunnerOptions opts =
-      bench::runner_options(argc, argv, "fig15_capacity_sensitivity");
-  bench::maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
-
-  runner::ResultSink sink("fig15_capacity_sensitivity");
+  runner::ResultSink& sink = sweep.sink();
   sink.set_param("page", format_size(page));
   sink.set_param("interval", interval);
   sink.set_param("accesses", n);
@@ -82,6 +75,5 @@ int main(int argc, char** argv) {
     }
   }
   t.print(std::cout);
-  bench::report_artifact(sink.write_json(cells));
-  return bench::finish(cells, argc, argv);
+  return sweep.finish();
 }

@@ -18,15 +18,15 @@
 using namespace hmm;
 
 int main(int argc, char** argv) {
+  bench::Sweep sweep(argc, argv, "fig16_power");
   const std::uint64_t n = bench::scaled(300'000);
   std::vector<std::uint64_t> pages = {4 * KiB, 16 * KiB, 64 * KiB};
   std::vector<std::uint64_t> intervals = {1'000, 10'000, 100'000};
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  if (bench::smoke(argc, argv)) {
+  if (sweep.smoke()) {
     pages = {16 * KiB};
     intervals = {10'000};
-    workloads.resize(1);
   }
+  const std::vector<WorkloadInfo> workloads = sweep.workloads();
 
   std::printf("Fig 16: memory power normalized to off-package-only "
               "(%llu accesses/cfg)\n",
@@ -53,12 +53,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-
-  const runner::RunnerOptions opts =
-      bench::runner_options(argc, argv, "fig16_power");
-  bench::maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
   TextTable t({"Workload", "Size", "1K", "10K", "100K"});
   double min_ratio = 1e300;
@@ -82,9 +77,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::printf("\nminimum observed overhead: %.2fx (paper: ~2x)\n", min_ratio);
 
-  runner::ResultSink sink("fig16_power");
-  sink.set_param("accesses", n);
-  sink.set_param("design", "LiveMigration");
-  bench::report_artifact(sink.write_json(cells));
-  return bench::finish(cells, argc, argv);
+  sweep.sink().set_param("accesses", n);
+  sweep.sink().set_param("design", "LiveMigration");
+  return sweep.finish();
 }

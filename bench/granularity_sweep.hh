@@ -15,14 +15,12 @@ namespace hmm::bench {
 inline int run_granularity_sweep(int argc, char** argv, std::uint64_t interval,
                                  const char* figure_name,
                                  const char* bench_id) {
+  Sweep sweep(argc, argv, bench_id);
   const std::uint64_t n = scaled(400'000);
   std::vector<std::uint64_t> pages = {4 * KiB,   16 * KiB, 64 * KiB,
                                       256 * KiB, 1 * MiB,  4 * MiB};
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  if (smoke(argc, argv)) {
-    pages = {64 * KiB};
-    workloads.resize(1);
-  }
+  if (sweep.smoke()) pages = {64 * KiB};
+  const std::vector<WorkloadInfo> workloads = sweep.workloads();
 
   std::printf("%s: avg memory latency, live migration, swap interval = "
               "%llu accesses (%llu accesses/cfg)\n\n",
@@ -33,7 +31,7 @@ inline int run_granularity_sweep(int argc, char** argv, std::uint64_t interval,
   // reference; all cells of a workload share its reference stream.
   std::vector<runner::ExperimentSpec> grid;
   for (const WorkloadInfo& w : workloads) {
-    const std::string wk = std::string(bench_id) + "/" + w.name;
+    const std::string wk = sweep.name() + "/" + w.name;
     for (const std::uint64_t page : pages) {
       grid.push_back(cell(
           wk + "/" + format_size(page), wk, w,
@@ -42,11 +40,7 @@ inline int run_granularity_sweep(int argc, char** argv, std::uint64_t interval,
     }
     grid.push_back(cell(wk + "/static", wk, w, static_config(4 * MiB), n / 2));
   }
-
-  const runner::RunnerOptions opts = runner_options(argc, argv, bench_id);
-  maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
   std::vector<std::string> header{"Workload"};
   for (const std::uint64_t page : pages) header.push_back(format_size(page));
@@ -64,12 +58,10 @@ inline int run_granularity_sweep(int argc, char** argv, std::uint64_t interval,
   }
   t.print(std::cout);
 
-  runner::ResultSink sink(bench_id);
-  sink.set_param("interval", interval);
-  sink.set_param("accesses", n);
-  sink.set_param("design", "LiveMigration");
-  report_artifact(sink.write_json(cells));
-  return finish(cells, argc, argv);
+  sweep.sink().set_param("interval", interval);
+  sweep.sink().set_param("accesses", n);
+  sweep.sink().set_param("design", "LiveMigration");
+  return sweep.finish();
 }
 
 }  // namespace hmm::bench

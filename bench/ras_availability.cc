@@ -37,6 +37,7 @@
 // HMM_CELL_TIMEOUT.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,23 +63,20 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::maybe_list_schemes(argc, argv);
-
+  bench::Sweep sweep(argc, argv, "BENCH_ras_availability",
+                     {"--fault-rate", "--audit-interval"});
   const std::uint64_t n = bench::scaled(300'000);
   std::vector<double> rates = {0.0, 1e-5, 1e-4, 1e-3};
   const std::vector<std::string>& names = schemes::scheme_names();
   const std::uint64_t page = 256 * KiB;
   const std::uint64_t interval = 1'000;
-  const std::uint64_t audits = bench::audit_interval(argc, argv, 4'096);
-  if (const double r = bench::fault_rate(argc, argv, -1); r > 0)
+  const std::uint64_t audits = sweep.number<std::uint64_t>(
+      "--audit-interval", 4'096, 0, std::numeric_limits<std::uint64_t>::max());
+  if (const double r = sweep.number("--fault-rate", -1.0, 0.0, 1.0); r > 0)
     rates = {0.0, r};
-  if (bench::smoke(argc, argv)) rates = {0.0, 1e-3};
+  if (sweep.smoke()) rates = {0.0, 1e-3};
   const double top_rate = rates.back();
-
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  WorkloadInfo w = workloads.front();
-  for (const WorkloadInfo& cand : workloads)
-    if (cand.name == "pgbench") w = cand;
+  const WorkloadInfo& w = bench::section4_workload("pgbench");
 
   std::printf("RAS availability: %s, %zu schemes, %s pages, media rates up "
               "to %g (stuck-at at rate/4), audit every %llu accesses "
@@ -123,14 +121,9 @@ int main(int argc, char** argv) {
     grid.push_back(
         bench::cell(key, wk, w, make_cfg(s, top_rate, false, key), n));
   }
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
-  const runner::RunnerOptions opts =
-      bench::runner_options(argc, argv, "BENCH_ras_availability");
-  bench::maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
-
-  runner::ResultSink sink("BENCH_ras_availability");
+  runner::ResultSink& sink = sweep.sink();
   sink.set_param("workload", w.name);
   sink.set_param("page", format_size(page));
   sink.set_param("interval", interval);
@@ -189,13 +182,8 @@ int main(int argc, char** argv) {
     add_rows(ri * names.size(), rates[ri], true);
   add_rows(rates.size() * names.size(), top_rate, false);
   t.print(std::cout);
-
-  bench::report_artifact(sink.write_json(cells));
-
-  if (!quiet_baseline) {
-    std::cerr << "[ras_availability] self-check failed: a rate-0 cell "
-                 "reported RAS error events or retirements\n";
-    return 1;
-  }
-  return bench::finish(cells, argc, argv);
+  return sweep.finish(
+      quiet_baseline
+          ? ""
+          : "a rate-0 cell reported RAS error events or retirements");
 }

@@ -11,7 +11,6 @@
 // against.
 //
 // Extra knobs on top of the shared bench flags:
-//   --list-schemes       print the registry names (one per line), exit 0
 //   --schemes a,b,c      subset of registry names (default: the whole
 //                        registry); an unknown name exits 2 with the
 //                        registry's structured error message
@@ -28,52 +27,23 @@
 
 using namespace hmm;
 
-namespace {
-
-[[nodiscard]] std::vector<std::string> selected_schemes(int argc,
-                                                        char** argv) {
-  const char* v = bench::option_value(argc, argv, "--schemes");
-  if (v == nullptr) return schemes::scheme_names();
-  std::vector<std::string> names;
-  std::string list(v);
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string name = list.substr(start, comma - start);
-    if (!name.empty()) {
-      schemes::validate_scheme_name(name);  // throws the structured error
-      names.push_back(name);
-    }
-    start = comma + 1;
-  }
-  return names;
-}
-
-[[nodiscard]] double cache_fraction(int argc, char** argv) {
-  if (const char* v = bench::option_value(argc, argv, "--cache-fraction"))
-    return bench::numeric_flag("--cache-fraction", v, 0.0, 1.0);
-  return 0.5;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bench::maybe_list_schemes(argc, argv);
-  std::vector<std::string> names;
+  bench::Sweep sweep(argc, argv, "BENCH_scheme_faceoff",
+                     {"--schemes", "--cache-fraction"});
+  const std::vector<std::string> names =
+      sweep.list("--schemes").value_or(schemes::scheme_names());
   try {
-    names = selected_schemes(argc, argv);
+    for (const std::string& s : names) schemes::validate_scheme_name(s);
   } catch (const fault::SimError& e) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  const double cf = cache_fraction(argc, argv);
+  const double cf = sweep.number("--cache-fraction", 0.5, 0.0, 1.0);
 
   const std::uint64_t n = bench::scaled(240'000);
   const std::uint64_t page = 4 * MiB;
   const std::uint64_t interval = 10'000;
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  if (bench::smoke(argc, argv)) workloads.resize(1);
+  const std::vector<WorkloadInfo> workloads = sweep.workloads();
 
   std::printf("Scheme face-off: %zu schemes x %zu workloads "
               "(%llu accesses/cell, %s pages, interval %llu)\n\n",
@@ -97,14 +67,9 @@ int main(int argc, char** argv) {
       grid.push_back(bench::cell(wk + "/" + s, wk, w, cfg, n));
     }
   }
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
-  const runner::RunnerOptions opts =
-      bench::runner_options(argc, argv, "BENCH_scheme_faceoff");
-  bench::maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
-
-  runner::ResultSink sink("BENCH_scheme_faceoff");
+  runner::ResultSink& sink = sweep.sink();
   sink.set_param("accesses", n);
   sink.set_param("page_bytes", page);
   sink.set_param("interval", interval);
@@ -140,7 +105,5 @@ int main(int argc, char** argv) {
     t.print(std::cout);
     std::printf("\n");
   }
-
-  bench::report_artifact(sink.write_json(cells));
-  return bench::finish(cells, argc, argv);
+  return sweep.finish();
 }

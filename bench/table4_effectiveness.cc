@@ -21,17 +21,15 @@
 using namespace hmm;
 
 int main(int argc, char** argv) {
+  bench::Sweep sweep(argc, argv, "table4_effectiveness");
   const std::uint64_t n = bench::scaled(1'500'000);
   // Best-configuration sweep: live migration across granularities at the
   // most aggressive swap interval (the paper's Fig 12 minimum per curve).
   std::vector<std::uint64_t> pages = {4 * KiB,   16 * KiB, 64 * KiB,
                                       256 * KiB, 1 * MiB,  4 * MiB};
   const std::uint64_t interval = 1000;
-  std::vector<WorkloadInfo> workloads = section4_workloads();
-  if (bench::smoke(argc, argv)) {
-    pages = {256 * KiB};
-    workloads.resize(1);
-  }
+  if (sweep.smoke()) pages = {256 * KiB};
+  const std::vector<WorkloadInfo> workloads = sweep.workloads();
 
   std::printf("Table III parameters: total 4GB, on-package 512MB, macro "
               "pages 4KB-4MB, sub-block 4KB, FR-FCFS, open page\n");
@@ -57,14 +55,9 @@ int main(int argc, char** argv) {
           n));
     }
   }
+  const std::vector<runner::CellResult>& cells = sweep.run(grid);
 
-  const runner::RunnerOptions opts =
-      bench::runner_options(argc, argv, "table4_effectiveness");
-  bench::maybe_list_cells(grid, opts, argc, argv);
-  const std::vector<runner::CellResult> cells =
-      runner::ExperimentRunner(opts).run(grid);
-
-  runner::ResultSink sink("table4_effectiveness");
+  runner::ResultSink& sink = sweep.sink();
   sink.set_param("interval", interval);
   sink.set_param("accesses", n);
 
@@ -118,6 +111,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::printf("\npaper: FT 69.1%% MG 84.3%% pgbench 92.2%% indexer 86.1%% "
               "SPECjbb 72.2%% SPEC2006 99.1%% (avg 83%%)\n");
-  bench::report_artifact(sink.write_json(cells));
-  return bench::finish(cells, argc, argv);
+  return sweep.finish();
 }

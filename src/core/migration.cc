@@ -699,16 +699,25 @@ void MigrationEngine::save(snap::Writer& w) const {
 
 void MigrationEngine::restore(snap::Reader& r) {
   io(r);
-  // A CRC-valid section can still carry a row, page or chunk index the
-  // table and the copy cannot hold; refuse it before a step applies it.
+  // A CRC-valid section can still carry an address, row, page or chunk
+  // index the table and the copy cannot hold; refuse it before a step
+  // streams or applies it.
   const Geometry& g = table_.geometry();
   const auto refuse = [](const std::string& what) {
     snap::snapshot_error("migration engine: " + what);
   };
+  const auto page_base = [&](MachAddr a) {
+    return a < g.total_bytes && g.offset_of(a) == 0;
+  };
   for (const CopyStep& st : steps_) {
-    if (st.live_fill && (st.fill_slot >= g.slots() ||
-                         st.start_sub_block >= g.sub_blocks_per_page()))
-      refuse("live-fill slot or start sub-block out of range");
+    // Every plan copies exactly one page between two machine pages.
+    if (!page_base(st.src) || !page_base(st.dst) || st.bytes != g.page_bytes)
+      refuse("copy step is not one page between machine pages");
+    if (st.live_fill &&
+        (st.fill_slot >= g.slots() || st.fill_page >= g.total_pages() ||
+         !page_base(st.fill_old_base) ||
+         st.start_sub_block >= g.sub_blocks_per_page()))
+      refuse("live-fill slot, page, old base or start sub-block out of range");
     for (const TableMutation& m : st.after) {
       using Kind = TableMutation::Kind;
       if (m.kind > Kind::RasPark)
@@ -744,6 +753,10 @@ void MigrationEngine::restore(snap::Reader& r) {
     refuse("active copy without a chunk rotation");
   if (!pass_offsets_.empty() && pass_offsets_.size() != chunks_total_)
     refuse("copy pass length disagrees with its chunk count");
+  for (const std::uint64_t off : pass_offsets_)
+    if (steps_.empty() || off % chunk_size() != 0 ||
+        off >= steps_.front().bytes)
+      refuse("copy pass offset outside the step's page");
   // analyze: allow(determinism): any out-of-range chunk refuses alike
   for (const auto& entry : inflight_)
     if (entry.second.chunk >= chunks_total_)

@@ -124,8 +124,6 @@ class TranslationTable {
   [[nodiscard]] bool shadow_active() const noexcept { return shadow_active_; }
   /// The page under transaction (kInvalidPage when inactive).
   [[nodiscard]] PageId shadow_page() const noexcept { return shadow_page_; }
-  /// Committed home (machine page) of the page under transaction.
-  [[nodiscard]] PageId shadow_src() const noexcept { return shadow_src_; }
   /// The shadow copy's destination (always the hole).
   [[nodiscard]] PageId shadow_dst() const noexcept { return shadow_dst_; }
   /// OS page whose data currently lives at `machine_page` (FunctionalN /

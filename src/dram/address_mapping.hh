@@ -74,7 +74,6 @@ class AddressMapping {
   }
 
   [[nodiscard]] unsigned channels() const noexcept { return 1u << chan_bits_; }
-  [[nodiscard]] unsigned line_shift() const noexcept { return line_shift_; }
 
  private:
   static constexpr std::uint64_t mask(unsigned bits) noexcept {

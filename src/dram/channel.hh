@@ -64,11 +64,6 @@ class DramChannel {
     return demand_queued_;
   }
 
-  /// Time at which the data bus is past all current reservations.
-  [[nodiscard]] Cycle bus_free_at() const noexcept {
-    return bus_busy_.empty() ? clock_ : bus_busy_.back().second;
-  }
-
   // --- statistics (demand traffic only unless noted) -----------------------
   [[nodiscard]] const RunningStat& queue_delay() const noexcept {
     return queue_delay_;

@@ -116,11 +116,6 @@ std::optional<PageId> RasEngine::assign_spare_for(PageId frame, Cycle now) {
   return spare;
 }
 
-PageId RasEngine::remap_of(PageId frame) const noexcept {
-  const auto it = remap_.find(frame);
-  return it == remap_.end() ? kInvalidPage : it->second;
-}
-
 PageId RasEngine::resolve(PageId frame) const noexcept {
   PageId f = frame;
   for (auto it = remap_.find(f); it != remap_.end(); it = remap_.find(f))

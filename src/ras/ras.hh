@@ -193,8 +193,6 @@ class RasEngine final : public RasFrameView {
   /// flat-HMA page evicted from a failing slot back to its retired home.
   /// Returns the spare, or nullopt when the pool is dry.
   std::optional<PageId> assign_spare_for(PageId frame, Cycle now);
-  /// The spare standing in for `frame` (kInvalidPage when unremapped).
-  [[nodiscard]] PageId remap_of(PageId frame) const noexcept;
   /// Follow the remap chain from `frame` to the frame actually serving it
   /// (a spare standing in for a spare when a consumed spare fails too).
   [[nodiscard]] PageId resolve(PageId frame) const noexcept;

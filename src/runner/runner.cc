@@ -73,7 +73,8 @@ RunResult ExperimentRunner::durable_replay(const ExperimentSpec& spec,
   CheckpointMeta at{checkpoint_fingerprint(spec.key, seed, spec.accesses), 0,
                     false};
   if (!ckpt_path.empty()) {
-    if (const auto m = load_checkpoint(ckpt_path, at.fingerprint, *gen, sim))
+    if (const auto m = load_checkpoint(ckpt_path, at.fingerprint,
+                                       spec.accesses, *gen, sim))
       at = *m;
   }
   replayed = spec.accesses - at.accesses_done;

@@ -3,7 +3,7 @@
 //
 // Usage:
 //   std::vector<ExperimentSpec> grid = ...;         // cells in print order
-//   ExperimentRunner r({.jobs = bench::jobs()});
+//   ExperimentRunner r({.jobs = 4});
 //   std::vector<CellResult> cells = r.run(grid);    // grid order, always
 //
 // Guarantees:

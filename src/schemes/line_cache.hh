@@ -52,9 +52,6 @@ class LineCache {
   [[nodiscard]] std::uint64_t line_bytes() const noexcept {
     return line_bytes_;
   }
-  [[nodiscard]] std::uint64_t valid_count() const noexcept {
-    return valid_count_;
-  }
 
   [[nodiscard]] std::uint64_t set_of(PhysAddr addr) const noexcept {
     return (addr / line_bytes_) % sets_;

@@ -83,7 +83,7 @@ void save_checkpoint(const std::string& path, const CheckpointMeta& meta,
 
 std::optional<CheckpointMeta> load_checkpoint(
     const std::string& path, std::uint64_t expected_fingerprint,
-    SyntheticWorkload& workload, MemSim& sim) {
+    std::uint64_t accesses, SyntheticWorkload& workload, MemSim& sim) {
   std::ifstream is(path, std::ios::binary);
   if (!is) return std::nullopt;
   std::vector<std::uint8_t> buf(
@@ -106,6 +106,12 @@ std::optional<CheckpointMeta> load_checkpoint(
   meta.accesses_done = r.u64();
   meta.stats_reset_done = r.b();
   r.end_section();
+  // The fingerprint binds the budget, not the progress record.
+  if (meta.accesses_done > accesses)
+    snap::snapshot_error(
+        "checkpoint progress " + std::to_string(meta.accesses_done) +
+        " is past the cell's " + std::to_string(accesses) +
+        "-access budget: " + path);
   workload.restore(r);
   sim.restore(r);
   r.begin_section(snap::tag('D', 'O', 'N', 'E'));

@@ -49,11 +49,11 @@ void save_checkpoint(const std::string& path, const CheckpointMeta& meta,
 
 /// Loads `path` into a freshly built (same-config) workload + sim pair.
 /// Returns nullopt when the file does not exist; throws SimError(Snapshot)
-/// on corruption, version skew, or a fingerprint mismatch against
-/// `expected_fingerprint`.
+/// on corruption, version skew, a fingerprint mismatch against
+/// `expected_fingerprint`, or progress past the cell's `accesses` budget.
 [[nodiscard]] std::optional<CheckpointMeta> load_checkpoint(
     const std::string& path, std::uint64_t expected_fingerprint,
-    SyntheticWorkload& workload, MemSim& sim);
+    std::uint64_t accesses, SyntheticWorkload& workload, MemSim& sim);
 
 /// Best-effort removal of a checkpoint file (cell completed).
 void remove_checkpoint(const std::string& path) noexcept;

@@ -107,7 +107,7 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
   // Second life: fresh objects, restore, finish.
   MemSim sim(spec.config);
   auto gen = spec.workload.make(seed);
-  const auto at = load_checkpoint(path, fp, *gen, sim);
+  const auto at = load_checkpoint(path, fp, spec.accesses, *gen, sim);
   EXPECT_TRUE(at.has_value());
   EXPECT_TRUE(replay(sim, *gen, warm, spec.accesses,
                      at.value_or(CheckpointMeta{})));
@@ -198,14 +198,16 @@ TEST(Checkpoint, MissingFileIsNulloptAndWrongFingerprintThrows) {
   auto gen = spec.workload.make(seed);
   const std::uint64_t fp =
       checkpoint_fingerprint(spec.key, seed, spec.accesses);
-  EXPECT_FALSE(load_checkpoint(path, fp, *gen, sim).has_value());
+  EXPECT_FALSE(
+      load_checkpoint(path, fp, spec.accesses, *gen, sim).has_value());
 
   sim.run_chunk(*gen, 512);
   save_checkpoint(path, CheckpointMeta{fp, 512, false}, *gen, sim);
 
   MemSim other(spec.config);
   auto other_gen = spec.workload.make(seed);
-  EXPECT_THROW((void)load_checkpoint(path, fp + 1, *other_gen, other),
+  EXPECT_THROW((void)load_checkpoint(path, fp + 1, spec.accesses, *other_gen,
+                                     other),
                fault::SimError);
   // A truncated file is corruption, not "missing".
   {
@@ -216,8 +218,9 @@ TEST(Checkpoint, MissingFileIsNulloptAndWrongFingerprintThrows) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(cut.data(), static_cast<std::streamsize>(cut.size()));
   }
-  EXPECT_THROW((void)load_checkpoint(path, fp, *other_gen, other),
-               fault::SimError);
+  EXPECT_THROW(
+      (void)load_checkpoint(path, fp, spec.accesses, *other_gen, other),
+      fault::SimError);
   std::remove(path.c_str());
 }
 
@@ -248,7 +251,7 @@ TEST(Checkpoint, OlderFormatVersionIsRejected) {
     MemSim sim(spec.config);
     auto gen = spec.workload.make(seed);
     try {
-      (void)load_checkpoint(path, fp, *gen, sim);
+      (void)load_checkpoint(path, fp, spec.accesses, *gen, sim);
       ADD_FAILURE() << "an older checkpoint was accepted";
     } catch (const fault::SimError& e) {
       EXPECT_EQ(e.kind(), fault::SimErrorKind::Snapshot);
@@ -475,6 +478,41 @@ TEST(RunnerDurability, FreshSweepDropsItsCellsStaleCheckpoints) {
   expect_same_result(out[0].result, ExperimentRunner::replay(spec, seed));
   EXPECT_FALSE(std::filesystem::exists(own));
   EXPECT_TRUE(std::filesystem::exists(foreign));
+  std::filesystem::remove_all(dir);
+}
+
+// A checkpoint's progress record must lie within the cell's access
+// budget. The fingerprint binds the budget, not the progress, so a
+// record of 9,000 of 8,000 references resumed as "ok" with 512 measured
+// accesses and an underflowed replay count; it is refused as a
+// fingerprint mismatch is.
+TEST(RunnerDurability, CheckpointPastTheAccessBudgetIsRefused) {
+  clear_interrupt();
+  const std::string dir = temp_path("past_budget");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const ExperimentSpec spec = sim_spec("durability/past-budget");
+  const std::uint64_t seed = derive_seed(42, spec.key);
+  {
+    MemSim sim(spec.config);
+    auto gen = spec.workload.make(seed);
+    sim.run_chunk(*gen, 512);
+    const std::uint64_t fp =
+        checkpoint_fingerprint(spec.key, seed, spec.accesses);
+    save_checkpoint(dir + "/" + sanitize_key(spec.key) + ".ckpt",
+                    CheckpointMeta{fp, 9000, false}, *gen, sim);
+  }
+
+  const std::vector<CellResult> out =
+      ExperimentRunner({.jobs = 1, .resume = true, .checkpoint_dir = dir})
+          .run({spec});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].ok);
+  EXPECT_EQ(out[0].status, "failed");
+  EXPECT_NE(out[0].error.find("[snapshot] checkpoint progress 9000 is past "
+                              "the cell's 8000-access budget"),
+            std::string::npos)
+      << out[0].error;
   std::filesystem::remove_all(dir);
 }
 

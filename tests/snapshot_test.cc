@@ -279,6 +279,14 @@ void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
         static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+[[nodiscard]] std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes,
+                                    std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i)
+    v |= std::uint64_t{bytes[at + static_cast<std::size_t>(i)]} << (8 * i);
+  return v;
+}
+
 /// Recomputes the CRC of the section whose header starts at `at`.
 void reseal(std::vector<std::uint8_t>& bytes, std::size_t at) {
   std::uint64_t size = 0;
@@ -577,23 +585,25 @@ TEST(CraftedSnapshot, LineCacheEntryNotValidOrNotAscendingIsASnapshotError) {
   return 0;
 }
 
-/// `scheme` under live_migration_config() with audits, 7,919 references
-/// of pgbench in, with a swap in flight: its MemSim::save() bytes, and
-/// the offset of its engine section, whose first step has a mutation.
+/// `scheme` under live_migration_config() with audits, `accesses`
+/// references of pgbench in, with a swap in flight: its MemSim::save()
+/// bytes, and the offset of its engine section, whose first step has a
+/// mutation.
 struct MidSwap {
   MemSimConfig cfg;
   std::vector<std::uint8_t> bytes;
   std::size_t meng = 0;
 };
 
-[[nodiscard]] MidSwap mid_swap(const std::string& scheme) {
+[[nodiscard]] MidSwap mid_swap(const std::string& scheme,
+                               std::uint64_t accesses = 7919) {
   MidSwap m;
   m.cfg = live_migration_config();
   m.cfg.scheme = scheme;
   m.cfg.audit_interval = 1024;
   MemSim sim(m.cfg);
   auto gen = make_pgbench(4242);
-  sim.run_chunk(*gen, 7919);
+  sim.run_chunk(*gen, accesses);
   snap::Writer w;
   sim.save(w);
   m.bytes = w.take();
@@ -652,7 +662,7 @@ TEST(CraftedSnapshot, NonCanonicalFieldIsASnapshotError) {
     MemSim fresh(cfg);
     auto fresh_gen = make_pgbench(4242);
     expect_snapshot_error(
-        [&] { (void)load_checkpoint(path, 7, *fresh_gen, fresh); });
+        [&] { (void)load_checkpoint(path, 7, 512, *fresh_gen, fresh); });
     std::remove(path.c_str());
   }
   {
@@ -700,6 +710,53 @@ TEST(CraftedSnapshot, MigrationStepBeyondTheTableIsASnapshotError) {
       bad[good.meng + kFirstMutationKind] = 200;
       expect_sim_refused(good, bad);
     }
+  }
+}
+
+// A step's copy streams from `src` and to `dst`, and nomad's passes from
+// the offsets they list. A copy to or from 2^60 restored, ran on and
+// passed every audit, streaming outside memory.
+TEST(CraftedSnapshot, MigrationStepOutsideMemoryIsASnapshotError) {
+  {
+    // 1,000 references in, Live's current step is a live fill.
+    const MidSwap good = mid_swap("Live", 1000);
+    const std::uint64_t page = good.cfg.controller.geom.page_bytes;
+    // After the step count: src, dst and bytes (u64), the live-fill flag,
+    // then fill_slot, fill_page and fill_old_base (u64).
+    ASSERT_EQ(good.bytes[good.meng + 12 + 32], 1) << "not a live fill";
+    const struct {
+      const char* what;
+      std::size_t at;
+      std::uint64_t value;
+    } cases[] = {
+        {"src 2^60", 12 + 8, 1ull << 60},
+        {"dst 2^60", 12 + 16, 1ull << 60},
+        {"dst off a page boundary", 12 + 16, page / 2},
+        {"two pages", 12 + 24, 2 * page},
+        {"fill page 2^40", 12 + 41, 1ull << 40},
+        {"fill old base 2^60", 12 + 49, 1ull << 60},
+    };
+    for (const auto& c : cases) {
+      SCOPED_TRACE(c.what);
+      std::vector<std::uint8_t> bad = good.bytes;
+      put_u64(bad, good.meng + c.at, c.value);
+      expect_sim_refused(good, bad);
+    }
+  }
+  {
+    SCOPED_TRACE("nomad pass offset past the page");
+    const MidSwap good = mid_swap("nomad");
+    // One step (its one mutation is the commit), then the four chunk
+    // cursors, the pass index and the pass's offsets.
+    constexpr std::size_t kPassOffsets = 12 + 94 + 32 + 4;
+    ASSERT_EQ(good.bytes[good.meng + 12], 1);
+    ASSERT_EQ(good.bytes[good.meng + 12 + 61], 1);
+    ASSERT_GT(get_u64(good.bytes, good.meng + kPassOffsets), 0u)
+        << "no pass running";
+    std::vector<std::uint8_t> bad = good.bytes;
+    put_u64(bad, good.meng + kPassOffsets + 8,
+            good.cfg.controller.geom.page_bytes);
+    expect_sim_refused(good, bad);
   }
 }
 
