@@ -120,10 +120,6 @@ void MultiQueueTracker::erase(PageId p) noexcept {
   reindex(pos.level);
 }
 
-std::uint64_t MultiQueueTracker::bits(unsigned page_id_bits) const noexcept {
-  return static_cast<std::uint64_t>(levels_) * capacity_ * page_id_bits;
-}
-
 void MultiQueueTracker::corrupt_entry_for_test() noexcept {
   for (auto& q : queues_) {
     if (q.empty()) continue;

@@ -57,9 +57,6 @@ class SlotClockTracker {
   }
   void reset_epoch() noexcept;
 
-  /// Hardware cost: one reference bit per slot.
-  [[nodiscard]] std::uint64_t bits() const noexcept { return ref_.size(); }
-
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
@@ -97,10 +94,6 @@ class MultiQueueTracker {
   void erase(PageId p) noexcept;
 
   [[nodiscard]] std::size_t tracked() const noexcept { return index_.size(); }
-
-  /// Hardware cost: one page id per entry (Section III-B sizes this at
-  /// 3 x 10 x 26 bits for the 4MB/1GB configuration).
-  [[nodiscard]] std::uint64_t bits(unsigned page_id_bits) const noexcept;
 
   /// Structural self-check (index/queue consistency) for the invariant
   /// auditor; returns an error description or empty string.

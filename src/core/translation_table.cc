@@ -438,11 +438,6 @@ std::string TranslationTable::validate() const {
   return {};
 }
 
-std::uint64_t TranslationTable::table_bits() const noexcept {
-  const unsigned id_bits = log2_floor(ceil_pow2(geom_.total_pages()));
-  return static_cast<std::uint64_t>(slots_) * (id_bits + 2);
-}
-
 void TranslationTable::save(snap::Writer& w) const {
   const_cast<TranslationTable*>(this)->io(w);
 }

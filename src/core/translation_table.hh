@@ -187,9 +187,6 @@ class TranslationTable {
   /// Flip one bit of `row`'s occupant field (CAM corruption).
   void flip_occupant_bit(SlotId row, unsigned bit);
 
-  /// Hardware cost of this table in bits (entry = id bits + P + F).
-  [[nodiscard]] std::uint64_t table_bits() const noexcept;
-
   // --- checkpoint/restore --------------------------------------------------
   // The CAM map (slot_of_) is serialized explicitly rather than rebuilt
   // from rows_: mid-choreography a page can transiently appear in two rows

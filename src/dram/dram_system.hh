@@ -3,6 +3,7 @@
 // latency ledger from Table II.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -106,5 +107,52 @@ class DramSystem {
   RequestId next_id_ = 0;
   fault::FaultInjector* injector_ = nullptr;  ///< not owned; may be null
 };
+
+/// How far each round of drain_regions() drains the two regions.
+enum class Drain : std::uint8_t {
+  Through,     ///< issue what is due by `now`; `now` stays put
+  Completely,  ///< issue everything queued; `now` moves to the last finish
+};
+
+/// Why drain_regions() returned.
+enum class DrainEnd : std::uint8_t {
+  Quiet,        ///< a round delivered no completion
+  Stopped,      ///< the caller's stop condition held
+  OutOfRounds,  ///< `max_rounds` rounds ran, each delivering something
+};
+
+/// The stop condition of a caller that has none.
+struct NeverStop {
+  constexpr bool operator()() const noexcept { return false; }
+};
+
+/// The one drain loop over the two regions. Each round drains `on` and
+/// `off` as `how` says, then hands every completion to
+/// `deliver(completion, region)`: on-package first, then off-package,
+/// each in take_completions() order. A delivery may submit work (the next
+/// copy chunk) to either region; both spans stay valid across submit()
+/// until the next take_completions(). Rounds repeat until one delivers
+/// nothing, `stop()` holds, or `max_rounds` rounds have run. `stop()` is
+/// asked before every round, so it also sees the state each round leaves.
+template <class Deliver, class Stop = NeverStop>
+DrainEnd drain_regions(DramSystem& on, DramSystem& off, Drain how, Cycle& now,
+                       unsigned max_rounds, Deliver&& deliver,
+                       Stop&& stop = {}) {
+  for (unsigned round = 0;; ++round) {
+    if (stop()) return DrainEnd::Stopped;
+    if (round == max_rounds) return DrainEnd::OutOfRounds;
+    if (how == Drain::Through) {
+      on.drain_until(now);
+      off.drain_until(now);
+    } else {
+      now = std::max({now, on.drain_all(now), off.drain_all(now)});
+    }
+    const auto a = on.take_completions();
+    const auto b = off.take_completions();
+    for (const DramCompletion& c : a) deliver(c, Region::OnPackage);
+    for (const DramCompletion& c : b) deliver(c, Region::OffPackage);
+    if (a.empty() && b.empty()) return DrainEnd::Quiet;
+  }
+}
 
 }  // namespace hmm

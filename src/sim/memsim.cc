@@ -101,38 +101,23 @@ void MemSim::handle_completion(const DramCompletion& c, Region region) {
   (region == Region::OnPackage ? on_latency_ : off_latency_).add(lat);
 }
 
-bool MemSim::deliver() {
-  // A background completion may submit the next copy chunk; the spans stay
-  // valid across submit() until the next take_completions().
-  const auto a = on_.take_completions();
-  const auto b = off_.take_completions();
-  for (const auto& c : a) handle_completion(c, Region::OnPackage);
-  for (const auto& c : b) handle_completion(c, Region::OffPackage);
-  return !a.empty() || !b.empty();
-}
-
 void MemSim::pump(Cycle now) {
   // Background completions can trigger further submissions with arrivals
   // <= now, so iterate to a fixed point.
-  for (int guard = 0; guard < 1000; ++guard) {
-    on_.drain_until(now);
-    off_.drain_until(now);
-    if (!deliver()) return;
-  }
+  drain_regions(
+      on_, off_, Drain::Through, now, 1000,
+      [this](const DramCompletion& c, Region r) { handle_completion(c, r); });
 }
 
 Cycle MemSim::force_migration_idle(Cycle now) {
-  int guard = 0;
-  while (!scheme_->background_idle() && ++guard < 1'000'000) {
-    now = std::max({now, on_.drain_all(now), off_.drain_all(now)});
-    if (!deliver()) {
-      // Nothing completed though the engine is still busy: either a wedge
-      // (watchdog throws) or an external event must advance it.
-      check_wedged();
-      break;
-    }
-  }
-  if (!scheme_->background_idle() && guard >= 1'000'000)
+  const DrainEnd end = drain_regions(
+      on_, off_, Drain::Completely, now, 1'000'000,
+      [this](const DramCompletion& c, Region r) { handle_completion(c, r); },
+      [this] { return scheme_->background_idle(); });
+  // Nothing completed though the engine is still busy: either a wedge
+  // (watchdog throws) or an external event must advance it.
+  if (end == DrainEnd::Quiet) check_wedged();
+  if (end == DrainEnd::OutOfRounds)
     throw fault::SimError(fault::SimErrorKind::Watchdog,
                           "swap did not finish within the event budget");
   return now;
@@ -244,12 +229,10 @@ void MemSim::finish() {
   // advances only end_time_, never last_now_ — arrival pacing must keep
   // following trace timestamps, or everything after a mid-trace drain
   // would arrive in one burst and saturate the queues artificially.
-  int guard = 0;
   Cycle end = std::max(last_now_, end_time_);
-  for (;;) {
-    end = std::max({end, on_.drain_all(end), off_.drain_all(end)});
-    if (!deliver() || ++guard > 1'000'000) break;
-  }
+  drain_regions(
+      on_, off_, Drain::Completely, end, 1'000'000,
+      [this](const DramCompletion& c, Region r) { handle_completion(c, r); });
   end_time_ = end;
   // Everything drained: a swap the engine still holds can never complete.
   check_wedged();

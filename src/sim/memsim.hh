@@ -133,9 +133,8 @@ class MemSim {
   void io(Ar& ar);
   void pump(Cycle now);
   Cycle force_migration_idle(Cycle now);
-  /// Hands every completion both regions have accumulated to its owner
-  /// (on-package first); returns whether any arrived.
-  bool deliver();
+  /// Hands one completion to its owner: the scheme for background copies,
+  /// the latency stats for demand.
   void handle_completion(const DramCompletion& c, Region region);
   void throttle(DramSystem& sys, Cycle& now);
   void check_deadline() const;

@@ -16,28 +16,26 @@ constexpr std::uint64_t kPage = 512 * KiB;
 struct Rig {
   explicit Rig(ControllerConfig cfg,
                MigrationDesign design = MigrationDesign::NMinus1)
-      : on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-           SchedulerPolicy::FrFcfs),
-        off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-            SchedulerPolicy::FrFcfs),
+      : on(DramSystem::make(Region::OnPackage)),
+        off(DramSystem::make(Region::OffPackage)),
         ctl(design, cfg, on, off) {}
+
+  /// Drains both regions (through `now`, or completely) into the
+  /// controller until nothing completes or it is idle.
+  void pump(Drain how, Cycle now) {
+    drain_regions(
+        on, off, how, now, 100000,
+        [&](const DramCompletion& c, Region r) {
+          ctl.on_background_completion(c, r);
+        },
+        [&] { return ctl.background_idle(); });
+  }
 
   /// Feed an access and pump engine traffic to completion (so swaps
   /// finish between epochs in these unit tests).
   schemes::SchemeDecision access(PhysAddr a, Cycle now) {
     auto d = ctl.on_access(a, AccessType::Read, now);
-    int guard = 0;
-    while (!ctl.background_idle() && ++guard < 100000) {
-      on.drain_all(now);
-      off.drain_all(now);
-      const auto x = on.take_completions();
-      const auto y = off.take_completions();
-      for (const auto& c : x)
-        ctl.on_background_completion(c, Region::OnPackage);
-      for (const auto& c : y)
-        ctl.on_background_completion(c, Region::OffPackage);
-      if (x.empty() && y.empty()) break;
-    }
+    pump(Drain::Completely, now);
     return d;
   }
 
@@ -163,12 +161,7 @@ TEST(Controller, FillForwardsCounted) {
   // simulated time advances and early sub-blocks serve from the slot.
   for (int i = 0; i < 20000; ++i) {
     (void)rig.ctl.on_access(21 * kPage, AccessType::Read, now += 20);
-    rig.on.drain_until(now);
-    rig.off.drain_until(now);
-    for (const auto& c : rig.on.take_completions())
-      rig.ctl.on_background_completion(c, Region::OnPackage);
-    for (const auto& c : rig.off.take_completions())
-      rig.ctl.on_background_completion(c, Region::OffPackage);
+    rig.pump(Drain::Through, now);
   }
   // 21 eventually migrates; during its fill some accesses were forwarded.
   EXPECT_GT(rig.ctl.stats().fill_forwards, 0u);

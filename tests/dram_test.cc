@@ -436,5 +436,89 @@ TEST(DramSystem, FrFcfsBeatsFcfsOnTwoRowBurst) {
             two_row_burst_cycles(SchedulerPolicy::Fcfs));
 }
 
+// drain_regions() over the paper's two regions. `chain(hops)` records
+// each delivery; the first `hops - 1` submit the next hop to the other
+// region at their finish, as a swap's copy chunks do.
+struct TwoRegions {
+  DramSystem on = DramSystem::make(Region::OnPackage);
+  DramSystem off = DramSystem::make(Region::OffPackage);
+  Cycle now = 0;
+  std::vector<Region> got;  ///< each delivery's region, in order
+  Cycle last_finish = 0;
+
+  void read(Region r, Cycle arrival) {
+    (r == Region::OnPackage ? on : off)
+        .submit(0, 64, AccessType::Read, Priority::Demand, arrival);
+  }
+  auto chain(std::size_t hops) {
+    return [this, hops](const DramCompletion& c, Region r) {
+      got.push_back(r);
+      last_finish = std::max(last_finish, c.finish);
+      if (got.size() < hops)
+        read(r == Region::OnPackage ? Region::OffPackage : Region::OnPackage,
+             c.finish);
+    };
+  }
+  template <class Stop = NeverStop>
+  DrainEnd drain(Drain how, unsigned rounds, std::size_t hops, Stop stop = {}) {
+    return drain_regions(on, off, how, now, rounds, chain(hops), stop);
+  }
+};
+
+TEST(DrainRegions, DeliversOnPackageFirstAndMovesNowToTheLastFinish) {
+  TwoRegions s;
+  s.read(Region::OffPackage, 0);
+  s.read(Region::OnPackage, 0);
+  EXPECT_EQ(s.drain(Drain::Completely, 10, 1), DrainEnd::Quiet);
+  EXPECT_EQ(s.got, (std::vector{Region::OnPackage, Region::OffPackage}));
+  EXPECT_GT(s.now, 0u);
+  EXPECT_EQ(s.now, s.last_finish);
+}
+
+TEST(DrainRegions, ThroughLeavesLaterArrivalsQueuedAndNowInPlace) {
+  TwoRegions s;
+  s.read(Region::OffPackage, 100);
+  s.read(Region::OffPackage, 50'000);
+  s.now = 10'000;
+  EXPECT_EQ(s.drain(Drain::Through, 10, 1), DrainEnd::Quiet);
+  EXPECT_EQ(s.got.size(), 1u);
+  EXPECT_EQ(s.now, 10'000u);
+  EXPECT_EQ(s.off.backlog(), 1u);
+}
+
+// Five hops take five delivering rounds and a sixth, quiet one.
+TEST(DrainRegions, FollowsSubmissionsMadeDuringDeliveryToAFixedPoint) {
+  TwoRegions s;
+  s.read(Region::OnPackage, 0);
+  EXPECT_EQ(s.drain(Drain::Completely, 6, 5), DrainEnd::Quiet);
+  const Region on = Region::OnPackage, off = Region::OffPackage;
+  EXPECT_EQ(s.got, (std::vector{on, off, on, off, on}));
+  EXPECT_EQ(s.now, s.last_finish);
+  EXPECT_EQ(s.on.backlog() + s.off.backlog(), 0u);
+}
+
+TEST(DrainRegions, RoundBoundEndsAnUnfinishedChain) {
+  TwoRegions s;
+  s.read(Region::OnPackage, 0);
+  EXPECT_EQ(s.drain(Drain::Completely, 3, 5), DrainEnd::OutOfRounds);
+  EXPECT_EQ(s.got.size(), 3u);
+  EXPECT_EQ(s.off.backlog(), 1u);  // the fourth hop, never drained
+}
+
+// stop() is asked before every round, the first one included.
+TEST(DrainRegions, StopIsAskedBeforeEveryRound) {
+  TwoRegions s;
+  s.read(Region::OnPackage, 0);
+  EXPECT_EQ(s.drain(Drain::Completely, 10, 5, [] { return true; }),
+            DrainEnd::Stopped);
+  EXPECT_TRUE(s.got.empty());
+  EXPECT_EQ(s.now, 0u);
+  EXPECT_EQ(s.drain(Drain::Completely, 10, 5,
+                    [&s] { return s.got.size() == 2; }),
+            DrainEnd::Stopped);
+  EXPECT_EQ(s.got.size(), 2u);
+  EXPECT_EQ(s.on.backlog(), 1u);  // the third hop, submitted, not drained
+}
+
 }  // namespace
 }  // namespace hmm

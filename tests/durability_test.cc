@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "describe_result.hh"
 #include "fault/fault_injector.hh"
 #include "fault/sim_error.hh"
 #include "runner/journal.hh"
@@ -48,28 +49,6 @@ namespace {
   s.config.controller.swap_interval = 500;
   s.accesses = 8000;
   return s;
-}
-
-void expect_same_result(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.avg_latency, b.avg_latency);  // exact: same FP computation
-  EXPECT_EQ(a.avg_read_latency, b.avg_read_latency);
-  EXPECT_EQ(a.avg_write_latency, b.avg_write_latency);
-  EXPECT_EQ(a.avg_on_latency, b.avg_on_latency);
-  EXPECT_EQ(a.avg_off_latency, b.avg_off_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.on_package_fraction, b.on_package_fraction);
-  EXPECT_EQ(a.off_row_hit_rate, b.off_row_hit_rate);
-  EXPECT_EQ(a.on_queue_delay, b.on_queue_delay);
-  EXPECT_EQ(a.off_queue_delay, b.off_queue_delay);
-  EXPECT_EQ(a.swaps, b.swaps);
-  EXPECT_EQ(a.migrated_bytes, b.migrated_bytes);
-  EXPECT_EQ(a.demand_bytes_on, b.demand_bytes_on);
-  EXPECT_EQ(a.demand_bytes_off, b.demand_bytes_off);
-  EXPECT_EQ(a.os_stall_cycles, b.os_stall_cycles);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.energy_pj, b.energy_pj);
-  EXPECT_EQ(a.energy_off_only_pj, b.energy_off_only_pj);
 }
 
 // Replays `spec` through the runner's replay loop, but force-"crashes"
@@ -128,7 +107,7 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
     SCOPED_TRACE(kill_at);
     const RunResult resumed =
         run_killed_and_resumed(spec, seed, kill_at, path);
-    expect_same_result(resumed, reference);
+    EXPECT_EQ(describe(resumed), describe(reference));
   }
 }
 
@@ -156,7 +135,7 @@ TEST(Checkpoint, DegradedModeRunResumesBitIdentically) {
           EXPECT_TRUE(sim.result().degraded)
               << "the kill point checkpoints a non-degraded sim";
         });
-    expect_same_result(resumed, reference);
+    EXPECT_EQ(describe(resumed), describe(reference));
     EXPECT_TRUE(resumed.degraded);
   }
 }
@@ -184,7 +163,7 @@ TEST(Checkpoint, NomadMidTransactionKillResumesBitIdentically) {
           EXPECT_FALSE(sim.scheme().background_idle())
               << "no transaction in flight at the kill point";
         });
-    expect_same_result(resumed, reference);
+    EXPECT_EQ(describe(resumed), describe(reference));
   }
 }
 
@@ -304,7 +283,7 @@ TEST(Journal, EncodeDecodeCellIsLossless) {
   EXPECT_EQ(b.wall_seconds, a.wall_seconds);
   EXPECT_EQ(b.accesses_replayed, a.accesses_replayed);
   EXPECT_EQ(b.accesses_per_sec, a.accesses_per_sec);
-  expect_same_result(b.result, a.result);
+  EXPECT_EQ(describe(b.result), describe(a.result));
   ASSERT_EQ(b.result.fault_events.size(), 1u);
   EXPECT_EQ(b.result.fault_events[0].site,
             fault::FaultSite::MigrationChunkDrop);
@@ -326,7 +305,8 @@ TEST(Journal, AppendRecoverAndToleratesATornTail) {
     ASSERT_EQ(j.recovered().size(), 2u);
     EXPECT_EQ(j.recovered()[0].key, "sweep/a");
     EXPECT_EQ(j.recovered()[1].key, "sweep/b");
-    expect_same_result(j.recovered()[0].result, sample_cell("x").result);
+    EXPECT_EQ(describe(j.recovered()[0].result),
+              describe(sample_cell("x").result));
   }
   // Tear the second line mid-blob (a crash while an old implementation
   // appended in place); recovery must stop at the damage, keeping line 1.
@@ -475,7 +455,8 @@ TEST(RunnerDurability, FreshSweepDropsItsCellsStaleCheckpoints) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].ok) << out[0].error;
   EXPECT_EQ(out[0].attempts, 1u);
-  expect_same_result(out[0].result, ExperimentRunner::replay(spec, seed));
+  EXPECT_EQ(describe(out[0].result),
+            describe(ExperimentRunner::replay(spec, seed)));
   EXPECT_FALSE(std::filesystem::exists(own));
   EXPECT_TRUE(std::filesystem::exists(foreign));
   std::filesystem::remove_all(dir);
@@ -599,8 +580,8 @@ TEST(RunnerDurability, SigtermUnderIsolationCheckpointsAndResumes) {
     EXPECT_TRUE(c.ok) << c.key << ": " << c.error;
   EXPECT_TRUE(second[1].resumed);
   EXPECT_EQ(second[1].result.accesses, 7u);
-  expect_same_result(second[0].result,
-                     ExperimentRunner::replay(grid[0], second[0].seed));
+  EXPECT_EQ(describe(second[0].result),
+            describe(ExperimentRunner::replay(grid[0], second[0].seed)));
   EXPECT_FALSE(std::filesystem::exists(opts.journal_path));
   EXPECT_TRUE(std::filesystem::is_empty(opts.checkpoint_dir));
   ::close(read_fd);
@@ -659,7 +640,7 @@ TEST(RunnerDurability, ProcessIsolationMatchesInProcessResults) {
     EXPECT_EQ(isolated[i].seed, in_process[i].seed);
     EXPECT_EQ(isolated[i].accesses_replayed, grid[i].accesses);
     EXPECT_GT(isolated[i].accesses_per_sec, 0.0);
-    expect_same_result(isolated[i].result, in_process[i].result);
+    EXPECT_EQ(describe(isolated[i].result), describe(in_process[i].result));
   }
 }
 

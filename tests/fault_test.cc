@@ -125,7 +125,7 @@ TEST(HmmCheckTest, PassingConditionIsSilent) {
 // --- engine recovery --------------------------------------------------------
 
 // Small Section-III geometry + both DRAM models + an engine wired to an
-// injector; drives the same drain loop as the swap fuzzer.
+// injector; pumps through drain_regions() like the swap fuzzer.
 struct EngineRig {
   Geometry g{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
   TranslationTable table;
@@ -136,10 +136,8 @@ struct EngineRig {
 
   EngineRig(MigrationDesign d, const FaultPlan& plan)
       : table(g, table_mode(d)),
-        on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-           SchedulerPolicy::FrFcfs),
-        off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-            SchedulerPolicy::FrFcfs),
+        on(DramSystem::make(Region::OnPackage)),
+        off(DramSystem::make(Region::OffPackage)),
         engine(table, on, off, d),
         injector(plan) {
     engine.set_fault_injector(&injector);
@@ -147,16 +145,11 @@ struct EngineRig {
 
   /// Pump completions until the engine settles (idle or wedged).
   void pump() {
-    int guard = 0;
-    while (!engine.idle() && !engine.wedged() && ++guard < 200000) {
-      on.drain_all(0);
-      off.drain_all(0);
-      const auto a = on.take_completions();
-      const auto b = off.take_completions();
-      for (const auto& c : a) engine.on_completion(c, Region::OnPackage);
-      for (const auto& c : b) engine.on_completion(c, Region::OffPackage);
-      if (a.empty() && b.empty()) break;
-    }
+    Cycle now = 0;
+    drain_regions(
+        on, off, Drain::Completely, now, 200000,
+        [&](const DramCompletion& c, Region r) { engine.on_completion(c, r); },
+        [&] { return engine.idle() || engine.wedged(); });
   }
 };
 
@@ -366,10 +359,8 @@ TEST(InvariantAuditorTest, MultiQueueMismatchSurfacesThroughTheController) {
   ControllerConfig cfg;
   cfg.geom = Geometry{16 * MiB, 4 * MiB, 512 * KiB, 64 * KiB};
   cfg.swap_interval = 1'000'000;  // monitor only; no swap
-  DramSystem on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-                SchedulerPolicy::FrFcfs);
-  DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-                 SchedulerPolicy::FrFcfs);
+  DramSystem on = DramSystem::make(Region::OnPackage);
+  DramSystem off = DramSystem::make(Region::OffPackage);
   schemes::SwapScheme ctl(MigrationDesign::NMinus1, cfg, on, off);
   fault::InvariantAuditor auditor(&ctl, 1);
 

@@ -43,10 +43,6 @@ TEST(SlotClock, EpochCountsAccumulateAndReset) {
   EXPECT_EQ(t.epoch_count(1), 0u);
 }
 
-TEST(SlotClock, HardwareBitsOnePerSlot) {
-  EXPECT_EQ(SlotClockTracker(256).bits(), 256u);
-}
-
 TEST(MultiQueue, HottestIsMostAccessed) {
   MultiQueueTracker mq(3, 10);
   for (int i = 0; i < 20; ++i) mq.record_access(100, 5);
@@ -95,12 +91,6 @@ TEST(MultiQueue, EpochResetHalvesCountsAndDropsDead) {
   EXPECT_EQ(h.page, 7u);
   EXPECT_EQ(h.epoch_count, 2u);
   EXPECT_EQ(mq.tracked(), 1u);
-}
-
-TEST(MultiQueue, BitsMatchPaperSizing) {
-  // Section III-B: 3 levels x 10 entries x 26-bit ids = 780 bits.
-  MultiQueueTracker mq(3, 10);
-  EXPECT_EQ(mq.bits(26), 780u);
 }
 
 TEST(Oracle, TracksExactCounts) {

@@ -217,18 +217,21 @@ INSTANTIATE_TEST_SUITE_P(DesignsAndGranularities, MemSimMatrix,
 TEST(MemSim, DesignNStallsCostMoreAtCoarseGrainHighFrequency) {
   // The paper's Fig 11 observation: blocking (N) swaps of 4MB pages at
   // high swap frequency are costlier than the overlapped N-1/Live.
+  // Eight 4MB swaps, one per 1,000-access epoch.
   auto run_design = [&](MigrationDesign d) {
     MemSimConfig cfg = cfg_with(4 * MiB, d);
     cfg.controller.swap_interval = 1000;
     MemSim sim(cfg);
     auto w = make_pgbench(55);
-    sim.run(*w, 80000);
-    sim.finish();
-    return sim.result().avg_latency;
+    sim.run(*w, 8000);
+    return sim.result();
   };
-  const double n_lat = run_design(MigrationDesign::N);
-  const double live_lat = run_design(MigrationDesign::LiveMigration);
-  EXPECT_GT(n_lat, live_lat);
+  const RunResult n = run_design(MigrationDesign::N);
+  const RunResult live = run_design(MigrationDesign::LiveMigration);
+  EXPECT_GT(n.avg_latency, live.avg_latency);
+  // The halt is charged before an access reaches DRAM: most of N's
+  // latency is the wait for the swap, not queueing in DRAM behind it.
+  EXPECT_LT(n.on_queue_delay + n.off_queue_delay, n.avg_latency / 2);
 }
 
 }  // namespace

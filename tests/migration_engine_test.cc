@@ -17,28 +17,30 @@ constexpr std::uint64_t kPage = 512 * KiB;
 struct Rig {
   explicit Rig(MigrationDesign design)
       : table(small_geom(), table_mode(design)),
-        on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-           SchedulerPolicy::FrFcfs),
-        off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-            SchedulerPolicy::FrFcfs),
+        on(DramSystem::make(Region::OnPackage)),
+        off(DramSystem::make(Region::OffPackage)),
         engine(table, on, off, design) {}
+
+  /// Drains both regions into the engine until nothing completes or
+  /// `stop()` holds; `stop()` also sees the state after every batch.
+  template <class Stop>
+  void pump(Stop&& stop) {
+    Cycle now = 0;
+    drain_regions(
+        on, off, Drain::Completely, now, 100000,
+        [&](const DramCompletion& c, Region r) { engine.on_completion(c, r); },
+        stop);
+  }
 
   /// Pump all DRAM work to completion, checking invariants per batch.
   void run_to_idle(bool validate_each = true) {
-    int guard = 0;
-    while (!engine.idle() && ++guard < 100000) {
-      on.drain_all(0);
-      off.drain_all(0);
-      const auto a = on.take_completions();
-      const auto b = off.take_completions();
-      for (const auto& c : a) engine.on_completion(c, Region::OnPackage);
-      for (const auto& c : b) engine.on_completion(c, Region::OffPackage);
-      if (validate_each && table.mode() == TableMode::HardwareNMinus1) {
-        const std::string err = table.validate();
-        ASSERT_TRUE(err.empty()) << err;
-      }
-      if (a.empty() && b.empty()) break;
-    }
+    std::string err;
+    pump([&] {
+      if (validate_each && table.mode() == TableMode::HardwareNMinus1)
+        err = table.validate();
+      return !err.empty() || engine.idle();
+    });
+    ASSERT_TRUE(err.empty()) << err;
     ASSERT_TRUE(engine.idle());
   }
 
@@ -69,21 +71,14 @@ TEST_P(EngineDesignTest, EveryPageAlwaysAddressable) {
   Rig rig(GetParam());
   ASSERT_TRUE(rig.engine.start_swap(20, 3, 2, 0));
   const Geometry g = small_geom();
-  int guard = 0;
-  while (!rig.engine.idle() && ++guard < 100000) {
-    rig.on.drain_all(0);
-    rig.off.drain_all(0);
-    const auto a = rig.on.take_completions();
-    const auto b = rig.off.take_completions();
-    for (const auto& c : a) rig.engine.on_completion(c, Region::OnPackage);
-    for (const auto& c : b) rig.engine.on_completion(c, Region::OffPackage);
+  rig.pump([&] {
     for (PageId p = 0; p + 1 < g.total_pages(); ++p) {
       const Route r = rig.table.translate(p * kPage + 7);
       EXPECT_LT(r.mach, g.total_bytes);
       EXPECT_EQ(g.offset_of(r.mach), 7u);
     }
-    if (a.empty() && b.empty()) break;
-  }
+    return rig.engine.idle();
+  });
 }
 
 TEST_P(EngineDesignTest, BackToBackSwapsKeepTableValid) {
@@ -123,14 +118,7 @@ TEST(MigrationEngine, LiveFillServesSubBlocksEarly) {
                                     /*cold_slot=*/2, 0));
   // Advance a few chunk completions, then check partial routing.
   bool saw_partial = false;
-  int guard = 0;
-  while (!rig.engine.idle() && ++guard < 100000) {
-    rig.on.drain_all(0);
-    rig.off.drain_all(0);
-    const auto a = rig.on.take_completions();
-    const auto b = rig.off.take_completions();
-    for (const auto& c : a) rig.engine.on_completion(c, Region::OnPackage);
-    for (const auto& c : b) rig.engine.on_completion(c, Region::OffPackage);
+  rig.pump([&] {
     if (rig.table.fill_active() && rig.table.sub_block_ready(0) &&
         !rig.table.sub_block_ready(7)) {
       const Route ready = rig.table.translate(20 * kPage + 1);
@@ -140,8 +128,8 @@ TEST(MigrationEngine, LiveFillServesSubBlocksEarly) {
       EXPECT_EQ(pending.region, Region::OffPackage);
       saw_partial = true;
     }
-    if (a.empty() && b.empty()) break;
-  }
+    return rig.engine.idle();
+  });
   EXPECT_TRUE(saw_partial);
 }
 
@@ -150,15 +138,7 @@ TEST(MigrationEngine, CriticalFirstStartsAtHotSubBlock) {
   ASSERT_TRUE(rig.engine.start_swap(20, /*hot_sub=*/5, 2, 0));
   // Pump until the first fill chunk lands: sub-block 5 must be ready
   // before sub-block 0.
-  int guard = 0;
-  while (!rig.table.sub_block_ready(5) && ++guard < 100000) {
-    rig.on.drain_all(0);
-    rig.off.drain_all(0);
-    for (const auto& c : rig.on.take_completions())
-      rig.engine.on_completion(c, Region::OnPackage);
-    for (const auto& c : rig.off.take_completions())
-      rig.engine.on_completion(c, Region::OffPackage);
-  }
+  rig.pump([&] { return rig.table.sub_block_ready(5); });
   ASSERT_TRUE(rig.table.fill_active());
   EXPECT_TRUE(rig.table.sub_block_ready(5));
   EXPECT_FALSE(rig.table.sub_block_ready(4));  // filled last (wraps)

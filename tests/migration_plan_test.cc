@@ -16,11 +16,19 @@ constexpr std::uint64_t kPage = 512 * KiB;
 struct Rig {
   Rig(MigrationDesign design = MigrationDesign::NMinus1)
       : table(small_geom(), table_mode(design)),
-        on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-           SchedulerPolicy::FrFcfs),
-        off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-            SchedulerPolicy::FrFcfs),
+        on(DramSystem::make(Region::OnPackage)),
+        off(DramSystem::make(Region::OffPackage)),
         engine(table, on, off, design) {}
+
+  /// Drains both regions into the engine until it is idle or nothing
+  /// completes.
+  void run_to_idle() {
+    Cycle now = 0;
+    drain_regions(
+        on, off, Drain::Completely, now, 100000,
+        [&](const DramCompletion& c, Region r) { engine.on_completion(c, r); },
+        [&] { return engine.idle(); });
+  }
 
   TranslationTable table;
   DramSystem on;
@@ -51,14 +59,8 @@ TEST(MigrationPlan, CaseB_HotOriginalSlow_ColdMigratedFast) {
   // the migrated page 20 itself while page 21 becomes hot: 4 copies.
   Rig rig;
   ASSERT_TRUE(rig.engine.start_swap(20, 0, 2, 0));
-  while (!rig.engine.idle()) {
-    const Cycle t = std::max(rig.on.drain_all(0), rig.off.drain_all(0));
-    (void)t;
-    for (const auto& c : rig.on.take_completions())
-      rig.engine.on_completion(c, Region::OnPackage);
-    for (const auto& c : rig.off.take_completions())
-      rig.engine.on_completion(c, Region::OffPackage);
-  }
+  rig.run_to_idle();
+  ASSERT_TRUE(rig.engine.idle());
   ASSERT_TRUE(rig.table.validate().empty()) << rig.table.validate();
   ASSERT_EQ(rig.table.category(20), PageCategory::MigratedFast);
 

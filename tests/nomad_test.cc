@@ -11,6 +11,7 @@
 
 #include "common/snapshot.hh"
 #include "core/translation_table.hh"
+#include "describe_result.hh"
 #include "fault/fault_injector.hh"
 #include "runner/runner.hh"
 #include "sim/memsim.hh"
@@ -159,12 +160,7 @@ TEST(NomadSim, MigratesAndRaisesOnPackageShare) {
 TEST(NomadSim, RunsAreDeterministic) {
   const RunResult a = replay(nomad_cfg(), 40000);
   const RunResult b = replay(nomad_cfg(), 40000);
-  EXPECT_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.swaps, b.swaps);
-  EXPECT_EQ(a.swap_aborts, b.swap_aborts);
-  EXPECT_EQ(a.migrated_bytes, b.migrated_bytes);
+  EXPECT_EQ(describe(a), describe(b));
 }
 
 TEST(NomadSim, TotalChunkLossAbortsIntoDegradedModeNotAWedge) {

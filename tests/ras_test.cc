@@ -271,10 +271,8 @@ TEST(RasEngine, StateRoundTripsThroughSnapshot) {
 struct Rig {
   Rig(MigrationDesign d, const ControllerConfig& cfg,
       const ras::RasConfig& rcfg)
-      : on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-           SchedulerPolicy::FrFcfs),
-        off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-            SchedulerPolicy::FrFcfs),
+      : on(DramSystem::make(Region::OnPackage)),
+        off(DramSystem::make(Region::OffPackage)),
         ctl(d, cfg, on, off),
         ras(rcfg, cfg.geom, nullptr) {
     ctl.set_ras(&ras);
@@ -283,18 +281,12 @@ struct Rig {
   /// Feed an access and pump engine traffic to completion.
   void access(PhysAddr a, Cycle now) {
     (void)ctl.on_access(a, AccessType::Read, now);
-    int guard = 0;
-    while (!ctl.background_idle() && ++guard < 100000) {
-      on.drain_all(now);
-      off.drain_all(now);
-      const auto x = on.take_completions();
-      const auto y = off.take_completions();
-      for (const auto& c : x)
-        ctl.on_background_completion(c, Region::OnPackage);
-      for (const auto& c : y)
-        ctl.on_background_completion(c, Region::OffPackage);
-      if (x.empty() && y.empty()) break;
-    }
+    drain_regions(
+        on, off, Drain::Completely, now, 100000,
+        [&](const DramCompletion& c, Region r) {
+          ctl.on_background_completion(c, r);
+        },
+        [&] { return ctl.background_idle(); });
   }
 
   DramSystem on;

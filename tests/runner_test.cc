@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/units.hh"
+#include "describe_result.hh"
 #include "fault/sim_error.hh"
 #include "runner/json.hh"
 #include "runner/result_sink.hh"
@@ -55,25 +56,6 @@ TEST(DeriveSeed, DependsOnlyOnBaseSeedAndKey) {
   return grid;
 }
 
-void expect_bit_identical(const CellResult& a, const CellResult& b) {
-  EXPECT_EQ(a.key, b.key);
-  EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.ok, b.ok);
-  const RunResult &ra = a.result, &rb = b.result;
-  EXPECT_EQ(ra.accesses, rb.accesses);
-  EXPECT_EQ(ra.avg_latency, rb.avg_latency);  // exact: same FP computation
-  EXPECT_EQ(ra.avg_read_latency, rb.avg_read_latency);
-  EXPECT_EQ(ra.avg_write_latency, rb.avg_write_latency);
-  EXPECT_EQ(ra.p99_latency, rb.p99_latency);
-  EXPECT_EQ(ra.on_package_fraction, rb.on_package_fraction);
-  EXPECT_EQ(ra.swaps, rb.swaps);
-  EXPECT_EQ(ra.migrated_bytes, rb.migrated_bytes);
-  EXPECT_EQ(ra.demand_bytes_on, rb.demand_bytes_on);
-  EXPECT_EQ(ra.demand_bytes_off, rb.demand_bytes_off);
-  EXPECT_EQ(ra.energy_pj, rb.energy_pj);
-  EXPECT_EQ(ra.end_time, rb.end_time);
-}
-
 TEST(ExperimentRunner, SerialAndParallelAreBitIdentical) {
   const std::vector<ExperimentSpec> grid = small_grid();
   ExperimentRunner serial({.jobs = 1});
@@ -85,7 +67,10 @@ TEST(ExperimentRunner, SerialAndParallelAreBitIdentical) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(grid[i].key);
     EXPECT_TRUE(a[i].ok) << a[i].error;
-    expect_bit_identical(a[i], b[i]);
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].seed, b[i].seed);
+    EXPECT_EQ(a[i].ok, b[i].ok);
+    EXPECT_EQ(describe(a[i].result), describe(b[i].result));
   }
   // Cells sharing a seed_key replay one stream; distinct configs still
   // produce distinct dynamics.

@@ -30,10 +30,8 @@ TEST_P(SwapFuzz, RandomSwapSequencesPreserveAllInvariants) {
   ASSERT_TRUE(g.valid());
 
   TranslationTable table(g, table_mode(fp.design));
-  DramSystem on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-                SchedulerPolicy::FrFcfs);
-  DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-                 SchedulerPolicy::FrFcfs);
+  DramSystem on = DramSystem::make(Region::OnPackage);
+  DramSystem off = DramSystem::make(Region::OffPackage);
   MigrationEngine engine(table, on, off, fp.design);
 
   Pcg32 rng(0xf422ull + fp.page);
@@ -48,16 +46,11 @@ TEST_P(SwapFuzz, RandomSwapSequencesPreserveAllInvariants) {
         hot, static_cast<std::uint32_t>(rng.bounded(
                  g.sub_blocks_per_page())),
         cold, 0));
-    int guard = 0;
-    while (!engine.idle() && ++guard < 100000) {
-      on.drain_all(0);
-      off.drain_all(0);
-      const auto a = on.take_completions();
-      const auto b = off.take_completions();
-      for (const auto& c : a) engine.on_completion(c, Region::OnPackage);
-      for (const auto& c : b) engine.on_completion(c, Region::OffPackage);
-      if (a.empty() && b.empty()) break;
-    }
+    Cycle now = 0;
+    drain_regions(
+        on, off, Drain::Completely, now, 100000,
+        [&](const DramCompletion& c, Region r) { engine.on_completion(c, r); },
+        [&] { return engine.idle(); });
     ASSERT_TRUE(engine.idle()) << "swap never completed";
     ++completed;
 
@@ -114,10 +107,8 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
   ASSERT_TRUE(g.valid());
 
   TranslationTable table(g, table_mode(fp.design));
-  DramSystem on(Region::OnPackage, DramTiming::on_package_sip(), 1,
-                SchedulerPolicy::FrFcfs);
-  DramSystem off(Region::OffPackage, DramTiming::off_package_ddr3_1333(), 4,
-                 SchedulerPolicy::FrFcfs);
+  DramSystem on = DramSystem::make(Region::OnPackage);
+  DramSystem off = DramSystem::make(Region::OffPackage);
   MigrationEngine engine(table, on, off, fp.design);
 
   // Rates are per *opportunity* (one per chunk completion / DRAM submit);
@@ -147,20 +138,18 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
         hot, static_cast<std::uint32_t>(rng.bounded(
                  g.sub_blocks_per_page())),
         cold, 0));
-    int guard = 0;
-    while (!engine.idle() && !engine.wedged() && ++guard < 200000) {
-      on.drain_all(0);
-      off.drain_all(0);
-      const auto a = on.take_completions();
-      const auto b = off.take_completions();
-      for (const auto& c : a) engine.on_completion(c, Region::OnPackage);
-      for (const auto& c : b) engine.on_completion(c, Region::OffPackage);
-      // The audit property: valid after every completion batch, even
-      // mid-swap (mutations only land on step boundaries).
-      const std::string mid = table.validate();
-      ASSERT_TRUE(mid.empty()) << mid << " mid-swap, iter " << iter;
-      if (a.empty() && b.empty()) break;
-    }
+    Cycle now = 0;
+    std::string mid;
+    drain_regions(
+        on, off, Drain::Completely, now, 200000,
+        [&](const DramCompletion& c, Region r) { engine.on_completion(c, r); },
+        [&] {
+          // The audit property: valid after every completion batch, even
+          // mid-swap (mutations only land on step boundaries).
+          mid = table.validate();
+          return !mid.empty() || engine.idle() || engine.wedged();
+        });
+    ASSERT_TRUE(mid.empty()) << mid << " mid-swap, iter " << iter;
     ASSERT_TRUE(engine.idle() || engine.wedged())
         << "engine neither settled nor wedged, iter " << iter;
     ++settled;

@@ -143,13 +143,5 @@ TEST(TranslationTable, FunctionalModeUsesPlacementMap) {
   EXPECT_TRUE(t.validate().empty());
 }
 
-TEST(TranslationTable, TableBitsScaleWithSlots) {
-  const TranslationTable small(small_geom(), TableMode::HardwareNMinus1);
-  Geometry big = small_geom();
-  big.page_bytes = 128 * KiB;  // 4x the slots
-  const TranslationTable bigger(big, TableMode::HardwareNMinus1);
-  EXPECT_GT(bigger.table_bits(), small.table_bits());
-}
-
 }  // namespace
 }  // namespace hmm
