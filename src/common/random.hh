@@ -51,6 +51,9 @@ class Pcg32 {
   std::uint64_t bounded64(std::uint64_t bound) {
     HMM_CHECK(bound > 0, "Pcg32::bounded64 requires bound > 0");
     if (bound <= 1) return 0;
+    // A power-of-two bound rejects nothing (its threshold is 0), so the
+    // first draw, masked, is what the loop below would return.
+    if ((bound & (bound - 1)) == 0) return next64() & (bound - 1);
     const std::uint64_t threshold = (-bound) % bound;
     for (;;) {
       const std::uint64_t r = next64();
@@ -67,14 +70,7 @@ class Pcg32 {
   bool chance(double p) noexcept { return uniform() < p; }
 
   /// Geometric-ish positive integer with mean `mean` (>=1).
-  std::uint64_t geometric(double mean) noexcept {
-    if (mean <= 1.0) return 1;
-    const double p = 1.0 / mean;
-    double u = uniform();
-    if (u <= 0.0) u = 1e-12;
-    const double v = std::log(u) / std::log(1.0 - p);
-    return 1 + static_cast<std::uint64_t>(v);
-  }
+  std::uint64_t geometric(double mean) noexcept;
 
   /// Raw generator state, for checkpoint/restore. Restoring Raw resumes
   /// the stream exactly where it was captured.
@@ -92,5 +88,28 @@ class Pcg32 {
   std::uint64_t state_;
   std::uint64_t inc_;
 };
+
+/// Pcg32::geometric(mean) for a mean fixed up front: log(1 - 1/mean) is
+/// taken once, and every draw is the one geometric(mean) would make.
+class Geometric {
+ public:
+  explicit Geometric(double mean) noexcept
+      : one_(mean <= 1.0), log_q_(one_ ? 0.0 : std::log(1.0 - 1.0 / mean)) {}
+
+  std::uint64_t operator()(Pcg32& rng) const noexcept {
+    if (one_) return 1;
+    double u = rng.uniform();
+    if (u <= 0.0) u = 1e-12;
+    return 1 + static_cast<std::uint64_t>(std::log(u) / log_q_);
+  }
+
+ private:
+  bool one_;      ///< mean <= 1: always 1, no draw
+  double log_q_;  ///< log(1 - 1/mean)
+};
+
+inline std::uint64_t Pcg32::geometric(double mean) noexcept {
+  return Geometric(mean)(*this);
+}
 
 }  // namespace hmm

@@ -371,8 +371,16 @@ void bits(Ar& ar, std::vector<bool>& v) {
   }
 }
 
-/// A u64 count, then `each(key, value)` in ascending key order, so the
-/// bytes never depend on hash-table iteration order.
+/// Restore's check on the keys of sorted_map and sorted_set: a repeated
+/// or descending key would restore, then re-save to different bytes.
+template <class K>
+void ascending(std::uint64_t i, const K& prev, const K& k) {
+  if (i > 0 && !(prev < k))
+    snapshot_error("map or set keys not strictly ascending");
+}
+
+/// A u64 count, then `each(key, value)` in strictly ascending key order,
+/// so the bytes never depend on hash-table iteration order.
 template <class Ar, class M, class F>
 void sorted_map(Ar& ar, M& m, F&& each) {
   if constexpr (kSaving<Ar>) {
@@ -386,16 +394,19 @@ void sorted_map(Ar& ar, M& m, F&& each) {
     for (const auto* e : order) each(e->first, e->second);
   } else {
     m.clear();
-    for (std::uint64_t n = ar.count(); n > 0; --n) {
+    typename M::key_type prev{};
+    for (std::uint64_t n = ar.count(), i = 0; i < n; ++i) {
       typename M::key_type k{};
       typename M::mapped_type v{};
       each(k, v);
+      ascending(i, prev, k);
       m.insert_or_assign(k, v);
+      prev = k;
     }
   }
 }
 
-/// A u64 count, then `each(key)` in ascending order.
+/// A u64 count, then `each(key)` in strictly ascending order.
 template <class Ar, class S, class F>
 void sorted_set(Ar& ar, S& s, F&& each) {
   if constexpr (kSaving<Ar>) {
@@ -405,10 +416,13 @@ void sorted_set(Ar& ar, S& s, F&& each) {
     for (const auto& k : order) each(k);
   } else {
     s.clear();
-    for (std::uint64_t n = ar.count(); n > 0; --n) {
+    typename S::key_type prev{};
+    for (std::uint64_t n = ar.count(), i = 0; i < n; ++i) {
       typename S::key_type k{};
       each(k);
+      ascending(i, prev, k);
       s.insert(k);
+      prev = k;
     }
   }
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,10 +64,11 @@ class RunningStat {
 /// Power-of-two-bucketed histogram for latency/queue-depth distributions.
 class Log2Histogram {
  public:
+  /// Bucket i counts values in [2^i, 2^(i+1)); bucket 0 also counts 0,
+  /// and the last bucket everything above its lower edge.
   void add(std::uint64_t value) noexcept {
-    unsigned b = 0;
-    while ((1ull << (b + 1)) <= value && b + 1 < kBuckets) ++b;
-    if (value == 0) b = 0;
+    const auto b = std::min<unsigned>(
+        static_cast<unsigned>(std::bit_width(value | 1)) - 1, kBuckets - 1);
     ++buckets_[b];
     ++total_;
   }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include "fault/sim_error.hh"
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -16,17 +17,15 @@ inline constexpr std::uint64_t GiB = 1024ull * MiB;
   return x != 0 && (x & (x - 1)) == 0;
 }
 
-/// floor(log2(x)); requires x != 0.
+/// floor(log2(x)) for x != 0; 0 for x == 0.
 [[nodiscard]] constexpr unsigned log2_floor(std::uint64_t x) noexcept {
-  unsigned n = 0;
-  while (x >>= 1) ++n;
-  return n;
+  return static_cast<unsigned>(std::bit_width(x | 1)) - 1;
 }
 
 /// log2 of a power of two; throws SimError if x is not one.
 [[nodiscard]] constexpr unsigned log2_exact(std::uint64_t x) {
   HMM_CHECK(is_pow2(x), "log2_exact needs a power of two");
-  return log2_floor(x);
+  return static_cast<unsigned>(std::countr_zero(x));
 }
 
 /// Smallest power of two >= x (x <= 2^63).

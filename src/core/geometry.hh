@@ -49,7 +49,7 @@ struct Geometry {
   /// Sub-block index of an in-page offset.
   [[nodiscard]] std::uint32_t sub_block_of(
       std::uint64_t offset) const noexcept {
-    return static_cast<std::uint32_t>(offset / sub_block_bytes);
+    return static_cast<std::uint32_t>(offset >> log2_exact(sub_block_bytes));
   }
   [[nodiscard]] std::uint32_t sub_blocks_per_page() const noexcept {
     return static_cast<std::uint32_t>(page_bytes / sub_block_bytes);

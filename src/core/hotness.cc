@@ -22,73 +22,65 @@ void SlotClockTracker::reset_epoch() noexcept {
 
 MultiQueueTracker::MultiQueueTracker(unsigned levels,
                                      unsigned entries_per_level)
-    : levels_(levels), capacity_(entries_per_level), queues_(levels) {
+    : levels_(levels),
+      capacity_(entries_per_level),
+      cam_(std::size_t{levels} * entries_per_level),
+      used_(levels, 0) {
   HMM_CHECK(levels > 0 && entries_per_level > 0,
             "multi-queue tracker needs at least one level and entry");
-  for (auto& q : queues_) q.reserve(entries_per_level);
 }
 
-void MultiQueueTracker::reindex(unsigned level) noexcept {
-  for (std::size_t i = 0; i < queues_[level].size(); ++i)
-    index_[queues_[level][i].page] = Pos{level, i};
+void MultiQueueTracker::insert(unsigned l, Entry e) noexcept {
+  Entry* q = level(l);
+  if (used_[l] < capacity_) {
+    std::copy_backward(q, q + used_[l], q + used_[l] + 1);
+    q[0] = e;
+    ++used_[l];
+    return;
+  }
+  const Entry demoted = q[capacity_ - 1];
+  std::copy_backward(q, q + capacity_ - 1, q + capacity_);
+  q[0] = e;
+  if (l > 0) insert(l - 1, demoted);
 }
 
-void MultiQueueTracker::insert(unsigned level, Entry e) noexcept {
-  auto& q = queues_[level];
-  q.insert(q.begin(), e);
-  if (q.size() > capacity_) {
-    Entry demoted = q.back();
-    q.pop_back();
-    if (level > 0) {
-      reindex(level);
-      insert(level - 1, demoted);
+void MultiQueueTracker::remove(unsigned l, unsigned i) noexcept {
+  Entry* q = level(l);
+  std::copy(q + i + 1, q + used_[l], q + i);
+  --used_[l];
+}
+
+void MultiQueueTracker::record_access(PageId p, std::uint32_t sb) noexcept {
+  for (unsigned l = 0; l < levels_; ++l) {
+    Entry* q = level(l);
+    for (unsigned i = 0; i < used_[l]; ++i) {
+      if (q[i].page != p) continue;
+      Entry e = q[i];
+      ++e.count;
+      e.last_sub_block = sb;
+      // Classic MQ promotion rule: an entry moves up when its access
+      // count reaches 2^(level+1); otherwise it refreshes to the MRU
+      // position of its level.
+      if (l + 1 >= levels_ || e.count < (1ull << (l + 1))) {
+        std::copy_backward(q, q + i, q + i + 1);
+        q[0] = e;
+      } else {
+        remove(l, i);
+        insert(l + 1, e);
+      }
       return;
     }
-    index_.erase(demoted.page);
-  }
-  reindex(level);
-}
-
-void MultiQueueTracker::promote_if_due(unsigned level,
-                                       std::size_t idx) noexcept {
-  // Classic MQ promotion rule: an entry moves up when its access count
-  // reaches 2^(level+1).
-  Entry e = queues_[level][idx];
-  if (level + 1 >= levels_ || e.count < (1ull << (level + 1))) {
-    // Just refresh to the MRU position of its level.
-    auto& q = queues_[level];
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
-    q.insert(q.begin(), e);
-    reindex(level);
-    return;
-  }
-  auto& q = queues_[level];
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
-  reindex(level);
-  insert(level + 1, e);
-}
-
-void MultiQueueTracker::record_access(PageId p, std::uint32_t sb) {
-  const auto it = index_.find(p);
-  if (it != index_.end()) {
-    const Pos pos = it->second;
-    Entry& e = queues_[pos.level][pos.idx];
-    HMM_CHECK(e.page == p, "multi-queue index out of sync with its queue");
-    ++e.count;
-    e.last_sub_block = sb;
-    promote_if_due(pos.level, pos.idx);
-    return;
   }
   insert(0, Entry{p, 1, sb});
 }
 
 MultiQueueTracker::Hottest MultiQueueTracker::hottest() const noexcept {
   Hottest best;
-  for (const auto& q : queues_) {
-    for (const Entry& e : q) {
-      if (!best.found || e.count > best.epoch_count) {
-        best = Hottest{e.page, e.count, e.last_sub_block, true};
-      }
+  for (unsigned l = 0; l < levels_; ++l) {
+    const Entry* q = level(l);
+    for (unsigned i = 0; i < used_[l]; ++i) {
+      if (!best.found || q[i].count > best.epoch_count)
+        best = Hottest{q[i].page, q[i].count, q[i].last_sub_block, true};
     }
   }
   return best;
@@ -96,55 +88,63 @@ MultiQueueTracker::Hottest MultiQueueTracker::hottest() const noexcept {
 
 void MultiQueueTracker::reset_epoch() noexcept {
   for (unsigned l = 0; l < levels_; ++l) {
-    auto& q = queues_[l];
-    for (auto it = q.begin(); it != q.end();) {
-      it->count /= 2;
-      if (it->count == 0) {
-        index_.erase(it->page);
-        it = q.erase(it);
-      } else {
-        ++it;
-      }
+    Entry* q = level(l);
+    unsigned kept = 0;
+    for (unsigned i = 0; i < used_[l]; ++i) {
+      q[i].count /= 2;
+      if (q[i].count != 0) q[kept++] = q[i];
     }
-    reindex(l);
+    used_[l] = kept;
   }
 }
 
 void MultiQueueTracker::erase(PageId p) noexcept {
-  const auto it = index_.find(p);
-  if (it == index_.end()) return;
-  const Pos pos = it->second;
-  auto& q = queues_[pos.level];
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(pos.idx));
-  index_.erase(it);
-  reindex(pos.level);
+  for (unsigned l = 0; l < levels_; ++l) {
+    const Entry* q = level(l);
+    for (unsigned i = 0; i < used_[l]; ++i) {
+      if (q[i].page == p) {
+        remove(l, i);
+        return;
+      }
+    }
+  }
+}
+
+std::size_t MultiQueueTracker::tracked() const noexcept {
+  std::size_t n = 0;
+  for (const unsigned u : used_) n += u;
+  return n;
 }
 
 void MultiQueueTracker::corrupt_entry_for_test() noexcept {
-  for (auto& q : queues_) {
-    if (q.empty()) continue;
-    q.front().page += 1'000'000;  // index_ still holds the old id
-    return;
+  Entry* first = nullptr;
+  for (unsigned l = 0; l < levels_; ++l) {
+    for (unsigned i = 0; i < used_[l]; ++i) {
+      Entry& e = level(l)[i];
+      if (first == nullptr) {
+        first = &e;
+      } else {
+        e.page = first->page;
+        return;
+      }
+    }
   }
 }
 
 std::string MultiQueueTracker::validate() const {
-  std::size_t entries = 0;
+  std::vector<PageId> pages;
   for (unsigned l = 0; l < levels_; ++l) {
-    const auto& q = queues_[l];
-    if (q.size() > capacity_) return "queue level above capacity";
-    entries += q.size();
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      const Entry& e = q[i];
+    for (unsigned i = 0; i < used_[l]; ++i) {
+      const Entry& e = level(l)[i];
       if (e.page == kInvalidPage) return "invalid page id tracked";
       if (e.count == 0) return "tracked entry with zero count";
-      const auto it = index_.find(e.page);
-      if (it == index_.end()) return "queued page missing from index";
-      if (it->second.level != l || it->second.idx != i)
-        return "index position out of sync with its queue";
+      pages.push_back(e.page);
     }
   }
-  if (entries != index_.size()) return "index size disagrees with queues";
+  // A CAM match must be unique.
+  std::sort(pages.begin(), pages.end());
+  if (std::adjacent_find(pages.begin(), pages.end()) != pages.end())
+    return "page tracked twice";
   return {};
 }
 
@@ -170,8 +170,8 @@ void MultiQueueTracker::save(snap::Writer& w) const {
 
 void MultiQueueTracker::restore(snap::Reader& r) {
   io(r);
-  index_.clear();
-  for (unsigned l = 0; l < levels_; ++l) reindex(l);
+  const std::string err = validate();
+  if (!err.empty()) snap::snapshot_error("multi-queue tracker: " + err);
 }
 
 template <class Ar>
@@ -179,12 +179,20 @@ void MultiQueueTracker::io(Ar& ar) {
   snap::section(ar, snap::tag('M', 'Q', 'T', 'R'), [&] {
     snap::expect<std::uint32_t>(ar, levels_, "multi-queue level count");
     snap::expect<std::uint32_t>(ar, capacity_, "multi-queue level capacity");
-    for (auto& q : queues_)
-      snap::seq(ar, q, [&](auto& e) {
+    for (unsigned l = 0; l < levels_; ++l) {
+      std::uint64_t n = used_[l];
+      snap::u64(ar, n);
+      if (n > capacity_)
+        snap::snapshot_error("multi-queue tracker: queue level above "
+                             "capacity");
+      used_[l] = static_cast<unsigned>(n);
+      for (unsigned i = 0; i < used_[l]; ++i) {
+        Entry& e = cam_[std::size_t{l} * capacity_ + i];
         snap::u64(ar, e.page);
         snap::u64(ar, e.count);
         snap::u32(ar, e.last_sub_block);
-      });
+      }
+    }
   });
 }
 

@@ -69,14 +69,16 @@ class SlotClockTracker {
   SlotId hand_ = 0;
 };
 
+/// A content-addressable memory of levels x entries, as the hardware
+/// holds it: each level keeps its entries MRU first, and a page is found
+/// by comparing it against every entry.
 class MultiQueueTracker {
  public:
   MultiQueueTracker(unsigned levels, unsigned entries_per_level);
 
   /// Record an access to off-package page p at in-page sub-block `sb`
-  /// (the sub-block seeds critical-data-first live migration). Throws
-  /// SimError if the index has drifted out of sync with its queues.
-  void record_access(PageId p, std::uint32_t sb);
+  /// (the sub-block seeds critical-data-first live migration).
+  void record_access(PageId p, std::uint32_t sb) noexcept;
 
   struct Hottest {
     PageId page = kInvalidPage;
@@ -84,7 +86,8 @@ class MultiQueueTracker {
     std::uint32_t last_sub_block = 0;
     bool found = false;
   };
-  /// The most frequently accessed tracked page this epoch.
+  /// The most frequently accessed tracked page this epoch; ties go to the
+  /// lowest level, then to the most recently used entry.
   [[nodiscard]] Hottest hottest() const noexcept;
 
   /// Epoch boundary: age counts (halving) and drop dead entries.
@@ -93,20 +96,20 @@ class MultiQueueTracker {
   /// Forget a page (it just migrated on-package).
   void erase(PageId p) noexcept;
 
-  [[nodiscard]] std::size_t tracked() const noexcept { return index_.size(); }
+  [[nodiscard]] std::size_t tracked() const noexcept;
 
-  /// Structural self-check (index/queue consistency) for the invariant
-  /// auditor; returns an error description or empty string.
+  /// Structural self-check for the invariant auditor; returns an error
+  /// description or empty string.
   [[nodiscard]] std::string validate() const;
 
   // --- fault-injection hook (tests only) -----------------------------------
-  /// Forge the page id of one queued entry without updating index_ — the
-  /// next validate() must report the index/queue disagreement. No-op when
-  /// nothing is tracked.
+  /// Forge the second tracked entry's page id into the first's, so one
+  /// page is tracked twice — the next validate() must report it. No-op
+  /// when fewer than two pages are tracked.
   void corrupt_entry_for_test() noexcept;
 
-  // Queues carry the full state; index_ is rebuilt on restore via reindex().
-  // The level count and capacity are construction-time shapes.
+  // The level count and capacity are construction-time shapes; restore
+  // refuses an entry validate() would reject.
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
@@ -119,22 +122,24 @@ class MultiQueueTracker {
     std::uint64_t count = 0;
     std::uint32_t last_sub_block = 0;
   };
-  struct Pos {
-    unsigned level;
-    std::size_t idx;
-  };
 
-  void promote_if_due(unsigned level, std::size_t idx) noexcept;
-  /// Insert at MRU of `level`, evicting (demoting) as needed.
-  void insert(unsigned level, Entry e) noexcept;
-  void reindex(unsigned level) noexcept;
+  /// Level l's entries, MRU first: level(l)[0, used_[l]).
+  [[nodiscard]] Entry* level(unsigned l) noexcept {
+    return cam_.data() + std::size_t{l} * capacity_;
+  }
+  [[nodiscard]] const Entry* level(unsigned l) const noexcept {
+    return cam_.data() + std::size_t{l} * capacity_;
+  }
+  /// Insert at MRU of `l`; a full level demotes its LRU entry to the MRU
+  /// of the level below, and level 0 drops it.
+  void insert(unsigned l, Entry e) noexcept;
+  /// Remove entry i of level l, keeping the others' order.
+  void remove(unsigned l, unsigned i) noexcept;
 
   unsigned levels_;
   unsigned capacity_;
-  // queues_[l] ordered MRU-first.
-  std::vector<std::vector<Entry>> queues_;
-  // no-snapshot(rebuilt from queues_ by reindex() during restore)
-  std::unordered_map<PageId, Pos> index_;
+  std::vector<Entry> cam_;      ///< levels_ x capacity_ entries
+  std::vector<unsigned> used_;  ///< entries in use per level
 };
 
 class OracleTracker {

@@ -757,7 +757,6 @@ void MigrationEngine::restore(snap::Reader& r) {
     if (steps_.empty() || off % chunk_size() != 0 ||
         off >= steps_.front().bytes)
       refuse("copy pass offset outside the step's page");
-  // analyze: allow(determinism): any out-of-range chunk refuses alike
   for (const auto& entry : inflight_)
     if (entry.second.chunk >= chunks_total_)
       refuse("in-flight chunk out of range");

@@ -31,9 +31,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "core/translation_table.hh"
 #include "dram/dram_system.hh"
@@ -307,12 +307,13 @@ class MigrationEngine {
   std::uint64_t next_chunk_ = 0;       ///< next chunk to start reading
   std::uint64_t chunks_completed_ = 0;
   std::uint64_t first_chunk_ = 0;  ///< rotation start (critical-first)
-  std::unordered_map<std::uint64_t, InFlightChunk> inflight_;
+  /// At most kCopyWindow chunks, keyed by key(region, request id).
+  FlatMap<std::uint64_t, InFlightChunk> inflight_;
   Cycle swap_began_ = 0;
   bool instant_ = false;
 
   fault::FaultInjector* injector_ = nullptr;  ///< not owned; may be null
-  std::unordered_map<std::uint64_t, unsigned> retry_count_;  ///< per phase
+  FlatMap<std::uint64_t, unsigned> retry_count_;  ///< per chunk phase
   unsigned consecutive_aborts_ = 0;
   bool wedged_ = false;
   bool degraded_ = false;

@@ -1,5 +1,6 @@
 #include "core/translation_table.hh"
 
+#include <limits>
 #include <string>
 
 #include "fault/sim_error.hh"
@@ -26,8 +27,35 @@ TranslationTable::TranslationTable(const Geometry& g, TableMode mode)
 }
 
 PageId TranslationTable::shadow_location(PageId p) const noexcept {
+  if (p < placed_.size()) return placed_[p];
   const auto it = location_.find(p);
   return it == location_.end() ? p : it->second;
+}
+
+void TranslationTable::cam_set(PageId page, SlotId s) {
+  if (s == kNoSlot)
+    slot_of_.erase(page);
+  else
+    slot_of_[page] = s;
+  if (slot_by_page_.empty() && !slot_of_.empty()) index_cam();
+  if (page < slot_by_page_.size()) slot_by_page_[page] = s;
+}
+
+void TranslationTable::index_cam() {
+  slot_by_page_.assign(geom_.total_pages(), kNoSlot);
+  // analyze: allow(determinism): each entry lands in its own slot
+  for (const auto& [p, s] : slot_of_)
+    if (p < slot_by_page_.size()) slot_by_page_[p] = s;
+}
+
+void TranslationTable::place_all() {
+  const PageId pages = geom_.total_pages();
+  if (pages > std::numeric_limits<std::uint32_t>::max()) return;
+  placed_.resize(pages);
+  for (PageId p = 0; p < pages; ++p) placed_[p] = static_cast<std::uint32_t>(p);
+  // analyze: allow(determinism): each entry lands in its own slot
+  for (const auto& [p, m] : location_)
+    if (p < pages) placed_[p] = static_cast<std::uint32_t>(m);
 }
 
 MachAddr TranslationTable::location_of(PageId p) const noexcept {
@@ -73,6 +101,9 @@ Route TranslationTable::translate(PhysAddr addr) const noexcept {
       // occupant == p: OF, slot p. occupant == q: MS, parked at q's home.
       machine_page = row.occupant;
     }
+  } else if (p < slot_by_page_.size()) {
+    const SlotId s = slot_by_page_[p];
+    machine_page = s != kNoSlot ? s : p;  // MF : OS
   } else {
     const auto it = slot_of_.find(p);
     machine_page = (it != slot_of_.end()) ? it->second : p;  // MF : OS
@@ -108,10 +139,11 @@ void TranslationTable::set_row(SlotId row, PageId page) {
     // page of Fig 8(c)/(d) moves to the empty slot before its old row is
     // rewritten; the stale row must not clobber the fresh entry).
     const auto it = slot_of_.find(r.occupant);
-    if (it != slot_of_.end() && it->second == row) slot_of_.erase(it);
+    if (it != slot_of_.end() && it->second == row)
+      cam_set(r.occupant, kNoSlot);
   }
   r.occupant = page;
-  if (page >= slots_) slot_of_[page] = row;
+  if (page >= slots_) cam_set(page, row);
   if (empty_cache_ == row) empty_cache_.reset();
 }
 
@@ -119,7 +151,8 @@ void TranslationTable::set_row_empty(SlotId row) {
   RowState& r = rows_[row];
   if (r.occupant != kInvalidPage && r.occupant >= slots_) {
     const auto it = slot_of_.find(r.occupant);
-    if (it != slot_of_.end() && it->second == row) slot_of_.erase(it);
+    if (it != slot_of_.end() && it->second == row)
+      cam_set(r.occupant, kNoSlot);
   }
   r.occupant = kInvalidPage;
   empty_cache_ = row;
@@ -178,6 +211,9 @@ void TranslationTable::note_data_at(PageId p, PageId machine_page) {
     location_.erase(p);
   else
     location_[p] = machine_page;
+  if (mode_ == TableMode::HardwareNMinus1) return;
+  if (placed_.empty() && !location_.empty()) place_all();
+  if (p < placed_.size()) placed_[p] = static_cast<std::uint32_t>(machine_page);
 }
 
 void TranslationTable::set_occupant(SlotId s, PageId page) {
@@ -446,6 +482,15 @@ void TranslationTable::restore(snap::Reader& r) {
   io(r);
   // A CRC-valid section can still carry an index beyond the constructed
   // shape; refuse it here, before translate() dereferences it.
+  // analyze: allow(determinism): any entry outside refuses alike
+  for (const auto& entry : location_)
+    if (entry.second >= geom_.total_pages())
+      snap::snapshot_error(
+          "translation table: page placed outside the machine");
+  placed_.clear();
+  if (mode_ != TableMode::HardwareNMinus1 && !location_.empty()) place_all();
+  slot_by_page_.clear();
+  if (!slot_of_.empty()) index_cam();
   const std::size_t sbs = geom_.sub_blocks_per_page();
   const auto fits = [sbs](const std::vector<bool>& bits, bool active) {
     return bits.size() == sbs || (!active && bits.empty());

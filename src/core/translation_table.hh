@@ -207,6 +207,12 @@ class TranslationTable {
   void io(Ar& ar);
 
   [[nodiscard]] PageId shadow_location(PageId p) const noexcept;
+  /// Builds placed_ from location_ (FunctionalN and Shadow only).
+  void place_all();
+  /// Points the CAM entry of `page` at `s`, or drops it for kNoSlot.
+  void cam_set(PageId page, SlotId s);
+  /// Builds slot_by_page_ from slot_of_.
+  void index_cam();
 
   Geometry geom_;  // no-snapshot(construction-time config)
   TableMode mode_;
@@ -214,6 +220,20 @@ class TranslationTable {
   std::vector<RowState> rows_;
   std::unordered_map<PageId, SlotId> slot_of_;  ///< CAM: page>=N -> slot
   std::unordered_map<PageId, PageId> location_;  ///< placement exceptions
+  /// FunctionalN and Shadow: every page's machine page, so translate()
+  /// reads one slot instead of hashing. Empty until the first placement
+  /// exception, so a table that never migrates allocates nothing, and on
+  /// a geometry whose page ids need more than 32 bits. The entries are
+  /// 32-bit: stall-drain's 32 KiB 64-bit form, allocated mid-run, made
+  /// the benchmark's next cold construction (setup_s) 50-150% slower at
+  /// seed 7.
+  // no-snapshot(derived from location_; rebuilt on restore)
+  std::vector<std::uint32_t> placed_;
+  /// slot_of_ indexed by page (kNoSlot: no CAM entry), for the same
+  /// reason; empty until the CAM holds its first entry.
+  // no-snapshot(derived from slot_of_; rebuilt on restore)
+  std::vector<SlotId> slot_by_page_;
+  static constexpr SlotId kNoSlot = ~SlotId{0};
 
   std::optional<SlotId> empty_cache_;
   bool fill_active_ = false;

@@ -14,12 +14,7 @@ DramChannel::DramChannel(const DramTiming& timing,
       banks_(timing.banks) {}
 
 RequestId DramChannel::submit(const DramRequest& req) {
-  Queued q{req, mapping_.decode(req.addr)};
-  if (q.req.id == kInvalidRequest) q.req.id = next_id_++;
-  if (q.req.priority == Priority::Demand) ++demand_queued_;
-  earliest_ = std::min(earliest_, q.req.arrival);
-  queue_.push_back(q);
-  return q.req.id;
+  return submit(req, mapping_.decode(req.addr));
 }
 
 void DramChannel::refresh_earliest() noexcept {
@@ -168,14 +163,18 @@ void DramChannel::issue(std::size_t i, Cycle t) {
 Cycle DramChannel::reserve_bus(Cycle earliest, Cycle span) {
   // Prune intervals that can no longer interact with future requests
   // (every future data time is > clock_).
-  std::size_t keep = 0;
-  while (keep < bus_busy_.size() && bus_busy_[keep].second <= clock_) ++keep;
-  if (keep > 0)
+  while (bus_head_ < bus_busy_.size() && bus_busy_[bus_head_].second <= clock_)
+    ++bus_head_;
+  // Drop the pruned prefix once it is at least as long as the live part,
+  // so each entry is moved O(1) times.
+  if (bus_head_ * 2 >= bus_busy_.size()) {
     bus_busy_.erase(bus_busy_.begin(),
-                    bus_busy_.begin() + static_cast<std::ptrdiff_t>(keep));
+                    bus_busy_.begin() + static_cast<std::ptrdiff_t>(bus_head_));
+    bus_head_ = 0;
+  }
 
   Cycle cur = earliest;
-  std::size_t pos = 0;
+  std::size_t pos = bus_head_;
   for (; pos < bus_busy_.size(); ++pos) {
     const auto [s, e] = bus_busy_[pos];
     if (cur + span <= s) break;  // fits in the gap before this interval
@@ -193,6 +192,13 @@ bool DramChannel::step(Cycle limit) {
   // FR-FCFS reorder window).
   Cycle t = next_decision();
   if (queue_.empty() || t > limit) return false;
+  if (queue_.size() == 1) {
+    // A lone request has arrived by t (t >= earliest_ = its arrival), so
+    // pick() returns it, and no later arrival exists to defer to.
+    issue(0, t);
+    clock_ = std::max(clock_, t) + timing_.tCmd;
+    return true;
+  }
 
   // If the best candidate's bank is stalled well beyond normal row
   // preparation and another request will arrive before that bank frees,
@@ -273,10 +279,19 @@ void DramChannel::io(Ar& ar) {
       snap::expect<std::uint64_t>(ar, q.coord.column, "DRAM queue column");
     });
     snap::u64(ar, demand_queued_);
-    snap::seq(ar, bus_busy_, [&](auto& busy) {
-      snap::u64(ar, busy.first);
-      snap::u64(ar, busy.second);
-    });
+    // The live entries only: restore starts over at head 0.
+    std::uint64_t busy = bus_busy_.size() - bus_head_;
+    if constexpr (snap::kSaving<Ar>) {
+      ar.u64(busy);
+    } else {
+      busy = ar.count();
+      bus_busy_.assign(busy, {});
+      bus_head_ = 0;
+    }
+    for (std::size_t i = bus_head_; i < bus_busy_.size(); ++i) {
+      snap::u64(ar, bus_busy_[i].first);
+      snap::u64(ar, bus_busy_[i].second);
+    }
     snap::u64(ar, clock_);
     snap::u64(ar, last_finish_);
     snap::u64(ar, next_id_);

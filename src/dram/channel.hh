@@ -36,6 +36,15 @@ class DramChannel {
   /// Coordinates are decoded with the channel's mapping; the caller must
   /// have routed the request to the right channel already.
   RequestId submit(const DramRequest& req);
+  /// Same, with the coordinates the caller already decoded from req.addr.
+  RequestId submit(const DramRequest& req, const DramCoordinates& coord) {
+    Queued q{req, coord};
+    if (q.req.id == kInvalidRequest) q.req.id = next_id_++;
+    if (q.req.priority == Priority::Demand) ++demand_queued_;
+    earliest_ = std::min(earliest_, q.req.arrival);
+    queue_.push_back(q);
+    return q.req.id;
+  }
 
   /// Issue every request whose scheduling decision falls at or before `now`.
   void drain_until(Cycle now);
@@ -52,6 +61,12 @@ class DramChannel {
     completions_.clear();
     return taken_;
   }
+  /// True when take_completions() would return something.
+  [[nodiscard]] bool has_completions() const noexcept {
+    return !completions_.empty();
+  }
+  /// Finish time of the last request issued (0 before the first).
+  [[nodiscard]] Cycle last_finish() const noexcept { return last_finish_; }
 
   /// First cycle at which drain_until() would issue anything; kNeverCycle
   /// while the queue is empty.
@@ -145,8 +160,12 @@ class DramChannel {
   // no-snapshot(derived from queue_; recomputed on restore)
   Cycle earliest_ = kNeverCycle;
   std::size_t demand_queued_ = 0;
-  /// Disjoint busy intervals [start, end), sorted; pruned below clock_.
+  /// Disjoint busy intervals [start, end), sorted, from bus_head_ on;
+  /// pruned below clock_ by moving the head, so pruning moves nothing.
   std::vector<std::pair<Cycle, Cycle>> bus_busy_;
+  /// First live entry of bus_busy_; 0 after a restore.
+  // no-snapshot(only the live entries from the head on are serialized)
+  std::size_t bus_head_ = 0;
   Cycle clock_ = 0;  ///< next command-bus decision slot
   Cycle last_finish_ = 0;
   RequestId next_id_ = 0;

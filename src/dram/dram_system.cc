@@ -1,6 +1,10 @@
 #include "dram/dram_system.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
+
+#include "fault/sim_error.hh"
 
 namespace hmm {
 
@@ -16,6 +20,7 @@ DramSystem DramSystem::make(Region region, SchedulerPolicy policy) {
 DramSystem::DramSystem(Region region, const DramTiming& timing,
                        unsigned channels, SchedulerPolicy policy)
     : region_(region), timing_(timing), mapping_(channels, timing) {
+  HMM_CHECK(channels <= 64, "a DRAM region holds at most 64 channels");
   channels_.reserve(channels);
   for (unsigned i = 0; i < channels; ++i)
     channels_.emplace_back(timing, mapping_, policy);
@@ -25,55 +30,62 @@ unsigned DramSystem::channel_of(MachAddr addr) const noexcept {
   return mapping_.decode(addr).channel;
 }
 
-RequestId DramSystem::submit(MachAddr addr, std::uint32_t bytes,
-                             AccessType type, Priority priority,
-                             Cycle arrival, int channel_hint) {
-  return submit(DramRequest{.addr = addr,
-                            .bytes = bytes,
-                            .type = type,
-                            .priority = priority,
-                            .arrival = arrival,
-                            .issued = arrival},
-                channel_hint);
-}
-
 RequestId DramSystem::submit(DramRequest req, int channel_hint) {
   if (injector_ != nullptr &&
       injector_->fires(fault::FaultSite::ChannelStall, req.addr))
     req.arrival += kFaultStallCycles;
   req.id = next_id_++;  // system-wide unique id
+  const DramCoordinates coord = mapping_.decode(req.addr);
   DramChannel& c = channels_[channel_hint >= 0
                                  ? static_cast<unsigned>(channel_hint) %
                                        num_channels()
-                                 : channel_of(req.addr)];
-  const RequestId id = c.submit(req);
+                                 : coord.channel];
+  const RequestId id = c.submit(req, coord);
+  if (req.priority == Priority::Demand) ++demand_queued_;
   due_ = std::min(due_, c.next_decision());
   return id;
 }
 
-void DramSystem::refresh_due() noexcept {
+// A channel with a decision due, or with anything queued for drain_all(),
+// issues at least one request, so its completed_ bit is set without
+// asking it.
+void DramSystem::drain_due(Cycle now) {
   due_ = kNeverCycle;
-  for (const auto& c : channels_) due_ = std::min(due_, c.next_decision());
-}
-
-void DramSystem::drain_until(Cycle now) {
-  if (due_ > now) return;
-  for (auto& c : channels_) c.drain_until(now);
-  refresh_due();
+  for (unsigned i = 0; i < num_channels(); ++i) {
+    DramChannel& c = channels_[i];
+    if (c.next_decision() <= now) {
+      const std::size_t demand = c.demand_backlog();
+      c.drain_until(now);
+      demand_queued_ -= demand - c.demand_backlog();
+      completed_ |= std::uint64_t{1} << i;
+    }
+    due_ = std::min(due_, c.next_decision());
+  }
 }
 
 Cycle DramSystem::drain_all(Cycle upto) {
   Cycle last = upto;
-  for (auto& c : channels_) last = std::max(last, c.drain_all(upto));
-  refresh_due();
+  for (unsigned i = 0; i < num_channels(); ++i) {
+    DramChannel& c = channels_[i];
+    if (c.backlog() != 0) {
+      c.drain_all(upto);
+      completed_ |= std::uint64_t{1} << i;
+    }
+    last = std::max(last, c.last_finish());
+  }
+  due_ = kNeverCycle;
+  demand_queued_ = 0;
   return last;
 }
 
-std::span<const DramCompletion> DramSystem::take_completions() {
+std::span<const DramCompletion> DramSystem::take_completed() {
+  const std::uint64_t done = std::exchange(completed_, 0);
+  if (std::has_single_bit(done))
+    return channels_[std::countr_zero(done)].take_completions();
   merged_.clear();
-  for (auto& c : channels_) {
-    const auto done = c.take_completions();
-    merged_.insert(merged_.end(), done.begin(), done.end());
+  for (std::uint64_t left = done; left != 0; left &= left - 1) {
+    const auto part = channels_[std::countr_zero(left)].take_completions();
+    merged_.insert(merged_.end(), part.begin(), part.end());
   }
   return merged_;
 }
@@ -81,12 +93,6 @@ std::span<const DramCompletion> DramSystem::take_completions() {
 std::size_t DramSystem::backlog() const noexcept {
   std::size_t n = 0;
   for (const auto& c : channels_) n += c.backlog();
-  return n;
-}
-
-std::size_t DramSystem::demand_backlog() const noexcept {
-  std::size_t n = 0;
-  for (const auto& c : channels_) n += c.demand_backlog();
   return n;
 }
 
@@ -128,7 +134,15 @@ void DramSystem::save(snap::Writer& w) const {
 
 void DramSystem::restore(snap::Reader& r) {
   io(r);
-  refresh_due();
+  due_ = kNeverCycle;
+  demand_queued_ = 0;
+  completed_ = 0;
+  for (unsigned i = 0; i < num_channels(); ++i) {
+    const DramChannel& c = channels_[i];
+    due_ = std::min(due_, c.next_decision());
+    demand_queued_ += c.demand_backlog();
+    if (c.has_completions()) completed_ |= std::uint64_t{1} << i;
+  }
 }
 
 template <class Ar>

@@ -31,18 +31,36 @@ class DramSystem {
   /// all channels (line interleaving) and are modelled as rotating whole
   /// chunks channel by channel.
   RequestId submit(MachAddr addr, std::uint32_t bytes, AccessType type,
-                   Priority priority, Cycle arrival, int channel_hint = -1);
+                   Priority priority, Cycle arrival, int channel_hint = -1) {
+    return submit(DramRequest{.addr = addr,
+                              .bytes = bytes,
+                              .type = type,
+                              .priority = priority,
+                              .arrival = arrival,
+                              .issued = arrival},
+                  channel_hint);
+  }
   /// Same, for a request built by the caller (its `id` is assigned here).
   RequestId submit(DramRequest req, int channel_hint = -1);
 
-  /// Returns at once when no channel has a decision due by `now`.
-  void drain_until(Cycle now);
+  /// Returns at once when no channel has a decision due by `now`, and
+  /// drains only the channels that have one.
+  void drain_until(Cycle now) {
+    if (due_ > now) return;
+    drain_due(now);
+  }
+  /// Issues everything queued; returns the latest finish time of any
+  /// channel's last request, or `upto` if that is later.
   Cycle drain_all(Cycle upto);
 
   /// Completions from all channels since the last call: per channel in
   /// issue order, channels in index order. The view stays valid, across
-  /// submit() too, until the next take_completions().
-  [[nodiscard]] std::span<const DramCompletion> take_completions();
+  /// submit() too, until the next take_completions(). Returns at once
+  /// when no drain issued anything since the last call.
+  [[nodiscard]] std::span<const DramCompletion> take_completions() {
+    if (completed_ == 0) return {};
+    return take_completed();
+  }
 
   [[nodiscard]] Region region() const noexcept { return region_; }
 
@@ -58,7 +76,9 @@ class DramSystem {
   }
   [[nodiscard]] unsigned channel_of(MachAddr addr) const noexcept;
   [[nodiscard]] std::size_t backlog() const noexcept;
-  [[nodiscard]] std::size_t demand_backlog() const noexcept;
+  [[nodiscard]] std::size_t demand_backlog() const noexcept {
+    return demand_queued_;
+  }
 
   /// Fixed per-access latency outside the DRAM device (controller pipeline,
   /// pins, board/interposer wires) — Table II ledger.
@@ -84,15 +104,20 @@ class DramSystem {
 
   /// Checkpoint/restore: the id counter plus every channel's state. The
   /// region/timing/mapping are construction-time constants and are only
-  /// cross-checked, not restored.
+  /// cross-checked, not restored; due_, demand_queued_ and completed_ are
+  /// re-derived from the channels.
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
  private:
   template <class Ar>
   void io(Ar& ar);
-  /// Recompute due_ from the channels.
-  void refresh_due() noexcept;
+  /// drain_until() past its idle check: drains the channels with a
+  /// decision due and updates due_, demand_queued_ and completed_.
+  void drain_due(Cycle now);
+  /// take_completions() past its idle check: one completing channel's
+  /// own buffer as is, or the completing channels' buffers merged.
+  [[nodiscard]] std::span<const DramCompletion> take_completed();
 
   Region region_;
   DramTiming timing_;      // no-snapshot(construction-time config)
@@ -101,7 +126,14 @@ class DramSystem {
   /// Minimum next_decision() over the channels: nothing is due before it.
   // no-snapshot(derived from the channels; recomputed on restore)
   Cycle due_ = kNeverCycle;
-  /// What the last take_completions() handed out, reused across calls.
+  /// Sum of the channels' demand backlogs.
+  // no-snapshot(derived from the channels; recomputed on restore)
+  std::size_t demand_queued_ = 0;
+  /// Bit i set: channel i holds completions not yet taken.
+  // no-snapshot(derived from the channels; recomputed on restore)
+  std::uint64_t completed_ = 0;
+  /// What the last take_completions() merged from several channels,
+  /// reused across calls.
   // no-snapshot(already delivered to the caller)
   std::vector<DramCompletion> merged_;
   RequestId next_id_ = 0;

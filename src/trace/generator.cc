@@ -4,7 +4,10 @@ namespace hmm {
 
 SyntheticWorkload::SyntheticWorkload(Params p,
                                      std::vector<MixtureComponent> components)
-    : p_(std::move(p)), comps_(std::move(components)), rng_(p_.seed) {
+    : p_(std::move(p)),
+      comps_(std::move(components)),
+      gap_(p_.mean_gap_cycles),
+      rng_(p_.seed) {
   HMM_CHECK(!comps_.empty(),
             "a synthetic workload needs at least one mixture component");
   double total = 0.0;
@@ -39,7 +42,7 @@ TraceRecord SyntheticWorkload::next() {
     rr_cpu_ = (rr_cpu_ + 1) % p_.cpus;
   }
 
-  now_ += rng_.geometric(p_.mean_gap_cycles);
+  now_ += gap_(rng_);
   ++emitted_;
   return r;
 }

@@ -67,6 +67,8 @@ class SyntheticWorkload {
   std::vector<MixtureComponent> comps_;
   // no-snapshot(derived from the component weights in the ctor)
   std::vector<double> cum_weight_;
+  // no-snapshot(derived from mean_gap_cycles in the ctor)
+  Geometric gap_;
   Pcg32 rng_;
   Cycle now_ = 0;
   std::uint64_t emitted_ = 0;

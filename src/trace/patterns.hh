@@ -124,8 +124,11 @@ class ZipfPattern final : public Pattern {
   [[nodiscard]] std::uint64_t permute(std::uint64_t rank) const noexcept {
     // granules_ need not be a power of two; use mod of an odd multiplier,
     // bijective when gcd(mult, granules_) == 1 (enforced in ctor use).
-    const unsigned __int128 x =
-        static_cast<unsigned __int128>(rank + offset_) * kMult;
+    // kMult < 2^32, so below 2^32 the product fits 64 bits and the
+    // 64-bit remainder equals the 128-bit one.
+    const std::uint64_t r = rank + offset_;
+    if (r < (1ull << 32)) return r * kMult % granules_;
+    const unsigned __int128 x = static_cast<unsigned __int128>(r) * kMult;
     return static_cast<std::uint64_t>(x % granules_);
   }
 
@@ -144,12 +147,12 @@ class ZipfPattern final : public Pattern {
 class ChasePattern final : public Pattern {
  public:
   ChasePattern(PhysAddr base, std::uint64_t bytes, std::uint64_t run_mean = 4)
-      : base_(base), lines_(bytes / 64), run_mean_(run_mean) {}
+      : base_(base), lines_(bytes / 64), run_(static_cast<double>(run_mean)) {}
 
   PhysAddr next(Pcg32& rng) override {
     if (run_left_ == 0) {
       cursor_ = rng.bounded64(lines_);
-      run_left_ = rng.geometric(static_cast<double>(run_mean_));
+      run_left_ = run_(rng);
     }
     const PhysAddr a = base_ + cursor_ * 64;
     cursor_ = (cursor_ + 1) % lines_;
@@ -164,7 +167,7 @@ class ChasePattern final : public Pattern {
  private:
   PhysAddr base_;
   std::uint64_t lines_;
-  std::uint64_t run_mean_;
+  Geometric run_;  ///< run length, mean `run_mean`
   std::uint64_t cursor_ = 0;
   std::uint64_t run_left_ = 0;
 };

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/params.hh"
 #include "common/random.hh"
@@ -32,6 +34,68 @@ TEST(Units, Log2Floor) {
   EXPECT_EQ(log2_floor(4096), 12u);
   EXPECT_EQ(log2_exact(64), 6u);
   EXPECT_EQ(log2_exact(1 * GiB), 30u);
+}
+
+// The bit-width forms against the loops they replaced, at the edges of
+// every octave and of the 64-bit range.
+[[nodiscard]] std::vector<std::uint64_t> octave_edges() {
+  std::vector<std::uint64_t> v = {1, 1ull << 63, ~0ull};
+  for (unsigned k = 1; k < 64; ++k) {
+    v.push_back((1ull << k) - 1);
+    v.push_back(1ull << k);
+  }
+  return v;
+}
+
+TEST(Units, Log2FloorMatchesTheShiftLoopAtOctaveEdges) {
+  for (const std::uint64_t x : octave_edges()) {
+    unsigned n = 0;
+    for (std::uint64_t y = x; y >>= 1;) ++n;
+    EXPECT_EQ(log2_floor(x), n) << x;
+  }
+}
+
+TEST(Log2Histogram, BucketMatchesTheDoublingLoopAtOctaveEdges) {
+  for (const std::uint64_t x : octave_edges()) {
+    unsigned b = 0;
+    while ((1ull << (b + 1)) <= x && b + 1 < Log2Histogram::kBuckets) ++b;
+    Log2Histogram h;
+    h.add(x);
+    EXPECT_EQ(h.bucket(b), 1u) << x;
+    EXPECT_EQ(h.total(), 1u);
+  }
+}
+
+// The trace generator's shortcuts draw exactly what the general forms do.
+TEST(Pcg32, PowerOfTwoBoundedDrawsWhatTheRejectionLoopDoes) {
+  for (const std::uint64_t bound : {2ull, 64ull, 1ull << 20, 1ull << 63}) {
+    Pcg32 fast(99), slow(99);
+    for (int i = 0; i < 1'000; ++i) {
+      const std::uint64_t threshold = (-bound) % bound;
+      std::uint64_t want;
+      do {
+        want = slow.next64();
+      } while (want < threshold);
+      ASSERT_EQ(fast.bounded64(bound), want % bound) << bound;
+    }
+  }
+}
+
+TEST(Pcg32, GeometricDrawsWhatThePerCallFormulaDoes) {
+  for (const double mean : {0.5, 1.0, 4.0, 40.0}) {
+    const Geometric draw(mean);
+    Pcg32 fast(7), slow(7);
+    for (int i = 0; i < 1'000; ++i) {
+      std::uint64_t want = 1;
+      if (mean > 1.0) {
+        double u = slow.uniform();
+        if (u <= 0.0) u = 1e-12;
+        want = 1 + static_cast<std::uint64_t>(std::log(u) /
+                                              std::log(1.0 - 1.0 / mean));
+      }
+      ASSERT_EQ(draw(fast), want) << mean;
+    }
+  }
 }
 
 TEST(Units, CeilPow2) {

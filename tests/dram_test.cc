@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/random.hh"
 #include "dram/dram_system.hh"
@@ -518,6 +519,136 @@ TEST(DrainRegions, StopIsAskedBeforeEveryRound) {
             DrainEnd::Stopped);
   EXPECT_EQ(s.got.size(), 2u);
   EXPECT_EQ(s.on.backlog(), 1u);  // the third hop, submitted, not drained
+}
+
+// A 4-channel region beside four standalone channels fed the same
+// requests: take_completions() must equal the channels' own completions,
+// taken one by one and concatenated in index order.
+struct ChannelByChannel {
+  DramSystem sys = DramSystem::make(Region::OffPackage);
+  AddressMapping map{sys.num_channels(), sys.timing()};
+  std::vector<DramChannel> ref;
+
+  ChannelByChannel() {
+    for (unsigned i = 0; i < sys.num_channels(); ++i)
+      ref.emplace_back(sys.timing(), map);
+  }
+  void submit(MachAddr a, Cycle arrival, Priority pri, int hint = -1) {
+    DramRequest req{.addr = a, .priority = pri, .arrival = arrival};
+    req.id = sys.submit(req, hint);
+    ref[hint >= 0 ? static_cast<unsigned>(hint) : map.decode(a).channel]
+        .submit(req);
+  }
+  void drain_until(Cycle now) {
+    sys.drain_until(now);
+    for (DramChannel& c : ref) c.drain_until(now);
+  }
+  [[nodiscard]] std::vector<DramCompletion> expected() {
+    std::vector<DramCompletion> all;
+    for (DramChannel& c : ref) {
+      const auto part = c.take_completions();
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    return all;
+  }
+  [[nodiscard]] std::size_t channel_demand() const {
+    std::size_t n = 0;
+    for (unsigned i = 0; i < sys.num_channels(); ++i)
+      n += sys.channel(i).demand_backlog();
+    return n;
+  }
+};
+
+void expect_same(std::span<const DramCompletion> got,
+                 const std::vector<DramCompletion>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].arrival, want[i].arrival);
+    EXPECT_EQ(got[i].start, want[i].start);
+    EXPECT_EQ(got[i].finish, want[i].finish);
+    EXPECT_EQ(got[i].row_hit, want[i].row_hit);
+    EXPECT_EQ(got[i].priority, want[i].priority);
+  }
+}
+
+TEST(DramSystem, TakeEqualsTheChannelsConcatenatedInOrder) {
+  ChannelByChannel r;
+  Pcg32 rng(11);
+  Cycle now = 0;
+  std::set<unsigned> completing_counts;
+  for (int round = 0; round < 300; ++round) {
+    // A random subset of the channels gets work due this round; a round
+    // whose subset is empty completes nothing.
+    const std::uint32_t subset = rng.bounded(16);
+    for (unsigned ch = 0; ch < 4; ++ch) {
+      if ((subset >> ch & 1) == 0) continue;
+      for (std::uint32_t k = 1 + rng.bounded(3); k > 0; --k)
+        r.submit(rng.bounded64(1ull << 30) & ~63ull, now + rng.bounded(200),
+                 rng.chance(0.3) ? Priority::Background : Priority::Demand,
+                 static_cast<int>(ch));
+    }
+    now += 5'000;
+    r.drain_until(now);
+    const auto want = r.expected();
+    unsigned channels = 0;
+    for (unsigned ch = 0; ch < 4; ++ch) channels += subset >> ch & 1;
+    completing_counts.insert(channels);
+    expect_same(r.sys.take_completions(), want);
+    EXPECT_EQ(r.sys.demand_backlog(), r.channel_demand());
+  }
+  // Rounds with 0, 1 and several completing channels all ran.
+  EXPECT_TRUE(completing_counts.count(0));
+  EXPECT_TRUE(completing_counts.count(1));
+  EXPECT_TRUE(completing_counts.count(4));
+}
+
+// When one channel completed, its own buffer is handed out: the view must
+// survive further submissions to that channel and the others.
+TEST(DramSystem, LoneChannelSpanSurvivesSubmit) {
+  ChannelByChannel r;
+  for (int i = 0; i < 8; ++i)
+    r.submit(static_cast<MachAddr>(i) * 4096, 0, Priority::Demand, 2);
+  r.drain_until(10'000);
+  const auto done = r.sys.take_completions();
+  const std::vector<DramCompletion> want = r.expected();
+  ASSERT_EQ(done.size(), 8u);
+  for (int i = 0; i < 64; ++i)
+    r.submit(static_cast<MachAddr>(i) * 64, 10'000, Priority::Background,
+             i % 4);
+  expect_same(done, want);
+}
+
+// The region keeps its demand backlog as a counter; it must equal the
+// channels' sum after every submit, drain and restore.
+TEST(DramSystem, DemandBacklogCounterEqualsTheChannelSum) {
+  ChannelByChannel r;
+  Pcg32 rng(5);
+  Cycle now = 0;
+  for (int step = 0; step < 2'000; ++step) {
+    const std::uint32_t op = rng.bounded(10);
+    if (op < 6) {
+      r.submit(rng.bounded64(1ull << 30) & ~63ull, now + rng.bounded(3'000),
+               rng.chance(0.5) ? Priority::Background : Priority::Demand);
+    } else if (op < 9) {
+      now += rng.bounded(2'000);
+      r.sys.drain_until(now);
+      (void)r.sys.take_completions();
+    } else {
+      snap::Writer w;
+      r.sys.save(w);
+      ChannelByChannel fresh;
+      snap::Reader into_fresh(w.buffer());
+      fresh.sys.restore(into_fresh);
+      EXPECT_EQ(fresh.sys.demand_backlog(), fresh.channel_demand());
+      EXPECT_EQ(fresh.sys.demand_backlog(), r.sys.demand_backlog());
+      snap::Reader into_self(w.buffer());
+      r.sys.restore(into_self);
+    }
+    ASSERT_EQ(r.sys.demand_backlog(), r.channel_demand()) << "step " << step;
+  }
+  r.sys.drain_all(now);
+  EXPECT_EQ(r.sys.demand_backlog(), 0u);
 }
 
 }  // namespace

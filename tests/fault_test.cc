@@ -369,10 +369,10 @@ TEST(InvariantAuditorTest, MultiQueueMismatchSurfacesThroughTheController) {
     (void)ctl.on_access((20 + i) * 512 * KiB, AccessType::Read, 10 * i);
   EXPECT_NO_THROW(auditor.audit());
 
-  ctl.mq_for_test().corrupt_entry_for_test();
+  ctl.mq_for_test().corrupt_entry_for_test();  // one page tracked twice
   try {
     auditor.audit();
-    FAIL() << "multi-queue index/queue mismatch passed the audit";
+    FAIL() << "a page tracked twice passed the audit";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimErrorKind::AuditFailed);
     EXPECT_NE(std::string(e.what()).find("multi-queue tracker:"),

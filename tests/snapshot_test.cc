@@ -21,6 +21,7 @@
 #include "common/snapshot.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
+#include "core/hotness.hh"
 #include "core/translation_table.hh"
 #include "dram/dram_system.hh"
 #include "fault/sim_error.hh"
@@ -473,6 +474,31 @@ TEST(CraftedSnapshot, SlotIndexBeyondTheTableIsASnapshotError) {
   }
 }
 
+// A placement entry names the machine page holding a page's data; one
+// past the last machine page restored, and translation then routed the
+// page outside memory.
+TEST(CraftedSnapshot, PlacementOutsideTheMachineIsASnapshotError) {
+  const Geometry g = kEightSubBlocks;
+  for (const TableMode mode : {TableMode::FunctionalN, TableMode::Shadow}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TranslationTable t(g, mode);
+    t.note_data_at(40, 50);  // page 40's data at machine page 50
+    t.note_data_at(50, 40);
+    const std::vector<std::uint8_t> good = table_bytes(t);
+    // The placements are written sorted: (40, 50), then (50, 40).
+    const std::size_t at = find_u64(good, 50);
+    ASSERT_EQ(get_u64(good, at - 8), 40u);
+    std::vector<std::uint8_t> bad = good;
+    put_u64(bad, at, g.total_pages());
+    reseal(bad, 0);
+    TranslationTable fresh(g, mode);
+    expect_snapshot_error([&] {
+      snap::Reader r(bad);
+      fresh.restore(r);
+    });
+  }
+}
+
 // RAS state is indexed by frame id (one flag byte per frame), and
 // resolve() follows the remap table until it reaches an unremapped frame.
 // 16,384 frames; the four boot-reserved spares are 16379..16382.
@@ -758,6 +784,105 @@ TEST(CraftedSnapshot, MigrationStepOutsideMemoryIsASnapshotError) {
             good.cfg.controller.geom.page_bytes);
     expect_sim_refused(good, bad);
   }
+}
+
+
+// snap::sorted_map and snap::sorted_set write keys strictly ascending. A
+// repeated or descending key restored, then re-saved to different bytes.
+TEST(CraftedSnapshot, MapKeysNotAscendingAreASnapshotError) {
+  OracleTracker oracle;
+  oracle.record_access(0x1111, 0);
+  oracle.record_access(0x2222, 0);
+  snap::Writer w;
+  oracle.save(w);
+  const std::vector<std::uint8_t> good = w.take();
+  for (const std::uint64_t second : {0x1111ull, 0x0111ull}) {
+    SCOPED_TRACE(second == 0x1111 ? "repeated key" : "descending key");
+    std::vector<std::uint8_t> bad = good;
+    put_u64(bad, find_u64(good, 0x2222), second);
+    reseal(bad, 0);
+    OracleTracker fresh;
+    expect_snapshot_error([&] {
+      snap::Reader r(bad);
+      fresh.restore(r);
+    });
+  }
+}
+
+TEST(CraftedSnapshot, SetKeysNotAscendingAreASnapshotError) {
+  ras::RasEngine eng(ras::RasConfig{.enabled = true}, kRasGeom, nullptr);
+  eng.flag_frame_for_test(3000);  // the pending set: {3000, 4000}
+  eng.flag_frame_for_test(4000);
+  const std::vector<std::uint8_t> good = ras_bytes(eng);
+  {
+    SCOPED_TRACE("repeated key");
+    expect_ras_refused(good, 4000, 3000);
+  }
+  {
+    SCOPED_TRACE("descending key");
+    expect_ras_refused(good, 4000, 2000);
+  }
+}
+
+// The multi-queue tracker is a CAM: restore refuses what its audit
+// rejects, since no index rebuilt at restore would notice it.
+[[nodiscard]] std::vector<std::uint8_t> mq_bytes(const MultiQueueTracker& mq) {
+  snap::Writer w;
+  mq.save(w);
+  return w.take();
+}
+
+void expect_mq_refused(const std::vector<std::uint8_t>& bad,
+                       unsigned capacity) {
+  MultiQueueTracker fresh(3, capacity);
+  expect_snapshot_error([&] {
+    snap::Reader r(bad);
+    fresh.restore(r);
+  });
+}
+
+TEST(CraftedSnapshot, MultiQueuePageTrackedTwiceIsASnapshotError) {
+  MultiQueueTracker mq(3, 10);
+  mq.record_access(0x1111, 0);
+  mq.record_access(0x2222, 0);
+  const std::vector<std::uint8_t> good = mq_bytes(mq);
+  std::vector<std::uint8_t> bad = good;
+  put_u64(bad, find_u64(good, 0x2222), 0x1111);
+  reseal(bad, 0);
+  expect_mq_refused(bad, 10);
+}
+
+TEST(CraftedSnapshot, MultiQueueZeroCountIsASnapshotError) {
+  MultiQueueTracker mq(3, 10);
+  mq.record_access(0x1111, 0);
+  const std::vector<std::uint8_t> good = mq_bytes(mq);
+  std::vector<std::uint8_t> bad = good;
+  put_u64(bad, find_u64(good, 0x1111) + 8, 0);  // the count follows the page
+  reseal(bad, 0);
+  expect_mq_refused(bad, 10);
+}
+
+TEST(CraftedSnapshot, MultiQueueInvalidPageIsASnapshotError) {
+  MultiQueueTracker mq(3, 10);
+  mq.record_access(0x1111, 0);
+  const std::vector<std::uint8_t> good = mq_bytes(mq);
+  std::vector<std::uint8_t> bad = good;
+  put_u64(bad, find_u64(good, 0x1111), kInvalidPage);
+  reseal(bad, 0);
+  expect_mq_refused(bad, 10);
+}
+
+// Three entries in level 0 of a tracker saved with capacity 3, its
+// capacity field then set to 2: every entry is valid, the level is not.
+TEST(CraftedSnapshot, MultiQueueLevelAboveCapacityIsASnapshotError) {
+  MultiQueueTracker mq(3, 3);
+  for (const PageId p : {0x1111, 0x2222, 0x3333}) mq.record_access(p, 0);
+  std::vector<std::uint8_t> bad = mq_bytes(mq);
+  // Header (12 bytes), the level count (u32), then the capacity (u32).
+  ASSERT_EQ(bad[12 + 4], 3);
+  bad[12 + 4] = 2;
+  reseal(bad, 0);
+  expect_mq_refused(bad, 2);
 }
 
 }  // namespace
