@@ -50,36 +50,23 @@ std::uint64_t MigrationEngine::chunk_size() const noexcept {
   return std::clamp<std::uint64_t>(by_page, 512, 4 * KiB);
 }
 
-bool MigrationEngine::can_swap(PageId hot, SlotId cold_slot) const noexcept {
+bool MigrationEngine::can_swap_hot(PageId hot) const noexcept {
   if (design_ == MigrationDesign::Nomad) return false;  // use can_migrate
   if (!idle() || degraded_ || wedged_) return false;
   const Geometry& g = table_.geometry();
   if (hot >= g.total_pages() || hot == g.omega()) return false;
-  if (cold_slot >= g.slots()) return false;
-  const PageId cold = table_.occupant(cold_slot);
-  if (cold == kInvalidPage) return false;  // the empty slot
-  if (table_.pending(cold_slot)) return false;
   // Hot page must actually be off-package right now.
   const PageCategory cat = table_.category(hot);
   if (cat == PageCategory::OriginalFast || cat == PageCategory::MigratedFast)
     return false;
-  if (table_.mode() == TableMode::HardwareNMinus1) {
-    if (!table_.empty_slot().has_value() &&
-        table_.category(hot) != PageCategory::Ghost)
-      return false;
-    // Exclude c == e': the victim may not be the page occupying the hot
-    // page's own slot (phase 1 is about to relocate that occupant).
-    if (hot < g.slots() && table_.occupant(static_cast<SlotId>(hot)) == cold)
-      return false;
-  }
+  if (table_.mode() == TableMode::HardwareNMinus1 &&
+      !table_.empty_slot().has_value() && cat != PageCategory::Ghost)
+    return false;
   // RAS screening: the plan must never write into a failing or retired
   // frame, and a parked row (its left page permanently at Ω after an N-1
   // retirement) is outside the choreography for good.
   const RasFrameView* rv = table_.ras_view();
   if (rv != nullptr) {
-    // Slot frames are machine frames 0..N-1, so slot id == frame id.
-    if (rv->quarantined(cold_slot)) return false;
-    if (cold >= g.slots() && rv->quarantined(cold)) return false;
     if (rv->quarantined(g.page_of(table_.location_of(hot)))) return false;
     if (hot < g.slots() &&
         (rv->quarantined(hot) || table_.ras_parked(static_cast<SlotId>(hot))))
@@ -88,6 +75,30 @@ bool MigrationEngine::can_swap(PageId hot, SlotId cold_slot) const noexcept {
         table_.empty_slot().has_value() &&
         rv->quarantined(*table_.empty_slot()))
       return false;
+  }
+  return true;
+}
+
+bool MigrationEngine::can_swap(PageId hot, SlotId cold_slot) const noexcept {
+  if (!can_swap_hot(hot)) return false;
+  const Geometry& g = table_.geometry();
+  if (cold_slot >= g.slots()) return false;
+  const PageId cold = table_.occupant(cold_slot);
+  if (cold == kInvalidPage) return false;  // the empty slot
+  if (table_.pending(cold_slot)) return false;
+  if (table_.mode() == TableMode::HardwareNMinus1) {
+    // Exclude c == e': the victim may not be the page occupying the hot
+    // page's own slot (phase 1 is about to relocate that occupant).
+    if (hot < g.slots() && table_.occupant(static_cast<SlotId>(hot)) == cold)
+      return false;
+  }
+  // RAS screening of the cold side: the plan writes into the slot and
+  // moves its occupant, so neither frame may be failing.
+  const RasFrameView* rv = table_.ras_view();
+  if (rv != nullptr) {
+    // Slot frames are machine frames 0..N-1, so slot id == frame id.
+    if (rv->quarantined(cold_slot)) return false;
+    if (cold >= g.slots() && rv->quarantined(cold)) return false;
   }
   return true;
 }

@@ -167,6 +167,10 @@ class MigrationEngine {
 
   /// True if (hot, cold_slot) is a swap this engine can start now.
   [[nodiscard]] bool can_swap(PageId hot, SlotId cold_slot) const noexcept;
+  /// The checks of can_swap() that do not depend on the cold slot: the
+  /// engine is idle and healthy, and `hot` is a swappable off-package
+  /// page. When false, can_swap(hot, s) is false for every slot s.
+  [[nodiscard]] bool can_swap_hot(PageId hot) const noexcept;
 
   /// Plan and begin the hottest-coldest swap. A live fill starts at
   /// `hot_sub_block` (critical data first). Returns false if busy or the

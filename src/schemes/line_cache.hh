@@ -5,18 +5,26 @@
 // is no migration choreography.
 //
 // Only tags are modelled (the simulator carries no data); entries are
-// packed as (tag << 2) | dirty << 1 | valid so the 8M sets of the paper
-// geometry (512MB / 64B) stay a single flat uint32 array. Redundant
-// valid-entry counts are maintained incrementally — one for the whole
-// store and one per kBlockSets-set block — and cross-checked by
-// validate(): every audit checks that the block counts sum to the total
-// and recounts the tags of the blocks in its AuditWindow, so
+// packed as (tag << 2) | dirty << 1 | valid. Like a TAD's tag field, an
+// entry is only as wide as the cached address space needs: the largest
+// tag is (space lines - 1) / sets, and the store keeps every entry in
+// the narrowest of 8, 16 or 32 bits that holds it, chosen once at
+// construction. The paper geometry's 8M sets (512MB / 64B over a 4GB
+// space) need tags up to 7, so its store is one flat 8 MiB byte array.
+// Each operation is one body over the element type, visited per call.
+// Redundant valid-entry counts are maintained incrementally — one for
+// the whole store and one per kBlockSets-set block — and cross-checked
+// by validate(): every audit checks that the block counts sum to the
+// total and recounts the tags of the blocks in its AuditWindow, so
 // AuditWindow::kWindows audits recount the whole store.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/snapshot.hh"
@@ -42,15 +50,30 @@ class LineCache {
   };
 
   LineCache() = default;
-  LineCache(std::uint64_t capacity_bytes, std::uint64_t line_bytes)
+  /// `capacity_bytes / line_bytes` sets caching the lines of the address
+  /// space [0, space_bytes). A space whose largest tag needs more than
+  /// 30 bits throws SimError.
+  LineCache(std::uint64_t capacity_bytes, std::uint64_t line_bytes,
+            std::uint64_t space_bytes)
       : line_bytes_(line_bytes),
         sets_(line_bytes > 0 ? capacity_bytes / line_bytes : 0),
-        tags_(sets_, 0),
+        max_tag_(sets_ > 0 ? (space_bytes / line_bytes - 1) / sets_ : 0),
+        tags_(make_store(sets_, max_tag_)),
         block_valid_((sets_ + kBlockSets - 1) / kBlockSets, 0) {}
 
   [[nodiscard]] std::uint64_t sets() const noexcept { return sets_; }
   [[nodiscard]] std::uint64_t line_bytes() const noexcept {
     return line_bytes_;
+  }
+  /// Largest tag of a line in the address space.
+  [[nodiscard]] std::uint64_t max_tag() const noexcept { return max_tag_; }
+  /// Width of one packed entry: 8, 16 or 32 bits.
+  [[nodiscard]] unsigned entry_bits() const {
+    return std::visit(
+        [](const auto& tags) {
+          return 8 * static_cast<unsigned>(sizeof(tags[0]));
+        },
+        tags_);
   }
 
   [[nodiscard]] std::uint64_t set_of(PhysAddr addr) const noexcept {
@@ -58,10 +81,14 @@ class LineCache {
   }
 
   /// Const probe (translate() path): present means an on-package hit.
-  [[nodiscard]] bool present(PhysAddr addr) const noexcept {
+  [[nodiscard]] bool present(PhysAddr addr) const {
     if (sets_ == 0) return false;
-    const std::uint32_t e = tags_[set_of(addr)];
-    return (e & 1u) != 0 && (e >> 2) == tag_of(addr);
+    return std::visit(
+        [&](const auto& tags) {
+          const std::uint64_t e = tags[set_of(addr)];
+          return (e & 1) != 0 && (e >> 2) == tag_of(addr);
+        },
+        tags_);
   }
 
   /// Probe + fill: a miss installs the line (direct-mapped eviction) and
@@ -70,26 +97,28 @@ class LineCache {
     Lookup lk;
     if (sets_ == 0) return lk;
     const std::uint64_t tag = tag_of(addr);
-    HMM_CHECK(tag < (1u << 30),
-              "address space too large for the packed line-cache tag");
+    HMM_CHECK(tag <= max_tag_, "address past the line cache's address space");
     lk.set = set_of(addr);
-    std::uint32_t& e = tags_[lk.set];
-    if ((e & 1u) != 0 && (e >> 2) == tag) {
-      lk.hit = true;
-      if (dirty) e |= 2u;
-      return lk;
-    }
-    if ((e & 1u) != 0) {
-      lk.victim_valid = true;
-      lk.victim_dirty = (e & 2u) != 0;
-      lk.victim_addr = ((static_cast<std::uint64_t>(e >> 2) * sets_) +
-                        lk.set) *
-                       line_bytes_;
-    } else {
-      ++valid_count_;
-      ++block_valid_[lk.set / kBlockSets];
-    }
-    e = static_cast<std::uint32_t>(tag << 2) | (dirty ? 2u : 0u) | 1u;
+    std::visit(
+        [&](auto& tags) {
+          using Entry = typename std::decay_t<decltype(tags)>::value_type;
+          const std::uint64_t e = tags[lk.set];
+          if ((e & 1) != 0 && (e >> 2) == tag) {
+            lk.hit = true;
+            if (dirty) tags[lk.set] = static_cast<Entry>(e | 2);
+            return;
+          }
+          if ((e & 1) != 0) {
+            lk.victim_valid = true;
+            lk.victim_dirty = (e & 2) != 0;
+            lk.victim_addr = ((e >> 2) * sets_ + lk.set) * line_bytes_;
+          } else {
+            ++valid_count_;
+            ++block_valid_[lk.set / kBlockSets];
+          }
+          tags[lk.set] = static_cast<Entry>(tag << 2 | (dirty ? 2 : 0) | 1);
+        },
+        tags_);
     return lk;
   }
 
@@ -105,37 +134,47 @@ class LineCache {
   [[nodiscard]] Purged purge_set(std::uint64_t set) {
     Purged p;
     if (set >= sets_) return p;
-    const std::uint32_t e = tags_[set];
-    if ((e & 1u) != 0) {
-      p.valid = true;
-      p.dirty = (e & 2u) != 0;
-      p.addr = ((static_cast<std::uint64_t>(e >> 2) * sets_) + set) *
-               line_bytes_;
-      --valid_count_;
-      --block_valid_[set / kBlockSets];
-      tags_[set] = 0;
-    }
+    std::visit(
+        [&](auto& tags) {
+          const std::uint64_t e = tags[set];
+          if ((e & 1) == 0) return;
+          p.valid = true;
+          p.dirty = (e & 2) != 0;
+          p.addr = ((e >> 2) * sets_ + set) * line_bytes_;
+          --valid_count_;
+          --block_valid_[set / kBlockSets];
+          tags[set] = 0;
+        },
+        tags_);
     return p;
   }
 
   /// True when any set in [first_set, first_set + count) holds a valid
   /// line (RAS audit: retired cache frames must stay empty).
   [[nodiscard]] bool any_valid_in(std::uint64_t first_set,
-                                  std::uint64_t count) const noexcept {
+                                  std::uint64_t count) const {
     const std::uint64_t end = std::min(first_set + count, sets_);
-    for (std::uint64_t s = first_set; s < end; ++s)
-      if ((tags_[s] & 1u) != 0) return true;
-    return false;
+    return std::visit(
+        [&](const auto& tags) {
+          for (std::uint64_t s = first_set; s < end; ++s)
+            if ((tags[s] & 1) != 0) return true;
+          return false;
+        },
+        tags_);
   }
 
   /// Fault payload: drop one set (a benign eviction-like transient).
   void invalidate_set(std::uint64_t set) {
     if (set >= sets_) return;
-    if ((tags_[set] & 1u) != 0) {
-      --valid_count_;
-      --block_valid_[set / kBlockSets];
-    }
-    tags_[set] = 0;
+    std::visit(
+        [&](auto& tags) {
+          if ((tags[set] & 1) != 0) {
+            --valid_count_;
+            --block_valid_[set / kBlockSets];
+          }
+          tags[set] = 0;
+        },
+        tags_);
   }
 
   /// Test hook: desynchronize the redundant counter so auditor tests can
@@ -144,86 +183,56 @@ class LineCache {
 
   /// Test hook: flip one set's valid bit behind every counter, a
   /// corruption only the recount of its block can see.
-  void flip_valid_bit_for_test(std::uint64_t set) { tags_.at(set) ^= 1u; }
+  void flip_valid_bit_for_test(std::uint64_t set) {
+    std::visit(
+        [&](auto& tags) {
+          using Entry = typename std::decay_t<decltype(tags)>::value_type;
+          tags.at(set) = static_cast<Entry>(tags.at(set) ^ 1);
+        },
+        tags_);
+  }
 
   /// Checks that the block counts sum to the valid-entry counter, then
   /// recounts the tags of `window`'s blocks (by default all of them)
   /// against their counts; returns an error description or empty string.
   [[nodiscard]] std::string validate(
-      const fault::AuditWindow& window = fault::AuditWindow::all()) const {
-    std::uint64_t sum = 0;
-    for (const std::uint32_t n : block_valid_) sum += n;
-    if (sum != valid_count_)
-      return "valid-entry counter " + std::to_string(valid_count_) +
-             " disagrees with the block counts' sum " + std::to_string(sum);
-    const auto [first, end] = window.slice(block_valid_.size());
-    for (std::uint64_t b = first; b < end; ++b) {
-      const std::uint32_t n = recount(b);
-      if (n != block_valid_[b])
-        return "block " + std::to_string(b) + " valid count " +
-               std::to_string(block_valid_[b]) +
-               " disagrees with tag recount " + std::to_string(n);
-    }
-    return {};
-  }
+      const fault::AuditWindow& window = fault::AuditWindow::all()) const;
 
   // Sparse codec: only valid entries are written, in ascending set order,
   // so short runs over the 8M-set paper geometry keep checkpoints small.
-  // The block counts are rebuilt on restore, never serialized.
-  void save(snap::Writer& w) const {
-    w.begin_section(snap::tag('L', 'N', 'C', 'H'));
-    w.u64(valid_count_);
-    for (std::uint64_t s = 0; s < sets_; ++s)
-      if ((tags_[s] & 1u) != 0) {
-        w.u64(s);
-        w.u32(tags_[s]);
-      }
-    w.end_section();
-  }
-  void restore(snap::Reader& r) {
-    r.begin_section(snap::tag('L', 'N', 'C', 'H'));
-    std::uint64_t prev = 0;
-    tags_.assign(sets_, 0);
-    block_valid_.assign(block_valid_.size(), 0);
-    valid_count_ = r.u64();
-    for (std::uint64_t i = 0; i < valid_count_; ++i) {
-      const std::uint64_t s = r.u64();
-      if (s >= sets_)
-        snap::snapshot_error("line-cache set index out of range");
-      if (i > 0 && s <= prev)
-        snap::snapshot_error("line-cache set indices not ascending");
-      prev = s;
-      tags_[s] = r.u32();
-      if ((tags_[s] & 1u) == 0)
-        snap::snapshot_error("line-cache entry without its valid bit");
-      ++block_valid_[s / kBlockSets];
-    }
-    r.end_section();
-  }
+  // An entry is written as a u32 whatever the store's width, and restore
+  // refuses a tag past the address space, which also bounds it to the
+  // width. The block counts are rebuilt on restore, never serialized.
+  void save(snap::Writer& w) const;
+  void restore(snap::Reader& r);
 
  private:
+  /// The packed entries, one vector at the width the address space
+  /// needs.
+  using Store = std::variant<std::vector<std::uint8_t>,
+                             std::vector<std::uint16_t>,
+                             std::vector<std::uint32_t>>;
+
+  /// Largest tag an `Entry` holds beside its dirty and valid bits.
+  template <class Entry>
+  static constexpr std::uint64_t kMaxTagOf =
+      std::numeric_limits<Entry>::max() >> 2;
+
+  [[nodiscard]] static Store make_store(std::uint64_t sets,
+                                        std::uint64_t max_tag);
+
   [[nodiscard]] std::uint64_t tag_of(PhysAddr addr) const noexcept {
     return addr / line_bytes_ / sets_;
   }
 
-  /// Valid entries among block `b`'s sets. A whole block is a
-  /// fixed-length loop, which the compiler vectorizes.
-  [[nodiscard]] std::uint32_t recount(std::uint64_t b) const noexcept {
-    const std::uint64_t first = b * kBlockSets;
-    const std::uint64_t len = std::min(kBlockSets, sets_ - first);
-    const std::uint32_t* t = tags_.data() + first;
-    std::uint32_t n = 0;
-    if (len == kBlockSets) {
-      for (std::uint64_t i = 0; i < kBlockSets; ++i) n += t[i] & 1u;
-    } else {
-      for (std::uint64_t i = 0; i < len; ++i) n += t[i] & 1u;
-    }
-    return n;
-  }
+  /// Valid entries among block `b`'s sets.
+  [[nodiscard]] std::uint32_t recount(std::uint64_t b) const;
 
   std::uint64_t line_bytes_ = 0;  // no-snapshot(construction-time config)
   std::uint64_t sets_ = 0;  // no-snapshot(derived from construction config)
-  std::vector<std::uint32_t> tags_;
+  // no-snapshot(derived from construction config)
+  std::uint64_t max_tag_ = 0;
+  Store tags_;
   std::uint64_t valid_count_ = 0;
   // no-snapshot(rebuilt from tags_ on restore)
   std::vector<std::uint32_t> block_valid_;  ///< valid entries per block

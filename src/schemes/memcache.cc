@@ -30,8 +30,8 @@ MemCacheScheme::MemCacheScheme(std::string name, const ControllerConfig& cfg,
       mem_bytes_(memory_bytes(cfg.geom, cache_fraction)),
       on_(on_package),
       off_(off_package),
-      cache_(cfg.geom.on_package_bytes - mem_bytes_,
-             params::kCacheLine) {}
+      cache_(cfg.geom.on_package_bytes - mem_bytes_, params::kCacheLine,
+             cfg.geom.total_bytes) {}
 
 SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,
                                          Cycle now) {

@@ -197,9 +197,17 @@ void SwapScheme::consider_swap(Cycle now) {
     if (!hot.found) break;
 
     ++stats_.swap_attempts;
-    // Find the coldest migratable on-package slot.
-    auto migratable = [&](SlotId s) { return engine_.can_swap(hot.page, s); };
-    const SlotClockTracker::Victim cold = slot_tracker_.pick_victim(migratable);
+    // Find the coldest migratable on-package slot. A hot page the engine
+    // refuses whatever the slot (busy, degraded, wedged, or the page is
+    // already on-package) skips the sweep: no slot would pass, so it
+    // would clear no reference bit and bring the hand back where it was.
+    SlotClockTracker::Victim cold;
+    if (engine_.can_swap_hot(hot.page)) {
+      auto migratable = [&](SlotId s) {
+        return engine_.can_swap(hot.page, s);
+      };
+      cold = slot_tracker_.pick_victim(migratable);
+    }
 
     if (cold.found && hotter_than(hot, cold.epoch_count) &&
         engine_.start_swap(hot.page, hot.last_sub_block, cold.slot, now)) {

@@ -3,6 +3,10 @@
 // and keep the data-under-movement always addressable.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/snapshot.hh"
+#include "core/hotness.hh"
 #include "core/migration.hh"
 
 namespace hmm {
@@ -171,6 +175,53 @@ TEST(MigrationPlan, CanSwapRejectsVictimEqualsPartner) {
   rig.table.note_data_at(1, 21);
   EXPECT_FALSE(rig.engine.can_swap(/*hot=*/1, /*cold_slot=*/1));
   EXPECT_TRUE(rig.engine.can_swap(/*hot=*/1, /*cold_slot=*/4));
+}
+
+[[nodiscard]] std::vector<std::uint8_t> clock_bytes(
+    const SlotClockTracker& clock) {
+  snap::Writer w;
+  clock.save(w);
+  return w.take();
+}
+
+// The swap trigger skips the clock sweep when can_swap_hot() refuses the
+// hot page. That sweep would change nothing: no slot passes can_swap(),
+// so it clears no reference bit, and its 2N steps bring the hand back to
+// where it started.
+TEST(MigrationPlan, RefusedHotPageLeavesTheClockBytesUnchanged) {
+  Rig rig;
+  SlotClockTracker clock(small_geom().slots());
+  const auto touch = [&] {
+    for (const SlotId s : {0u, 2u, 3u, 5u}) clock.record_access(s);
+  };
+  const auto sweep = [&](PageId hot) {
+    return clock.pick_victim(
+        [&](SlotId s) { return rig.engine.can_swap(hot, s); });
+  };
+  touch();
+  {
+    SCOPED_TRACE("page 20, off-package, idle engine: a real sweep");
+    ASSERT_TRUE(rig.engine.can_swap_hot(20));
+    const std::vector<std::uint8_t> before = clock_bytes(clock);
+    EXPECT_TRUE(sweep(20).found);
+    EXPECT_NE(clock_bytes(clock), before);  // slot 0's bit cleared
+  }
+  touch();
+  {
+    SCOPED_TRACE("page 3 is already on-package");
+    EXPECT_FALSE(rig.engine.can_swap_hot(3));
+    const std::vector<std::uint8_t> before = clock_bytes(clock);
+    EXPECT_FALSE(sweep(3).found);
+    EXPECT_EQ(clock_bytes(clock), before);
+  }
+  {
+    SCOPED_TRACE("the engine is busy");
+    ASSERT_TRUE(rig.engine.start_swap(20, 0, 2, 0));
+    EXPECT_FALSE(rig.engine.can_swap_hot(21));
+    const std::vector<std::uint8_t> before = clock_bytes(clock);
+    EXPECT_FALSE(sweep(21).found);
+    EXPECT_EQ(clock_bytes(clock), before);
+  }
 }
 
 }  // namespace

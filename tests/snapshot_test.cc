@@ -28,6 +28,7 @@
 #include "ras/ras.hh"
 #include "runner/journal.hh"
 #include "schemes/line_cache.hh"
+#include "schemes/memcache.hh"
 #include "sim/checkpoint.hh"
 #include "sim/memsim.hh"
 #include "trace/workloads.hh"
@@ -563,14 +564,14 @@ TEST(CraftedSnapshot, RasRemapCycleIsASnapshotError) {
 // The sparse line-cache codec writes only valid entries, in ascending set
 // order, and restore rebuilds the per-block counts from them.
 TEST(CraftedSnapshot, LineCacheEntryNotValidOrNotAscendingIsASnapshotError) {
-  schemes::LineCache cache(1 * MiB, 64);  // 16,384 sets
-  (void)cache.access(1000 * 64, false);   // set 1000
-  (void)cache.access(2000 * 64, false);   // set 2000
+  schemes::LineCache cache(1 * MiB, 64, 4 * GiB);  // 16,384 sets
+  (void)cache.access(1000 * 64, false);             // set 1000
+  (void)cache.access(2000 * 64, false);             // set 2000
   snap::Writer w;
   cache.save(w);
   const std::vector<std::uint8_t> good = w.take();
   const auto refused = [&](const std::vector<std::uint8_t>& bad) {
-    schemes::LineCache fresh(1 * MiB, 64);
+    schemes::LineCache fresh(1 * MiB, 64, 4 * GiB);
     expect_snapshot_error([&] {
       snap::Reader r(bad);
       fresh.restore(r);
@@ -786,6 +787,46 @@ TEST(CraftedSnapshot, MigrationStepOutsideMemoryIsASnapshotError) {
   }
 }
 
+// A line-cache entry's tag places its line in the address space, and the
+// store keeps entries only as wide as the space's largest tag needs. A
+// tag past it restored, and a later miss on its set wrote the dirty
+// victim back to an address outside memory.
+TEST(CraftedSnapshot, LineCacheTagPastTheAddressSpaceIsASnapshotError) {
+  MemSimConfig cfg;
+  cfg.controller.geom = Geometry{4 * GiB, 512 * MiB, 256 * KiB, 4 * KiB};
+  cfg.controller.swap_interval = 1000;
+  cfg.controller.migration_enabled = true;
+  cfg.scheme = "Alloy";
+  cfg.audit_interval = 1024;
+  MemSim sim(cfg);
+  auto gen = make_pgbench(4242);
+  sim.run_chunk(*gen, 4000);
+  snap::Writer w;
+  sim.save(w);
+  const std::vector<std::uint8_t> good = w.take();
+  const std::size_t lnch = find_section(good, snap::tag('L', 'N', 'C', 'H'));
+  ASSERT_GT(get_u64(good, lnch + 12), 0u) << "no valid line";
+  // 512 MiB of 64-byte sets over 4 GiB: tags 0..7.
+  constexpr std::uint64_t kMaxTag = 7;
+  auto& alloy = dynamic_cast<schemes::MemCacheScheme&>(sim.scheme());
+  ASSERT_EQ(alloy.cache_for_test().max_tag(), kMaxTag);
+  // After the valid count, the first entry: its set (u64), then its
+  // packed (tag << 2) | dirty << 1 | valid (u32).
+  constexpr std::size_t kFirstEntry = 12 + 8 + 8;
+  for (const std::uint64_t tag : {kMaxTag + 1, std::uint64_t{1} << 29}) {
+    SCOPED_TRACE("tag " + std::to_string(tag));
+    std::vector<std::uint8_t> bad = good;
+    const std::uint64_t entry = tag << 2 | 3;
+    for (std::size_t i = 0; i < 4; ++i)
+      bad[lnch + kFirstEntry + i] = static_cast<std::uint8_t>(entry >> (8 * i));
+    reseal(bad, lnch);
+    MemSim fresh(cfg);
+    expect_snapshot_error([&] {
+      snap::Reader r(bad);
+      fresh.restore(r);
+    });
+  }
+}
 
 // snap::sorted_map and snap::sorted_set write keys strictly ascending. A
 // repeated or descending key restored, then re-saved to different bytes.
