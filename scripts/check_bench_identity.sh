@@ -5,8 +5,10 @@
 #
 # In each build it runs the ten runner benches with --jobs 3 at
 # HMM_BENCH_SCALE (default 0.1), each side into its own HMM_RESULTS_DIR,
-# and the four simulator examples at their ctest access counts. Then it
-# compares, program by program:
+# the four simulator examples at their ctest access counts, and the
+# choreography model checker over all four designs (its state counts
+# move with any byte of the translation table's snapshot, its dedup
+# key). Then it compares, program by program:
 #   * the exit status with the other side's (fault_resilience exits 1 on
 #     both sides at small scales: its design-N watchdog cells count as
 #     failed);
@@ -40,9 +42,11 @@ need() {
   echo "[identity] missing $1 (build it first)" >&2
   exit 2
 }
+MODELCHECK=tools/modelcheck/modelcheck
 for build in "$BASE" "$HEAD"; do
   for b in "${BENCHES[@]}"; do need "$build/bench/$b"; done
   for spec in "${EXAMPLES[@]}"; do need "$build/examples/${spec%%:*}"; done
+  need "$build/$MODELCHECK"
 done
 
 WORK="$(mktemp -d)"
@@ -66,6 +70,10 @@ run_side() {
     "$build/examples/$name" "$n" >"$name.stdout" 2>/dev/null || status=$?
     echo "$status" >"$name.status"
   done
+  status=0
+  "$build/$MODELCHECK" --design all >modelcheck.stdout 2>/dev/null ||
+    status=$?
+  echo "$status" >modelcheck.status
   cd - >/dev/null
 }
 

@@ -371,8 +371,8 @@ void bits(Ar& ar, std::vector<bool>& v) {
   }
 }
 
-/// Restore's check on the keys of sorted_map and sorted_set: a repeated
-/// or descending key would restore, then re-save to different bytes.
+/// Restore's check on the keys of an ascending list (sorted_map's): a
+/// repeated or descending key would restore, then re-save to other bytes.
 template <class K>
 void ascending(std::uint64_t i, const K& prev, const K& k) {
   if (i > 0 && !(prev < k))
@@ -401,27 +401,6 @@ void sorted_map(Ar& ar, M& m, F&& each) {
       each(k, v);
       ascending(i, prev, k);
       m.insert_or_assign(k, v);
-      prev = k;
-    }
-  }
-}
-
-/// A u64 count, then `each(key)` in strictly ascending order.
-template <class Ar, class S, class F>
-void sorted_set(Ar& ar, S& s, F&& each) {
-  if constexpr (kSaving<Ar>) {
-    std::vector<typename S::key_type> order(s.begin(), s.end());
-    std::sort(order.begin(), order.end());
-    ar.u64(order.size());
-    for (const auto& k : order) each(k);
-  } else {
-    s.clear();
-    typename S::key_type prev{};
-    for (std::uint64_t n = ar.count(), i = 0; i < n; ++i) {
-      typename S::key_type k{};
-      each(k);
-      ascending(i, prev, k);
-      s.insert(k);
       prev = k;
     }
   }

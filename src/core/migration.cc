@@ -296,15 +296,11 @@ bool MigrationEngine::start_swap(PageId hot, std::uint32_t hot_sub_block,
   return launch(plan_swap(hot, hot_sub_block, cold_slot), now);
 }
 
-PageId MigrationEngine::resident_of(PageId frame) const noexcept {
-  return table_.page_at(frame);
-}
-
 bool MigrationEngine::can_evacuate(PageId frame) const noexcept {
   if (!idle() || degraded_ || wedged_) return false;
   const Geometry& g = table_.geometry();
   if (frame >= g.total_pages() || frame == g.omega()) return false;
-  const PageId v = resident_of(frame);
+  const PageId v = table_.page_at(frame);
   if (v == kInvalidPage) return false;  // data-free: retire directly
   const RasFrameView* rv = table_.ras_view();
   switch (design_) {
@@ -334,7 +330,7 @@ bool MigrationEngine::start_evacuation(PageId frame, PageId spare,
                                        Cycle now) {
   if (!can_evacuate(frame)) return false;
   const Geometry& g = table_.geometry();
-  const PageId v = resident_of(frame);
+  const PageId v = table_.page_at(frame);
 
   // A perfectly ordinary shadow transaction — the occupant streams into
   // the hole while the failing frame keeps serving — except the
@@ -347,7 +343,7 @@ bool MigrationEngine::start_evacuation(PageId frame, PageId spare,
   st.src = g.machine_base(frame);
   st.bytes = g.page_bytes;
   if (design_ == MigrationDesign::N) {
-    HMM_CHECK(spare != kInvalidPage && resident_of(spare) == kInvalidPage,
+    HMM_CHECK(spare != kInvalidPage && table_.page_at(spare) == kInvalidPage,
               "design-N evacuation needs a data-free spare frame");
     st.dst = g.machine_base(spare);
     st.after = {note_data(v, spare)};
@@ -366,15 +362,6 @@ bool MigrationEngine::start_evacuation(PageId frame, PageId spare,
                 ras_park(e)};
   }
   return launch({st}, now);
-}
-
-bool MigrationEngine::plan_touches(PageId frame) const noexcept {
-  const Geometry& g = table_.geometry();
-  for (const CopyStep& st : steps_) {
-    if (g.page_of(st.src) == frame || g.page_of(st.dst) == frame)
-      return true;
-  }
-  return false;
 }
 
 bool MigrationEngine::abort_current(Cycle now) {

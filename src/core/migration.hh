@@ -200,10 +200,6 @@ class MigrationEngine {
   }
 
   // --- RAS page retirement (see DESIGN.md §11) -----------------------------
-  /// Page whose data currently lives at machine frame `frame`
-  /// (kInvalidPage when the frame is data-free). Served from the
-  /// placement map, which every design maintains.
-  [[nodiscard]] PageId resident_of(PageId frame) const noexcept;
   /// True if the occupant of `frame` can be moved off through this
   /// design's own machinery right now. False for data-free frames (retire
   /// them directly) and for placements the N-1 pairwise encoding cannot
@@ -218,8 +214,15 @@ class MigrationEngine {
   /// can_evacuate() says no.
   bool start_evacuation(PageId frame, PageId spare, Cycle now);
   /// True if any remaining copy step of the in-flight swap reads or
-  /// writes machine frame `frame`.
-  [[nodiscard]] bool plan_touches(PageId frame) const noexcept;
+  /// writes a machine frame `touched(frame)` accepts.
+  template <class Pred>
+  [[nodiscard]] bool plan_touches(Pred touched) const {
+    const Geometry& g = table_.geometry();
+    for (const CopyStep& st : steps_)
+      if (touched(g.page_of(st.src)) || touched(g.page_of(st.dst)))
+        return true;
+    return false;
+  }
   /// RAS-initiated abort of the in-flight swap (a frame it touches was
   /// flagged as failing): rolls back to the last valid step boundary.
   /// Deliberate, so it never wedges design N (the rollback is trivially

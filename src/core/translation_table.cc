@@ -1,15 +1,56 @@
 #include "core/translation_table.hh"
 
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "fault/sim_error.hh"
 
 namespace hmm {
 
+namespace {
+/// A page-indexed array in sorted_map's wire form: a u64 count, then
+/// (u64 page, u64 value) for each page off its `blank(page)` entry, pages
+/// ascending. Restore allocates the array at the first entry and refuses
+/// one it cannot hold: a page past `pages`, a value from `bound` up, or
+/// the blank entry itself (it would re-save as no entry).
+template <class Ar, class T, class Blank>
+void page_entries(Ar& ar, std::vector<T>& v, PageId pages,
+                  std::uint64_t bound, Blank blank) {
+  if constexpr (snap::kSaving<Ar>) {
+    std::vector<PageId> keys;
+    for (PageId p = 0; p < v.size(); ++p)
+      if (v[p] != blank(p)) keys.push_back(p);
+    ar.u64(keys.size());
+    for (const PageId p : keys) {
+      ar.u64(p);
+      ar.u64(v[p]);
+    }
+  } else {
+    v.clear();
+    PageId prev = 0;
+    for (std::uint64_t n = ar.count(), i = 0; i < n; ++i) {
+      const PageId p = ar.u64();
+      const std::uint64_t x = ar.u64();
+      snap::ascending(i, prev, p);
+      prev = p;
+      if (p >= pages || x >= bound || x == blank(p))
+        snap::snapshot_error("translation table: page " + std::to_string(p) +
+                             " has an entry the table cannot hold");
+      if (v.empty())
+        for (PageId q = 0; q < pages; ++q)
+          v.push_back(static_cast<T>(blank(q)));
+      v[p] = static_cast<T>(x);
+    }
+  }
+}
+}  // namespace
+
 TranslationTable::TranslationTable(const Geometry& g, TableMode mode)
     : geom_(g), mode_(mode), slots_(g.slots()), rows_(g.slots()) {
   HMM_CHECK(g.valid(), "translation table built on an invalid geometry");
+  HMM_CHECK(g.total_pages() <= std::numeric_limits<std::uint32_t>::max(),
+            "translation table page ids must fit its 32-bit entries");
   for (SlotId s = 0; s < slots_; ++s) rows_[s].occupant = s;
   if (mode_ == TableMode::HardwareNMinus1) {
     // The last slot starts empty; its left page is the initial Ghost page,
@@ -17,7 +58,7 @@ TranslationTable::TranslationTable(const Geometry& g, TableMode mode)
     const SlotId last = static_cast<SlotId>(slots_ - 1);
     rows_[last].occupant = kInvalidPage;
     empty_cache_ = last;
-    location_[last] = geom_.omega();
+    note_data_at(last, geom_.omega());
   }
   if (mode_ == TableMode::Shadow) {
     // The reserved page Ω is the boot-time hole: it holds no OS page's
@@ -26,36 +67,11 @@ TranslationTable::TranslationTable(const Geometry& g, TableMode mode)
   }
 }
 
-PageId TranslationTable::shadow_location(PageId p) const noexcept {
-  if (p < placed_.size()) return placed_[p];
-  const auto it = location_.find(p);
-  return it == location_.end() ? p : it->second;
-}
-
 void TranslationTable::cam_set(PageId page, SlotId s) {
-  if (s == kNoSlot)
-    slot_of_.erase(page);
-  else
-    slot_of_[page] = s;
-  if (slot_by_page_.empty() && !slot_of_.empty()) index_cam();
-  if (page < slot_by_page_.size()) slot_by_page_[page] = s;
-}
-
-void TranslationTable::index_cam() {
-  slot_by_page_.assign(geom_.total_pages(), kNoSlot);
-  // analyze: allow(determinism): each entry lands in its own slot
-  for (const auto& [p, s] : slot_of_)
-    if (p < slot_by_page_.size()) slot_by_page_[p] = s;
-}
-
-void TranslationTable::place_all() {
-  const PageId pages = geom_.total_pages();
-  if (pages > std::numeric_limits<std::uint32_t>::max()) return;
-  placed_.resize(pages);
-  for (PageId p = 0; p < pages; ++p) placed_[p] = static_cast<std::uint32_t>(p);
-  // analyze: allow(determinism): each entry lands in its own slot
-  for (const auto& [p, m] : location_)
-    if (p < pages) placed_[p] = static_cast<std::uint32_t>(m);
+  HMM_CHECK(page < geom_.total_pages(),
+            "CAM entry for a page past the geometry");
+  if (cam_.empty()) cam_.assign(geom_.total_pages(), kNoSlot);
+  cam_[page] = s;
 }
 
 MachAddr TranslationTable::location_of(PageId p) const noexcept {
@@ -101,12 +117,9 @@ Route TranslationTable::translate(PhysAddr addr) const noexcept {
       // occupant == p: OF, slot p. occupant == q: MS, parked at q's home.
       machine_page = row.occupant;
     }
-  } else if (p < slot_by_page_.size()) {
-    const SlotId s = slot_by_page_[p];
-    machine_page = s != kNoSlot ? s : p;  // MF : OS
   } else {
-    const auto it = slot_of_.find(p);
-    machine_page = (it != slot_of_.end()) ? it->second : p;  // MF : OS
+    const SlotId s = cam_slot(p);
+    machine_page = s != kNoSlot ? s : p;  // MF : OS
   }
 
   const MachAddr m = geom_.machine_base(machine_page) + off;
@@ -127,21 +140,18 @@ PageCategory TranslationTable::category(PageId p) const noexcept {
     return row.occupant == p ? PageCategory::OriginalFast
                              : PageCategory::MigratedSlow;
   }
-  return slot_of_.count(p) != 0 ? PageCategory::MigratedFast
+  return cam_slot(p) != kNoSlot ? PageCategory::MigratedFast
                                 : PageCategory::OriginalSlow;
 }
 
 void TranslationTable::set_row(SlotId row, PageId page) {
   RowState& r = rows_[row];
-  if (r.occupant != kInvalidPage && r.occupant >= slots_) {
-    // Drop the displaced page's CAM entry — unless that page has already
-    // re-registered in another slot mid-choreography (e.g. the partner
-    // page of Fig 8(c)/(d) moves to the empty slot before its old row is
-    // rewritten; the stale row must not clobber the fresh entry).
-    const auto it = slot_of_.find(r.occupant);
-    if (it != slot_of_.end() && it->second == row)
-      cam_set(r.occupant, kNoSlot);
-  }
+  // Drop the displaced page's CAM entry — unless that page has already
+  // re-registered in another slot mid-choreography (e.g. the partner
+  // page of Fig 8(c)/(d) moves to the empty slot before its old row is
+  // rewritten; the stale row must not clobber the fresh entry).
+  if (r.occupant >= slots_ && cam_slot(r.occupant) == row)
+    cam_set(r.occupant, kNoSlot);
   r.occupant = page;
   if (page >= slots_) cam_set(page, row);
   if (empty_cache_ == row) empty_cache_.reset();
@@ -149,11 +159,8 @@ void TranslationTable::set_row(SlotId row, PageId page) {
 
 void TranslationTable::set_row_empty(SlotId row) {
   RowState& r = rows_[row];
-  if (r.occupant != kInvalidPage && r.occupant >= slots_) {
-    const auto it = slot_of_.find(r.occupant);
-    if (it != slot_of_.end() && it->second == row)
-      cam_set(r.occupant, kNoSlot);
-  }
+  if (r.occupant >= slots_ && cam_slot(r.occupant) == row)
+    cam_set(r.occupant, kNoSlot);
   r.occupant = kInvalidPage;
   empty_cache_ = row;
 }
@@ -207,33 +214,59 @@ void TranslationTable::flip_occupant_bit(SlotId row, unsigned bit) {
 }
 
 void TranslationTable::note_data_at(PageId p, PageId machine_page) {
-  if (machine_page == p)
-    location_.erase(p);
+  const PageId pages = geom_.total_pages();
+  HMM_CHECK(p < pages && machine_page < pages,
+            "placement of a page past the geometry");
+  if (placed_.empty()) {
+    if (machine_page == p) return;
+    placed_.resize(pages);
+    std::iota(placed_.begin(), placed_.end(), std::uint32_t{0});
+  }
+  const PageId old = placed_[p];
+  placed_[p] = static_cast<std::uint32_t>(machine_page);
+  if (resident_.empty()) return;
+  if (resident_[old] == p) resident_[old] = kNoPage;
+  if (resident_[machine_page] == kNoPage)
+    resident_[machine_page] = static_cast<std::uint32_t>(p);
   else
-    location_[p] = machine_page;
-  if (mode_ == TableMode::HardwareNMinus1) return;
-  if (placed_.empty() && !location_.empty()) place_all();
-  if (p < placed_.size()) placed_[p] = static_cast<std::uint32_t>(machine_page);
+    resident_.clear();  // two pages share it until the next note
 }
 
 void TranslationTable::set_occupant(SlotId s, PageId page) {
   rows_[s].occupant = page;
 }
 
-PageId TranslationTable::page_at(PageId machine_page) const noexcept {
-  // analyze: allow(determinism): unique-match scan (audited bijection)
-  for (const auto& [p, m] : location_)
-    if (m == machine_page) return p;
-  // No exception maps here: the identity resident, unless that page's own
-  // data moved away (then the machine page is free) or it is the hole/Ω.
-  if (location_.count(machine_page) != 0) return kInvalidPage;
-  if (machine_page == hole_ || machine_page == geom_.omega())
-    return kInvalidPage;
-  // Reserved spares and retired frames are data-free by construction.
-  if (ras_view_ != nullptr && (ras_view_->reserved_spare(machine_page) ||
-                               ras_view_->retired(machine_page)))
-    return kInvalidPage;
-  return machine_page;
+bool TranslationTable::index_residents() const {
+  const PageId pages = geom_.total_pages();
+  resident_.assign(pages, kNoPage);
+  for (PageId p = 0; p < pages; ++p)
+    if (p != geom_.omega() && shadow_location(p) == p)
+      resident_[p] = static_cast<std::uint32_t>(p);
+  // A page placed off its home wins over the home's own page (a spare's,
+  // pressed into service), but not over another placed page.
+  bool one_each = true;
+  for (PageId p = 0; p < placed_.size(); ++p) {
+    const std::uint32_t m = placed_[p];
+    if (m == p) continue;
+    const std::uint32_t there = resident_[m];
+    one_each &= there == kNoPage || placed_[there] == there;
+    resident_[m] = static_cast<std::uint32_t>(p);
+  }
+  return one_each;
+}
+
+PageId TranslationTable::page_at(PageId machine_page) const {
+  if (resident_.empty()) index_residents();
+  if (machine_page >= resident_.size()) return kInvalidPage;
+  const std::uint32_t p = resident_[machine_page];
+  if (p != machine_page) return p == kNoPage ? kInvalidPage : p;
+  // The identity page, unless the frame is the hole or RAS holds it
+  // data-free: reserved spares and retired frames are by construction.
+  const bool data_free =
+      machine_page == hole_ ||
+      (ras_view_ != nullptr && (ras_view_->reserved_spare(machine_page) ||
+                                ras_view_->retired(machine_page)));
+  return data_free ? kInvalidPage : machine_page;
 }
 
 void TranslationTable::set_ras_parked(SlotId row) {
@@ -344,16 +377,7 @@ std::string TranslationTable::validate() const {
     if (fill_active_) return "fill active in FunctionalN mode";
     for (SlotId s = 0; s < slots_; ++s)
       if (rows_[s].pending) return "pending bit set in FunctionalN mode";
-    // Placement map must be a bijection on its exceptional entries.
-    std::unordered_map<PageId, PageId> inverse;
-    // analyze: allow(determinism): order-independent audit verdict
-    for (const auto& [p, m] : location_) {
-      if (!inverse.emplace(m, p).second)
-        return "two pages mapped to the same machine page";
-      if (ras_view_ != nullptr && ras_view_->retired(m))
-        return "page mapped to a retired machine page";
-    }
-    return {};
+    return placement_error();
   }
 
   if (mode_ == TableMode::Shadow) {
@@ -367,29 +391,11 @@ std::string TranslationTable::validate() const {
       if (rows_[s].occupant != s)
         return "occupant field corrupted in Shadow mode";
     }
-    std::unordered_map<PageId, PageId> inverse;
-    // analyze: allow(determinism): order-independent audit verdict
-    for (const auto& [p, m] : location_) {
-      if (p >= geom_.total_pages() || p == geom_.omega())
-        return "placement entry for a reserved or out-of-range page";
-      if (m >= geom_.total_pages())
-        return "page mapped outside the machine address space";
-      if (m == hole_) return "page mapped at the hole";
-      if (!inverse.emplace(m, p).second)
-        return "two pages mapped to the same machine page";
-      if (ras_view_ != nullptr && ras_view_->retired(m))
-        return "page mapped to a retired machine page";
-      // If m is an OS page other than p itself, its identity resident must
-      // have moved away (or never existed: spare-pool identity pages are
-      // reserved at boot) or two pages would share the machine page.
-      if (m != p && m != geom_.omega() && location_.count(m) == 0 &&
-          !(ras_view_ != nullptr && ras_view_->reserved_spare(m)))
-        return "page mapped over a still-resident identity page";
-    }
+    if (std::string err = placement_error(); !err.empty()) return err;
     if (hole_ >= geom_.total_pages()) return "hole out of range";
     if (ras_view_ != nullptr && ras_view_->retired(hole_))
       return "hole is a retired frame";
-    if (hole_ != geom_.omega() && location_.count(hole_) == 0 &&
+    if (hole_ != geom_.omega() && shadow_location(hole_) == hole_ &&
         !(ras_view_ != nullptr && ras_view_->reserved_spare(hole_)))
       return "hole overlaps a resident identity page";
     if (shadow_active_) {
@@ -434,7 +440,7 @@ std::string TranslationTable::validate() const {
     if (r.occupant != kInvalidPage && r.occupant >= slots_) {
       // Mid-choreography a page may transiently appear in two rows (its
       // data is duplicated); the CAM entry must exist and take priority.
-      if (slot_of_.count(r.occupant) == 0)
+      if (cam_slot(r.occupant) == kNoSlot)
         return "CAM out of sync with the right column";
     }
   }
@@ -462,14 +468,39 @@ std::string TranslationTable::validate() const {
     const MachAddr want = location_of(p);
     if (r.mach != want) return "encoding disagrees with placement (p < N)";
   }
-  // analyze: allow(determinism): order-independent audit verdict
-  for (const auto& [page, slot] : slot_of_) {
-    if (fill_active_ && page == fill_page_) continue;
+  for (PageId page = 0; page < cam_.size(); ++page) {
+    const SlotId slot = cam_[page];
+    if (slot == kNoSlot || (fill_active_ && page == fill_page_)) continue;
     const Route r = translate(geom_.machine_base(page));
     if (r.mach != geom_.machine_base(slot))
       return "CAM translation disagrees with slot";
     if (shadow_location(page) != slot)
       return "encoding disagrees with placement (p >= N)";
+  }
+  return {};
+}
+
+std::string TranslationTable::placement_error() const {
+  // The placement is a bijection on the pages placed off their homes; in
+  // Shadow mode none is Ω or sits on the hole or on a resident home.
+  const bool shadow = mode_ == TableMode::Shadow;
+  std::vector<bool> taken(placed_.size());
+  for (PageId p = 0; p < placed_.size(); ++p) {
+    const PageId m = placed_[p];
+    if (m == p) continue;
+    if (shadow && p == geom_.omega())
+      return "placement entry for the reserved page";
+    if (shadow && m == hole_) return "page mapped at the hole";
+    if (taken[m]) return "two pages mapped to the same machine page";
+    taken[m] = true;
+    if (ras_view_ != nullptr && ras_view_->retired(m))
+      return "page mapped to a retired machine page";
+    // If m is an OS page other than p itself, its identity resident must
+    // have moved away (or never existed: spare-pool identity pages are
+    // reserved at boot) or two pages would share the machine page.
+    if (shadow && m != geom_.omega() && shadow_location(m) == m &&
+        !(ras_view_ != nullptr && ras_view_->reserved_spare(m)))
+      return "page mapped over a still-resident identity page";
   }
   return {};
 }
@@ -481,16 +512,10 @@ void TranslationTable::save(snap::Writer& w) const {
 void TranslationTable::restore(snap::Reader& r) {
   io(r);
   // A CRC-valid section can still carry an index beyond the constructed
-  // shape; refuse it here, before translate() dereferences it.
-  // analyze: allow(determinism): any entry outside refuses alike
-  for (const auto& entry : location_)
-    if (entry.second >= geom_.total_pages())
-      snap::snapshot_error(
-          "translation table: page placed outside the machine");
-  placed_.clear();
-  if (mode_ != TableMode::HardwareNMinus1 && !location_.empty()) place_all();
-  slot_by_page_.clear();
-  if (!slot_of_.empty()) index_cam();
+  // shape, or two pages placed on one machine page, which the rebuilt
+  // inverse cannot name both of; refuse them here.
+  if (!index_residents())
+    snap::snapshot_error("translation table: two pages placed on one page");
   const std::size_t sbs = geom_.sub_blocks_per_page();
   const auto fits = [sbs](const std::vector<bool>& bits, bool active) {
     return bits.size() == sbs || (!active && bits.empty());
@@ -508,10 +533,7 @@ void TranslationTable::restore(snap::Reader& r) {
 
 template <class Ar>
 void TranslationTable::io(Ar& ar) {
-  const auto pair = [&](auto& k, auto& v) {
-    snap::u64(ar, k);
-    snap::u64(ar, v);
-  };
+  const PageId pages = geom_.total_pages();
   snap::section(ar, snap::tag('T', 'T', 'B', 'L'), [&] {
     snap::expect<std::uint8_t>(ar, mode_, "translation table mode");
     snap::expect<std::uint64_t>(ar, slots_, "translation table slot count");
@@ -520,8 +542,8 @@ void TranslationTable::io(Ar& ar) {
       snap::u64(ar, row.occupant);
       snap::b(ar, row.pending);
     }
-    snap::sorted_map(ar, slot_of_, pair);
-    snap::sorted_map(ar, location_, pair);
+    page_entries(ar, cam_, pages, slots_, [](PageId) { return kNoSlot; });
+    page_entries(ar, placed_, pages, pages, [](PageId p) { return p; });
     bool has_empty = empty_cache_.has_value();
     SlotId empty = empty_cache_.value_or(0);
     snap::b(ar, has_empty);

@@ -5,7 +5,8 @@
 // the right column records which macro page currently occupies that slot.
 // The table is bidirectional: for page ids < N it is indexed directly
 // (RAM function); for ids >= N the right column is searched (CAM function,
-// modelled here with a hash map).
+// modelled here, like every page map of the table, as one flat array
+// indexed by page and allocated on first use).
 //
 // Encoding invariants of the N-1 design (proved by the swap choreography
 // and checked by validate()):
@@ -40,7 +41,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/snapshot.hh"
@@ -126,10 +126,10 @@ class TranslationTable {
   [[nodiscard]] PageId shadow_page() const noexcept { return shadow_page_; }
   /// The shadow copy's destination (always the hole).
   [[nodiscard]] PageId shadow_dst() const noexcept { return shadow_dst_; }
-  /// OS page whose data currently lives at `machine_page` (FunctionalN /
-  /// Shadow placement-map modes only; kInvalidPage for a free machine
-  /// page, e.g. the hole).
-  [[nodiscard]] PageId page_at(PageId machine_page) const noexcept;
+  /// OS page whose data currently lives at `machine_page` (kInvalidPage
+  /// for a data-free one, e.g. the hole): one read of the inverse
+  /// placement, which the first call builds.
+  [[nodiscard]] PageId page_at(PageId machine_page) const;
 
   /// Begin a transaction: `page` will be copied into the hole. Routing is
   /// NOT changed — the committed home keeps serving until commit_shadow().
@@ -188,12 +188,12 @@ class TranslationTable {
   void flip_occupant_bit(SlotId row, unsigned bit);
 
   // --- checkpoint/restore --------------------------------------------------
-  // The CAM map (slot_of_) is serialized explicitly rather than rebuilt
-  // from rows_: mid-choreography a page can transiently appear in two rows
-  // and only the CAM records which one wins. Maps are written sorted by
-  // key so the encoding is independent of unordered_map iteration order.
-  // The mode and slot count are construction-time shapes: restore()
-  // refuses a checkpoint taken on a different table.
+  // The CAM is serialized explicitly rather than rebuilt from rows_:
+  // mid-choreography a page can transiently appear in two rows and only
+  // the CAM records which one wins. The CAM and the placement are written
+  // as (page, value) lists, pages ascending. The mode and slot count are
+  // construction-time shapes: restore() refuses a checkpoint taken on a
+  // different table, and an entry the arrays cannot hold.
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
@@ -206,34 +206,38 @@ class TranslationTable {
   template <class Ar>
   void io(Ar& ar);
 
-  [[nodiscard]] PageId shadow_location(PageId p) const noexcept;
-  /// Builds placed_ from location_ (FunctionalN and Shadow only).
-  void place_all();
+  [[nodiscard]] PageId shadow_location(PageId p) const noexcept {
+    return p < placed_.size() ? placed_[p] : p;
+  }
+  /// The CAM entry of `page` (kNoSlot: none).
+  [[nodiscard]] SlotId cam_slot(PageId page) const noexcept {
+    return page < cam_.size() ? cam_[page] : kNoSlot;
+  }
   /// Points the CAM entry of `page` at `s`, or drops it for kNoSlot.
   void cam_set(PageId page, SlotId s);
-  /// Builds slot_by_page_ from slot_of_.
-  void index_cam();
+  /// Builds resident_ from placed_; false when two placed pages share a
+  /// machine page.
+  bool index_residents() const;
+  /// validate()'s placement checks for FunctionalN and Shadow.
+  [[nodiscard]] std::string placement_error() const;
 
   Geometry geom_;  // no-snapshot(construction-time config)
   TableMode mode_;
   PageId slots_;  ///< N
   std::vector<RowState> rows_;
-  std::unordered_map<PageId, SlotId> slot_of_;  ///< CAM: page>=N -> slot
-  std::unordered_map<PageId, PageId> location_;  ///< placement exceptions
-  /// FunctionalN and Shadow: every page's machine page, so translate()
-  /// reads one slot instead of hashing. Empty until the first placement
-  /// exception, so a table that never migrates allocates nothing, and on
-  /// a geometry whose page ids need more than 32 bits. The entries are
-  /// 32-bit: stall-drain's 32 KiB 64-bit form, allocated mid-run, made
-  /// the benchmark's next cold construction (setup_s) 50-150% slower at
-  /// seed 7.
-  // no-snapshot(derived from location_; rebuilt on restore)
+  /// Every page's machine page; empty while all sit at their homes (an
+  /// N-1 table places its ghost at boot). 32-bit entries: stall-drain's
+  /// 32 KiB 64-bit form, allocated mid-run, made the benchmark's next cold
+  /// construction (setup_s) 50-150% slower at seed 7.
   std::vector<std::uint32_t> placed_;
-  /// slot_of_ indexed by page (kNoSlot: no CAM entry), for the same
-  /// reason; empty until the CAM holds its first entry.
-  // no-snapshot(derived from slot_of_; rebuilt on restore)
-  std::vector<SlotId> slot_by_page_;
+  std::vector<SlotId> cam_;  ///< page -> slot (kNoSlot: none)
   static constexpr SlotId kNoSlot = ~SlotId{0};
+  /// placed_ inverted (kNoPage: no page; Ω is no page's home). Kept in
+  /// step by note_data_at(), which drops it while two pages share a
+  /// machine page mid-exchange; rebuilt by the next page_at().
+  // no-snapshot(derived from placed_; rebuilt on demand)
+  mutable std::vector<std::uint32_t> resident_;
+  static constexpr std::uint32_t kNoPage = ~std::uint32_t{0};
 
   std::optional<SlotId> empty_cache_;
   bool fill_active_ = false;

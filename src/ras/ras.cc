@@ -7,9 +7,19 @@
 
 namespace hmm::ras {
 
+namespace {
+[[noreturn]] void refuse(PageId f, const char* what) {
+  snap::snapshot_error("RAS state: frame " + std::to_string(f) + " " + what);
+}
+}  // namespace
+
 RasEngine::RasEngine(const RasConfig& cfg, const Geometry& geom,
                      fault::FaultInjector* injector)
-    : cfg_(cfg), geom_(geom), injector_(injector) {
+    : cfg_(cfg),
+      geom_(geom),
+      injector_(injector),
+      state_(geom.total_pages(), kHealthy),
+      in_state_{geom.total_pages()} {
   const PageId total = geom_.total_pages();
   HMM_CHECK(cfg_.spare_frames + 1 < total - geom_.slots(),
             "RAS spare pool must fit below omega in the off-package region");
@@ -20,19 +30,6 @@ RasEngine::RasEngine(const RasConfig& cfg, const Geometry& geom,
   for (PageId f = geom_.omega() - cfg_.spare_frames; f < geom_.omega(); ++f)
     pool_.push_back(f);
   next_scrub_at_ = cfg_.scrub_interval;
-}
-
-bool RasEngine::retired(PageId frame) const noexcept {
-  return retired_.count(frame) != 0;
-}
-
-bool RasEngine::quarantined(PageId frame) const noexcept {
-  return retired_.count(frame) != 0 || pending_.count(frame) != 0 ||
-         pinned_.count(frame) != 0;
-}
-
-bool RasEngine::reserved_spare(PageId frame) const noexcept {
-  return boot_spare(frame);
 }
 
 Cycle RasEngine::on_demand_access(PageId frame, Cycle now) {
@@ -48,34 +45,30 @@ Cycle RasEngine::on_demand_access(PageId frame, Cycle now) {
   return penalty;
 }
 
-bool RasEngine::has_pending() const noexcept { return !pending_.empty(); }
-
 PageId RasEngine::next_pending() const noexcept {
-  PageId best = kInvalidPage;
-  // analyze: allow(determinism): tie-broken min-scan
-  for (const PageId f : pending_)
-    if (best == kInvalidPage || f < best) best = f;
-  return best;
+  if (!has_pending()) return kInvalidPage;
+  return static_cast<PageId>(
+      std::find(state_.begin(), state_.end(), kPending) - state_.begin());
 }
 
-std::vector<PageId> RasEngine::pending_frames() const {
-  std::vector<PageId> out(pending_.begin(), pending_.end());
-  std::sort(out.begin(), out.end());
-  return out;
+void RasEngine::move(PageId frame, FrameState from, FrameState to,
+                     const char* what) {
+  HMM_CHECK(frame < state_.size() && state_[frame] == from, what);
+  --in_state_[from];
+  ++in_state_[to];
+  state_[frame] = to;
 }
 
 void RasEngine::complete_retirement(PageId frame, Cycle now) {
-  HMM_CHECK(pending_.erase(frame) == 1,
-            "complete_retirement on a frame that was not pending");
-  retired_.insert(frame);
+  move(frame, kPending, kRetired,
+       "complete_retirement on a frame that was not pending");
   ++metrics_.frames_retired;
-  log_retirement(frame, now);
+  if (retire_log_.size() < kMaxRetirementLog)
+    retire_log_.push_back({now, frame});
 }
 
 void RasEngine::pin_frame(PageId frame) {
-  HMM_CHECK(pending_.erase(frame) == 1,
-            "pin_frame on a frame that was not pending");
-  pinned_.insert(frame);
+  move(frame, kPending, kPinned, "pin_frame on a frame that was not pending");
   ++metrics_.frames_pinned;
 }
 
@@ -91,21 +84,14 @@ void RasEngine::consume_spare(PageId frame) {
 }
 
 std::optional<PageId> RasEngine::remap_frame(PageId frame, Cycle now) {
-  HMM_CHECK(pending_.count(frame) != 0,
-            "remap_frame on a frame that was not pending");
-  const PageId spare = peek_spare();
-  if (spare == kInvalidPage) return std::nullopt;
-  consume_spare(spare);
-  remap_[frame] = spare;
-  ++metrics_.evacuations;
-  metrics_.evacuation_bytes += geom_.page_bytes;
+  HMM_CHECK(pending(frame), "remap_frame on a frame that was not pending");
+  if (pool_.empty()) return std::nullopt;
   complete_retirement(frame, now);
-  return spare;
+  return assign_spare_for(frame);
 }
 
-std::optional<PageId> RasEngine::assign_spare_for(PageId frame, Cycle now) {
-  (void)now;
-  HMM_CHECK(retired_.count(frame) != 0 && remap_.count(frame) == 0,
+std::optional<PageId> RasEngine::assign_spare_for(PageId frame) {
+  HMM_CHECK(retired(frame) && remap_.count(frame) == 0,
             "assign_spare_for needs a retired frame with no stand-in");
   const PageId spare = peek_spare();
   if (spare == kInvalidPage) return std::nullopt;
@@ -124,19 +110,19 @@ PageId RasEngine::resolve(PageId frame) const noexcept {
 }
 
 std::vector<PageId> RasEngine::retired_frames() const {
-  std::vector<PageId> out(retired_.begin(), retired_.end());
-  std::sort(out.begin(), out.end());
+  std::vector<PageId> out;
+  out.reserve(retired_count());
+  for (PageId f = 0; out.size() < retired_count(); ++f)
+    if (state_[f] == kRetired) out.push_back(f);
   return out;
 }
 
 std::uint64_t RasEngine::healthy_frames() const noexcept {
-  const std::uint64_t lost =
-      retired_.size() + pinned_.size() + pending_.size();
-  return geom_.total_pages() - lost + metrics_.spares_used;
+  return in_state_[kHealthy] + metrics_.spares_used;
 }
 
 Cycle RasEngine::probe(PageId frame, Cycle now, bool scrub) {
-  if (retired_.count(frame) != 0) return 0;
+  if (retired(frame)) return 0;
   if (injector_ == nullptr || !injector_->enabled()) {
     if (scrub) health_[frame].last_scrub = now;
     return 0;
@@ -183,10 +169,10 @@ void RasEngine::scrub_to(Cycle now) {
     const Cycle at = next_scrub_at_;
     next_scrub_at_ += cfg_.scrub_interval;
     PageId f = scrub_cursor_ % total;
-    for (PageId tries = 0; tries < total && retired_.count(f) != 0; ++tries)
+    for (PageId tries = 0; tries < total && retired(f); ++tries)
       f = (f + 1) % total;
     scrub_cursor_ = (f + 1) % total;
-    if (retired_.count(f) != 0) continue;  // everything retired (degenerate)
+    if (retired(f)) continue;  // everything retired (degenerate)
     ++metrics_.scrub_probes;
     probe(f, at, /*scrub=*/true);
   }
@@ -194,23 +180,16 @@ void RasEngine::scrub_to(Cycle now) {
 
 void RasEngine::flag(PageId frame, Cycle now) {
   if (quarantined(frame)) return;
+  move(frame, kHealthy, kPending, "RAS flagged a frame past the geometry");
   const auto it = std::find(pool_.begin(), pool_.end(), frame);
   if (it != pool_.end()) {
     // An unconsumed spare failed: it is data-free by construction, so it
     // retires directly — it just never gets pressed into service.
     pool_.erase(it);
-    retired_.insert(frame);
-    ++metrics_.frames_retired;
-    log_retirement(frame, now);
+    complete_retirement(frame, now);
     return;
   }
-  pending_.insert(frame);
   check_capacity();
-}
-
-void RasEngine::log_retirement(PageId frame, Cycle now) {
-  if (retire_log_.size() < kMaxRetirementLog)
-    retire_log_.push_back({now, frame});
 }
 
 void RasEngine::check_capacity() const {
@@ -221,9 +200,9 @@ void RasEngine::check_capacity() const {
       "healthy capacity " + std::to_string(healthy) + "/" +
           std::to_string(geom_.total_pages()) + " frames fell below the " +
           std::to_string(floor_frames_) + "-frame retirement floor (" +
-          std::to_string(retired_.size()) + " retired, " +
-          std::to_string(pinned_.size()) + " pinned, " +
-          std::to_string(pending_.size()) + " pending)");
+          std::to_string(retired_count()) + " retired, " +
+          std::to_string(pinned_count()) + " pinned, " +
+          std::to_string(pending_count()) + " pending)");
 }
 
 double RasEngine::payload_draw(FrameHealth& h, PageId frame) {
@@ -245,18 +224,6 @@ void RasEngine::restore(snap::Reader& r) {
   // A CRC-valid section can still name a frame past the geometry, or a
   // remap cycle resolve() would never leave: refuse them.
   const PageId total = geom_.total_pages();
-  const auto refuse = [](PageId f, const char* what) {
-    snap::snapshot_error("RAS state: frame " + std::to_string(f) + " " +
-                         what);
-  };
-  const auto in_range = [&](const std::unordered_set<PageId>& set) {
-    // analyze: allow(determinism): order-independent range check
-    for (const PageId f : set)
-      if (f >= total) refuse(f, "is past the geometry");
-  };
-  in_range(pending_);
-  in_range(retired_);
-  in_range(pinned_);
   // analyze: allow(determinism): order-independent range check
   for (const auto& [f, h] : health_)
     if (f >= total) refuse(f, "has a health record past the geometry");
@@ -266,7 +233,7 @@ void RasEngine::restore(snap::Reader& r) {
     if (!boot_spare(f)) refuse(f, "in the pool is not a boot-reserved spare");
   // analyze: allow(determinism): order-independent range check
   for (const auto& [f, spare] : remap_) {
-    if (f >= total) refuse(f, "is remapped past the geometry");
+    if (!retired(f)) refuse(f, "is remapped but not retired");
     if (!boot_spare(spare))
       refuse(spare, "stands in for a frame but is not a boot-reserved spare");
   }
@@ -286,6 +253,29 @@ void RasEngine::restore(snap::Reader& r) {
 template <class Ar>
 void RasEngine::io(Ar& ar) {
   const auto frame = [&](auto& f) { snap::u64(ar, f); };
+  // One state's frames, ascending: the wire form of a sorted set.
+  const auto frames_in = [&](FrameState s) {
+    if constexpr (snap::kSaving<Ar>) {
+      ar.u64(in_state_[s]);
+      for (PageId f = 0; f < state_.size(); ++f)
+        if (state_[f] == s) ar.u64(f);
+    } else {
+      PageId prev = 0;
+      for (std::uint64_t n = ar.count(), i = 0; i < n; ++i) {
+        const PageId f = ar.u64();
+        snap::ascending(i, prev, f);
+        prev = f;
+        if (f >= state_.size()) refuse(f, "is past the geometry");
+        if (state_[f] != kHealthy)
+          refuse(f, "is listed in two of pending, retired and pinned");
+        move(f, kHealthy, s, "restored frame state");
+      }
+    }
+  };
+  if constexpr (!snap::kSaving<Ar>) {
+    state_.assign(state_.size(), kHealthy);
+    in_state_ = {state_.size()};
+  }
   snap::section(ar, snap::tag('R', 'A', 'S', 'E'), [&] {
     snap::sorted_map(ar, health_, [&](auto& f, auto& h) {
       snap::u64(ar, f);
@@ -295,9 +285,9 @@ void RasEngine::io(Ar& ar) {
       snap::u64(ar, h.draws);
       snap::u64(ar, h.last_scrub);
     });
-    snap::sorted_set(ar, pending_, frame);
-    snap::sorted_set(ar, retired_, frame);
-    snap::sorted_set(ar, pinned_, frame);
+    frames_in(kPending);
+    frames_in(kRetired);
+    frames_in(kPinned);
     snap::seq(ar, pool_, frame);
     snap::sorted_map(ar, remap_, [&](auto& f, auto& spare) {
       snap::u64(ar, f);

@@ -27,11 +27,11 @@
 // *pending* until the owning scheme moves its occupant off through its
 // own machinery (design N bulk-copies to a spare, N-1/Live park the
 // empty slot, nomad runs a shadow transaction, the static schemes remap
-// to a spare); only then does the frame enter the retired set that
-// validate(), can_swap(), and the auditor enforce. Placements a scheme
-// cannot express are *pinned*: served in place forever, never written
-// anew. Capacity degrades gracefully — spares (reserved at boot like
-// DRAM sparing / post-package repair) absorb retirements — until healthy
+// to a spare); only then is the frame *retired*, the state validate(),
+// can_swap(), and the auditor enforce. Placements a scheme cannot
+// express are *pinned*: served in place forever, never written anew.
+// Capacity degrades gracefully — spares (reserved at boot like DRAM
+// sparing / post-package repair) absorb retirements — until healthy
 // capacity drops below `capacity_floor`, which raises a structured
 // SimError(CapacityExhausted) instead of wedging.
 //
@@ -50,10 +50,10 @@
 // every hook is a no-op and runs are bit-identical to a RAS-less build.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/random.hh"
@@ -151,9 +151,15 @@ class RasEngine final : public RasFrameView {
   }
 
   // --- RasFrameView ---------------------------------------------------------
-  [[nodiscard]] bool retired(PageId frame) const noexcept override;
-  [[nodiscard]] bool quarantined(PageId frame) const noexcept override;
-  [[nodiscard]] bool reserved_spare(PageId frame) const noexcept override;
+  [[nodiscard]] bool retired(PageId frame) const noexcept override {
+    return state(frame) == kRetired;
+  }
+  [[nodiscard]] bool quarantined(PageId frame) const noexcept override {
+    return state(frame) != kHealthy;
+  }
+  [[nodiscard]] bool reserved_spare(PageId frame) const noexcept override {
+    return boot_spare(frame);
+  }
 
   // --- retirement workflow -------------------------------------------------
   // The engine is passive policy + state: it flags failing frames as
@@ -167,11 +173,16 @@ class RasEngine final : public RasFrameView {
   /// frame as pending retirement, and may throw
   /// SimError(CapacityExhausted) when health drops below the floor.
   Cycle on_demand_access(PageId frame, Cycle now);
-  [[nodiscard]] bool has_pending() const noexcept;
+  [[nodiscard]] bool has_pending() const noexcept {
+    return pending_count() != 0;
+  }
+  /// Frame is flagged as failing and awaits its evacuation.
+  [[nodiscard]] bool pending(PageId frame) const noexcept {
+    return state(frame) == kPending;
+  }
   /// Smallest-id pending frame (deterministic order); kInvalidPage when
   /// none.
   [[nodiscard]] PageId next_pending() const noexcept;
-  [[nodiscard]] std::vector<PageId> pending_frames() const;
   /// The frame has been evacuated (or proven data-free): blacklist it.
   void complete_retirement(PageId frame, Cycle now);
   /// The frame's occupant cannot be expressed anywhere else by this
@@ -192,7 +203,7 @@ class RasEngine final : public RasFrameView {
   /// (stale at retirement time) but must now receive data again — e.g. a
   /// flat-HMA page evicted from a failing slot back to its retired home.
   /// Returns the spare, or nullopt when the pool is dry.
-  std::optional<PageId> assign_spare_for(PageId frame, Cycle now);
+  std::optional<PageId> assign_spare_for(PageId frame);
   /// Follow the remap chain from `frame` to the frame actually serving it
   /// (a spare standing in for a spare when a consumed spare fails too).
   [[nodiscard]] PageId resolve(PageId frame) const noexcept;
@@ -201,13 +212,13 @@ class RasEngine final : public RasFrameView {
 
   // --- capacity bookkeeping ------------------------------------------------
   [[nodiscard]] std::uint64_t retired_count() const noexcept {
-    return retired_.size();
+    return in_state_[kRetired];
   }
   [[nodiscard]] std::uint64_t pinned_count() const noexcept {
-    return pinned_.size();
+    return in_state_[kPinned];
   }
   [[nodiscard]] std::uint64_t pending_count() const noexcept {
-    return pending_.size();
+    return in_state_[kPending];
   }
   [[nodiscard]] std::uint64_t spares_left() const noexcept {
     return pool_.size();
@@ -222,18 +233,29 @@ class RasEngine final : public RasFrameView {
 
   // --- checkpoint/restore --------------------------------------------------
   // Serialized only when RAS is enabled (MemSim gates the call), so the
-  // pre-RAS snapshot layout is unchanged. Sets and maps are written
-  // sorted so the encoding is independent of hash iteration order.
-  // Restore refuses, as SimError(Snapshot), a frame id past the
-  // geometry, a pool entry or remap target that is not a boot-reserved
-  // spare, and a remap chain longer than the spare pool (a cycle
+  // pre-RAS snapshot layout is unchanged. The frame states are written as
+  // ascending pending, retired and pinned lists and the maps sorted by
+  // key. Restore refuses, as SimError(Snapshot), a frame id past the
+  // geometry, a frame in two of the lists, a pool entry or remap target
+  // that is not a boot-reserved spare, a remap entry for a frame that is
+  // not retired, and a remap chain longer than the spare pool (a cycle
   // resolve() would never leave).
   void save(snap::Writer& w) const;
   void restore(snap::Reader& r);
 
  private:
+  /// Where a frame stands in the retirement workflow (see the top).
+  enum FrameState : std::uint8_t { kHealthy, kPending, kRetired, kPinned };
+
   template <class Ar>
   void io(Ar& ar);
+
+  /// Healthy for a frame past the geometry (a route the audit rejects).
+  [[nodiscard]] FrameState state(PageId frame) const noexcept {
+    return frame < state_.size() ? state_[frame] : kHealthy;
+  }
+  /// Moves `frame` from `from` to `to`, HMM_CHECKing (`what`) it was there.
+  void move(PageId frame, FrameState from, FrameState to, const char* what);
 
   /// Spares sit just below the ghost page: omega-spare .. omega-1.
   [[nodiscard]] bool boot_spare(PageId frame) const noexcept {
@@ -256,7 +278,6 @@ class RasEngine final : public RasFrameView {
   /// Run the patrol scrubber up to `now` (one frame per interval).
   void scrub_to(Cycle now);
   void flag(PageId frame, Cycle now);
-  void log_retirement(PageId frame, Cycle now);
   /// Raises SimError(CapacityExhausted) once health is below the floor.
   void check_capacity() const;
   /// Deterministic ECC payload for this frame's next media event: a pure
@@ -271,9 +292,9 @@ class RasEngine final : public RasFrameView {
   std::uint64_t floor_frames_ = 0;
 
   std::unordered_map<PageId, FrameHealth> health_;
-  std::unordered_set<PageId> pending_;  ///< flagged, awaiting evacuation
-  std::unordered_set<PageId> retired_;  ///< evacuated and blacklisted
-  std::unordered_set<PageId> pinned_;   ///< failing but inexpressible
+  std::vector<FrameState> state_;  ///< one byte per frame
+  // no-snapshot(derived from state_; recounted on restore)
+  std::array<std::uint64_t, 4> in_state_{};  ///< frames per FrameState
   std::vector<PageId> pool_;  ///< unconsumed spares, ascending ids
   std::unordered_map<PageId, PageId> remap_;  ///< frame -> spare stand-in
   PageId scrub_cursor_ = 0;

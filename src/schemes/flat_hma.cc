@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/params.hh"
+#include "schemes/static_remap.hh"
 
 namespace hmm::schemes {
 
@@ -33,7 +34,7 @@ SchemeDecision FlatHmaScheme::on_access(PhysAddr addr, AccessType /*type*/,
     }
     ++counts_[tracked];
     d.route.region = Region::OffPackage;
-    d.route.mach = home_of(addr);
+    d.route.mach = home_of(ras_, geom_, addr);
     if (++seen_ >= interval_) finalize_placement(now);
     // The OS bookkeeping stalls the CPU; charge it to the access that
     // crossed the epoch boundary (same convention as the controller).
@@ -106,7 +107,7 @@ Route FlatHmaScheme::translate(PhysAddr addr) const {
     // Identity off-package home (the Force::AllOffPackage convention),
     // or its RAS spare stand-in once the home is retired.
     r.region = Region::OffPackage;
-    r.mach = home_of(addr);
+    r.mach = home_of(ras_, geom_, addr);
   }
   return r;
 }
@@ -114,7 +115,6 @@ Route FlatHmaScheme::translate(PhysAddr addr) const {
 void FlatHmaScheme::ras_service(Cycle now) {
   if (!ras_->has_pending()) return;
   const PageId f = ras_->next_pending();
-  const auto bytes = static_cast<std::uint32_t>(geom_.page_bytes);
   if (f < geom_.slots()) {
     // The frame's slot role: evict whatever page was pinned in slot f
     // back to its off-package home (the pinned copy is authoritative).
@@ -129,8 +129,7 @@ void FlatHmaScheme::ras_service(Cycle now) {
         // The evictee's home was stale-retired while the page lived
         // on-package; it needs a fresh spare to land on. A dry pool pins
         // the slot instead — the page keeps being served in place.
-        const std::optional<PageId> re =
-            ras_->assign_spare_for(target, now);
+        const std::optional<PageId> re = ras_->assign_spare_for(target);
         if (!re.has_value()) {
           ras_->pin_frame(f);
           return;
@@ -138,12 +137,7 @@ void FlatHmaScheme::ras_service(Cycle now) {
         target = *re;
       }
       place_.erase(evictee);
-      if (!instant_) {
-        on_.submit(static_cast<MachAddr>(f) * geom_.page_bytes, bytes,
-                   AccessType::Read, Priority::Background, now);
-        off_.submit(geom_.machine_base(target), bytes, AccessType::Write,
-                    Priority::Background, now);
-      }
+      if (!instant_) copy_page_off(on_, off_, geom_, f, target, now);
       stats_.migrated_bytes += geom_.page_bytes;
     }
   }
@@ -155,29 +149,8 @@ void FlatHmaScheme::ras_service(Cycle now) {
     ras_->complete_retirement(f, now);
     return;
   }
-  // The home holds page f's data: permanent remap onto a spare; a dry
-  // pool pins the frame in place.
-  const std::optional<PageId> spare = ras_->remap_frame(f, now);
-  if (!spare.has_value()) {
-    ras_->pin_frame(f);
-    return;
-  }
-  if (!instant_) {
-    const MachAddr base = geom_.machine_base(f);
-    DramSystem& src =
-        geom_.region_of(base) == Region::OnPackage ? on_ : off_;
-    src.submit(base, bytes, AccessType::Read, Priority::Background, now);
-    off_.submit(geom_.machine_base(*spare), bytes, AccessType::Write,
-                Priority::Background, now);
-  }
-}
-
-MachAddr FlatHmaScheme::home_of(PhysAddr addr) const noexcept {
-  if (ras_ == nullptr) return addr;
-  const PageId home = geom_.page_of(addr);
-  const PageId f = ras_->resolve(home);
-  if (f == home) return addr;
-  return geom_.machine_base(f) + geom_.offset_of(addr);
+  // The home holds page f's data: permanent remap onto a spare.
+  remap_onto_spare(*ras_, on_, off_, geom_, f, instant_, now);
 }
 
 SchemeMetrics FlatHmaScheme::metrics() const {

@@ -63,8 +63,6 @@ class FlatHmaScheme final : public MemoryScheme {
   /// failing slot back to its home, or remap a failing off-package home
   /// onto a spare.
   void ras_service(Cycle now);
-  /// Home machine address of `addr`, through the RAS remap table.
-  [[nodiscard]] MachAddr home_of(PhysAddr addr) const noexcept;
 
   struct Stats {
     std::uint64_t accesses = 0;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/params.hh"
+#include "schemes/static_remap.hh"
 
 namespace hmm::schemes {
 
@@ -43,7 +44,7 @@ SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,
     // Memory fraction: static identity placement, no tags, no extra cost
     // — unless the frame was retired, in which case its RAS spare
     // stand-in (off-package) serves it.
-    d.route.mach = home_of(addr);
+    d.route.mach = home_of(ras_, geom_, addr);
     d.route.region = geom_.region_of(d.route.mach);
     if (d.route.region == Region::OnPackage) ++stats_.mem_hits;
     return d;
@@ -71,7 +72,7 @@ SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,
       d.route.mach = mem_bytes_ + hit.set * line + addr % line;
     } else {
       d.route.region = Region::OffPackage;
-      d.route.mach = home_of(addr);
+      d.route.mach = home_of(ras_, geom_, addr);
       d.extra_latency = params::kL4MissDetermination;
     }
     return d;
@@ -89,7 +90,7 @@ SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,
   // Miss: the on-package probe that discovered it costs one access, then
   // the demand is served from the off-package home.
   d.route.region = Region::OffPackage;
-  d.route.mach = home_of(addr);
+  d.route.mach = home_of(ras_, geom_, addr);
   if (cache_.sets() == 0) return d;  // cache_fraction 0: plain miss
   d.extra_latency = params::kL4MissDetermination;
   if (!instant_) {
@@ -100,8 +101,9 @@ SchemeDecision MemCacheScheme::on_access(PhysAddr addr, AccessType type,
                Priority::Background, now + d.extra_latency);
     stats_.fill_bytes += line;
     if (lk.victim_valid && lk.victim_dirty) {
-      off_.submit(home_of(lk.victim_addr), bytes, AccessType::Write,
-                  Priority::Background, now + d.extra_latency);
+      off_.submit(home_of(ras_, geom_, lk.victim_addr), bytes,
+                  AccessType::Write, Priority::Background,
+                  now + d.extra_latency);
       stats_.writeback_bytes += line;
     }
   }
@@ -123,8 +125,9 @@ void MemCacheScheme::ras_service(Cycle now) {
       const LineCache::Purged p = cache_.purge_set(s);
       if (p.valid && p.dirty) {
         if (!instant_)
-          off_.submit(home_of(p.addr), static_cast<std::uint32_t>(line),
-                      AccessType::Write, Priority::Background, now);
+          off_.submit(home_of(ras_, geom_, p.addr),
+                      static_cast<std::uint32_t>(line), AccessType::Write,
+                      Priority::Background, now);
         stats_.writeback_bytes += line;
       }
     }
@@ -132,34 +135,14 @@ void MemCacheScheme::ras_service(Cycle now) {
   // The frame's home role: a memory-fraction frame is page f's static
   // home, and the cache's backing store identity-maps the rest of the
   // space, so every frame id is also some page's home. Remap onto a
-  // spare; a dry pool pins the frame in place.
-  const std::optional<PageId> spare = ras_->remap_frame(f, now);
-  if (!spare.has_value()) {
-    ras_->pin_frame(f);
-    return;
-  }
-  if (!instant_) {
-    const auto bytes = static_cast<std::uint32_t>(geom_.page_bytes);
-    DramSystem& src =
-        geom_.region_of(base) == Region::OnPackage ? on_ : off_;
-    src.submit(base, bytes, AccessType::Read, Priority::Background, now);
-    off_.submit(geom_.machine_base(*spare), bytes, AccessType::Write,
-                Priority::Background, now);
-  }
-}
-
-MachAddr MemCacheScheme::home_of(PhysAddr addr) const noexcept {
-  if (ras_ == nullptr) return addr;
-  const PageId home = geom_.page_of(addr);
-  const PageId f = ras_->resolve(home);
-  if (f == home) return addr;
-  return geom_.machine_base(f) + geom_.offset_of(addr);
+  // spare.
+  remap_onto_spare(*ras_, on_, off_, geom_, f, instant_, now);
 }
 
 Route MemCacheScheme::translate(PhysAddr addr) const {
   Route r;
   if (addr < mem_bytes_) {
-    r.mach = home_of(addr);
+    r.mach = home_of(ras_, geom_, addr);
     r.region = geom_.region_of(r.mach);
   } else if (cache_.present(addr)) {
     const std::uint64_t line = cache_.line_bytes();
@@ -167,7 +150,7 @@ Route MemCacheScheme::translate(PhysAddr addr) const {
     r.mach = mem_bytes_ + cache_.set_of(addr) * line + addr % line;
   } else {
     r.region = Region::OffPackage;
-    r.mach = home_of(addr);
+    r.mach = home_of(ras_, geom_, addr);
   }
   return r;
 }

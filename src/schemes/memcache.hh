@@ -91,9 +91,6 @@ class MemCacheScheme final : public MemoryScheme {
   [[nodiscard]] PageId cache_frame_of(std::uint64_t set) const noexcept {
     return (mem_bytes_ + set * cache_.line_bytes()) >> geom_.page_shift();
   }
-  /// Home machine address of `addr`, through the RAS remap table (the
-  /// identity frame, or its spare stand-in once the home is retired).
-  [[nodiscard]] MachAddr home_of(PhysAddr addr) const noexcept;
 
   std::string name_;  // no-snapshot(construction-time config)
   Geometry geom_;  // no-snapshot(construction-time config)

@@ -108,7 +108,7 @@ void SwapScheme::ras_service(Cycle now) {
     // the evacuation aborted, the frame is still pending, and step 3
     // retries (bounded — repeated aborts degrade the engine, and
     // can_evacuate() then fails, which pins the frame).
-    if (engine_.resident_of(f) == kInvalidPage) retire_data_free(f, now);
+    if (table_.page_at(f) == kInvalidPage) retire_data_free(f, now);
   }
 
   // 2. Preempt and retarget. An ordinary hotness swap in flight blocks
@@ -117,23 +117,16 @@ void SwapScheme::ras_service(Cycle now) {
   // forever. Reliability preempts performance: abort the swap. An
   // in-flight *evacuation* is only aborted when a newly failing frame is
   // part of its plan — a swap must never commit into a failing frame.
-  if (!engine_.idle() && ras_->has_pending()) {
-    if (evac_frame_ == kInvalidPage) {
-      engine_.abort_current(now);
-    } else {
-      for (const PageId f : ras_->pending_frames()) {
-        if (f != evac_frame_ && engine_.plan_touches(f)) {
-          engine_.abort_current(now);
-          break;
-        }
-      }
-    }
-  }
+  if (!engine_.idle() && ras_->has_pending() &&
+      (evac_frame_ == kInvalidPage || engine_.plan_touches([&](PageId f) {
+        return f != evac_frame_ && ras_->pending(f);
+      })))
+    engine_.abort_current(now);
 
   // 3. Launch the next retirement.
   if (!engine_.idle() || !ras_->has_pending()) return;
   const PageId f = ras_->next_pending();
-  if (engine_.resident_of(f) == kInvalidPage) {
+  if (table_.page_at(f) == kInvalidPage) {
     // Data-free already (a hole, an empty N-1 slot, a stale frame).
     retire_data_free(f, now);
     return;

@@ -398,7 +398,8 @@ TEST(RasController, FrameFailingMidSwapAbortsTheTransaction) {
       (void)rig.ctl.on_access(20 * kPage, AccessType::Read, now += 7);
       if (!rig.ctl.background_idle()) {
         for (PageId f = 0; f < small_geom().total_pages(); ++f)
-          if (rig.ctl.engine().plan_touches(f)) {
+          if (rig.ctl.engine().plan_touches(
+                  [f](PageId frame) { return frame == f; })) {
             touched = f;
             break;
           }

@@ -500,6 +500,53 @@ TEST(CraftedSnapshot, PlacementOutsideTheMachineIsASnapshotError) {
   }
 }
 
+// Each page map of the table is one array indexed by page, written as a
+// (page, value) list. An entry the array cannot hold must not restore:
+// a page past the geometry, a CAM slot past the table, a placement on the
+// page's own home (the array cannot tell it from no entry, so it would
+// re-save differently) or onto a machine page another entry names.
+TEST(CraftedSnapshot, PageMapEntryTheArrayCannotHoldIsASnapshotError) {
+  const Geometry g = kEightSubBlocks;  // 64 pages, 16 slots
+  TranslationTable t(g, TableMode::HardwareNMinus1);
+  t.set_row(3, 40);  // CAM: page 40 in slot 3
+  t.note_data_at(40, 3);
+  t.note_data_at(3, 40);
+  const std::vector<std::uint8_t> good = table_bytes(t);
+  // Past the section header, mode (u8), slot count (u64), row count (u64)
+  // and the rows (u64 occupant + bool each) comes the CAM list, one entry
+  // (40, 3); then the placements (3, 40), (15, 63) (the ghost at Ω) and
+  // (40, 3), each a (u64 page, u64 value) pair after a u64 count.
+  const std::size_t cam = 12 + 1 + 8 + 8 + std::size_t{g.slots()} * 9;
+  const std::size_t placed = cam + 8 + 16;
+  ASSERT_EQ(get_u64(good, cam), 1u);
+  ASSERT_EQ(get_u64(good, cam + 8), 40u);
+  ASSERT_EQ(get_u64(good, placed), 3u);
+  ASSERT_EQ(get_u64(good, placed + 8 + 32), 40u);
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+  } cases[] = {
+      {"CAM page past the geometry", cam + 8, g.total_pages()},
+      {"CAM slot past the table", cam + 16, g.slots()},
+      {"placed page past the geometry", placed + 8 + 32, g.total_pages()},
+      {"placement at the page's own home", placed + 8 + 40, 40},
+      {"placement onto the ghost's machine page", placed + 8 + 40,
+       g.omega()},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::vector<std::uint8_t> bad = good;
+    put_u64(bad, c.at, c.value);
+    reseal(bad, 0);
+    TranslationTable fresh(g, TableMode::HardwareNMinus1);
+    expect_snapshot_error([&] {
+      snap::Reader r(bad);
+      fresh.restore(r);
+    });
+  }
+}
+
 // RAS state is indexed by frame id (one flag byte per frame), and
 // resolve() follows the remap table until it reaches an unremapped frame.
 // 16,384 frames; the four boot-reserved spares are 16379..16382.
@@ -559,6 +606,27 @@ TEST(CraftedSnapshot, RasRemapCycleIsASnapshotError) {
   // 16380 first appears as 16379's remap target (the pool moved on to
   // 16381): point it back at 16379.
   expect_ras_refused(ras_bytes(eng), 16380, 16379);
+}
+
+// A frame has one retirement state, and only a retired frame has a spare
+// standing in for it. Frame 3000 retired onto spare 16379, frame 5000
+// pending: moving 5000 into the retired list counted frame 3000 twice
+// in healthy_frames(); renaming the retired frame left the remap entry
+// of a live frame.
+TEST(CraftedSnapshot, RasFrameStatesThatCannotCoexistAreASnapshotError) {
+  ras::RasEngine eng(ras::RasConfig{.enabled = true}, kRasGeom, nullptr);
+  eng.flag_frame_for_test(3000);
+  ASSERT_EQ(eng.remap_frame(3000, 0), PageId{16379});
+  eng.flag_frame_for_test(5000);
+  const std::vector<std::uint8_t> good = ras_bytes(eng);
+  {
+    SCOPED_TRACE("frame both pending and retired");
+    expect_ras_refused(good, 5000, 3000);
+  }
+  {
+    SCOPED_TRACE("remap entry for a frame that is not retired");
+    expect_ras_refused(good, 3000, 2999);
+  }
 }
 
 // The sparse line-cache codec writes only valid entries, in ascending set
@@ -828,8 +896,8 @@ TEST(CraftedSnapshot, LineCacheTagPastTheAddressSpaceIsASnapshotError) {
   }
 }
 
-// snap::sorted_map and snap::sorted_set write keys strictly ascending. A
-// repeated or descending key restored, then re-saved to different bytes.
+// snap::sorted_map and the RAS frame lists write keys strictly ascending.
+// A repeated or descending key restored, then re-saved to different bytes.
 TEST(CraftedSnapshot, MapKeysNotAscendingAreASnapshotError) {
   OracleTracker oracle;
   oracle.record_access(0x1111, 0);

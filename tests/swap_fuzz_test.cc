@@ -1,11 +1,15 @@
-// Property fuzzer: long random sequences of hottest-coldest swaps across
-// all designs and several geometries. After every completed swap the
-// hardware encoding must agree with the placement shadow map, every page
-// must be addressable, and the machine-address mapping must stay a
-// bijection (no two pages resolving to the same machine page).
+// Property fuzzer: long random sequences of hottest-coldest swaps (nomad:
+// transactions into the hole) across all designs and several geometries.
+// After every completed swap the hardware encoding must agree with the
+// placement shadow map, every page must be addressable, and the
+// machine-address mapping must stay a bijection (no two pages resolving
+// to the same machine page); after every completion batch page_at() must
+// invert the placement.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.hh"
 #include "core/migration.hh"
@@ -20,6 +24,52 @@ struct FuzzParam {
   std::uint64_t on;
   std::uint64_t page;
 };
+
+/// For every machine page m, page_at(m) must be the one page p < Ω whose
+/// data lives at m, or kInvalidPage when there is none. Returns the first
+/// disagreement, or an empty string.
+[[nodiscard]] std::string page_at_error(const TranslationTable& t) {
+  const Geometry& g = t.geometry();
+  std::vector<PageId> want(g.total_pages(), kInvalidPage);
+  for (PageId p = 0; p < g.omega(); ++p) {
+    const PageId m = g.page_of(t.location_of(p));
+    if (want[m] != kInvalidPage)
+      return "pages " + std::to_string(want[m]) + " and " +
+             std::to_string(p) + " share machine page " + std::to_string(m);
+    want[m] = p;
+  }
+  for (PageId m = 0; m < g.total_pages(); ++m)
+    if (t.page_at(m) != want[m])
+      return "page_at(" + std::to_string(m) + ") is " +
+             std::to_string(t.page_at(m)) + ", the placement says " +
+             std::to_string(want[m]);
+  return {};
+}
+
+/// Starts one random move: a swap of `hot` with slot `cold`, or for nomad
+/// a transaction moving `hot` into the hole. False when the engine
+/// refuses; the sub-block is drawn only for a swap it accepts.
+bool start(MigrationEngine& engine, const Geometry& g, Pcg32& rng,
+           PageId hot, SlotId cold) {
+  if (engine.design() == MigrationDesign::Nomad)
+    return engine.start_migration(hot, 0);
+  if (!engine.can_swap(hot, cold)) return false;
+  const auto sb =
+      static_cast<std::uint32_t>(rng.bounded(g.sub_blocks_per_page()));
+  EXPECT_TRUE(engine.start_swap(hot, sb, cold, 0));
+  return true;
+}
+
+/// Where a finished move promises `hot`: on-package after a swap, at the
+/// hole `dst` it was streamed into after a nomad commit.
+void expect_moved(const TranslationTable& t, MigrationDesign d, PageId hot,
+                  PageId dst) {
+  const Geometry& g = t.geometry();
+  if (d == MigrationDesign::Nomad)
+    EXPECT_EQ(t.location_of(hot), g.machine_base(dst));
+  else
+    EXPECT_EQ(t.translate(g.machine_base(hot)).region, Region::OnPackage);
+}
 
 class SwapFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
@@ -41,16 +91,18 @@ TEST_P(SwapFuzz, RandomSwapSequencesPreserveAllInvariants) {
   for (int iter = 0; iter < 300; ++iter) {
     const PageId hot = rng.bounded64(pages);
     const auto cold = static_cast<SlotId>(rng.bounded(g.slots()));
-    if (!engine.can_swap(hot, cold)) continue;
-    ASSERT_TRUE(engine.start_swap(
-        hot, static_cast<std::uint32_t>(rng.bounded(
-                 g.sub_blocks_per_page())),
-        cold, 0));
+    const PageId hole = table.hole();
+    if (!start(engine, g, rng, hot, cold)) continue;
     Cycle now = 0;
+    std::string mid;
     drain_regions(
         on, off, Drain::Completely, now, 100000,
         [&](const DramCompletion& c, Region r) { engine.on_completion(c, r); },
-        [&] { return engine.idle(); });
+        [&] {
+          mid = page_at_error(table);
+          return !mid.empty() || engine.idle();
+        });
+    ASSERT_TRUE(mid.empty()) << mid << " in swap " << completed + 1;
     ASSERT_TRUE(engine.idle()) << "swap never completed";
     ++completed;
 
@@ -70,9 +122,8 @@ TEST_P(SwapFuzz, RandomSwapSequencesPreserveAllInvariants) {
           << completed;
     }
 
-    // Invariant 3: the hot page really is on-package now.
-    EXPECT_EQ(table.translate(g.machine_base(hot)).region,
-              Region::OnPackage);
+    // Invariant 3: the hot page really moved.
+    expect_moved(table, fp.design, hot, hole);
   }
   EXPECT_GT(completed, 20);  // the fuzzer exercised real work
 }
@@ -87,7 +138,9 @@ const FuzzParam kGeometries[] = {
     {MigrationDesign::LiveMigration, 16 * MiB, 4 * MiB, 512 * KiB},
     {MigrationDesign::LiveMigration, 64 * MiB, 16 * MiB, 1 * MiB},
     {MigrationDesign::N, 16 * MiB, 4 * MiB, 512 * KiB},
-    {MigrationDesign::N, 32 * MiB, 8 * MiB, 1 * MiB}};
+    {MigrationDesign::N, 32 * MiB, 8 * MiB, 1 * MiB},
+    {MigrationDesign::Nomad, 16 * MiB, 4 * MiB, 512 * KiB},
+    {MigrationDesign::Nomad, 32 * MiB, 8 * MiB, 1 * MiB}};
 
 INSTANTIATE_TEST_SUITE_P(DesignsAndGeometries, SwapFuzz,
                          ::testing::ValuesIn(kGeometries));
@@ -132,12 +185,9 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
   for (int iter = 0; iter < 200 && !engine.wedged(); ++iter) {
     const PageId hot = rng.bounded64(pages);
     const auto cold = static_cast<SlotId>(rng.bounded(g.slots()));
-    if (!engine.can_swap(hot, cold)) continue;
+    const PageId hole = table.hole();
     const std::uint64_t completed_before = engine.stats().swaps_completed;
-    ASSERT_TRUE(engine.start_swap(
-        hot, static_cast<std::uint32_t>(rng.bounded(
-                 g.sub_blocks_per_page())),
-        cold, 0));
+    if (!start(engine, g, rng, hot, cold)) continue;
     Cycle now = 0;
     std::string mid;
     drain_regions(
@@ -147,6 +197,7 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
           // The audit property: valid after every completion batch, even
           // mid-swap (mutations only land on step boundaries).
           mid = table.validate();
+          if (mid.empty()) mid = page_at_error(table);
           return !mid.empty() || engine.idle() || engine.wedged();
         });
     ASSERT_TRUE(mid.empty()) << mid << " mid-swap, iter " << iter;
@@ -166,15 +217,14 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
           << "two pages share machine page " << mp << " after iter " << iter;
     }
 
-    // Only a *completed* swap promises the hot page on-package; aborted
-    // and wedged swaps promise only the (already checked) valid mapping.
-    if (engine.stats().swaps_completed > completed_before) {
-      EXPECT_EQ(table.translate(g.machine_base(hot)).region,
-                Region::OnPackage);
-    }
+    // Only a *completed* swap promises the hot page moved; aborted and
+    // wedged swaps promise only the (already checked) valid mapping.
+    if (engine.stats().swaps_completed > completed_before)
+      expect_moved(table, fp.design, hot, hole);
   }
 
-  // N-1 and Live always recover, roll back, or degrade — never wedge.
+  // N-1, Live and nomad always recover, roll back, or degrade — never
+  // wedge.
   if (fp.design != MigrationDesign::N) {
     EXPECT_FALSE(engine.wedged());
   }
@@ -185,7 +235,8 @@ TEST_P(FaultySwapFuzz, InjectedFaultsNeverCorruptTheTable) {
 const FuzzParam kFaultyDesigns[] = {
     {MigrationDesign::NMinus1, 16 * MiB, 4 * MiB, 512 * KiB},
     {MigrationDesign::LiveMigration, 16 * MiB, 4 * MiB, 512 * KiB},
-    {MigrationDesign::N, 16 * MiB, 4 * MiB, 512 * KiB}};
+    {MigrationDesign::N, 16 * MiB, 4 * MiB, 512 * KiB},
+    {MigrationDesign::Nomad, 16 * MiB, 4 * MiB, 512 * KiB}};
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, FaultySwapFuzz,
                          ::testing::ValuesIn(kFaultyDesigns));

@@ -37,6 +37,11 @@ TEST(ChoreographyChecker, DesignNReachesOnlyItsDocumentedStall) {
   EXPECT_GT(r.stall_states, 0u);  // demand held during every swap
   EXPECT_GT(r.wedge_states, 0u);  // every mid-swap crash wedges, as documented
   EXPECT_EQ(r.degraded_states, 0u);
+  // Pinned like ReportsAreDeterministic's: the table bytes are the dedup
+  // key.
+  EXPECT_EQ(r.states_explored, 488880u);
+  EXPECT_EQ(r.transitions, 1028160u);
+  EXPECT_EQ(r.demand_checks, 141120u);
 }
 
 // The table's snapshot bytes are the checker's dedup key, so the counts
